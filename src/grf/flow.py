@@ -24,7 +24,7 @@ import numpy as np
 from .autodiff import Tensor, elu, elu_prime
 from .graphs import (DequantGraph, GraphSchema, LatentPoint,
                      augmented_normalized_adjacency, normalized_adjacency_per_channel)
-from .linalg import (SpectralNormState, init_spectral_state, normalize_to_bound,
+from .linalg import (NumericalError, SpectralNormState, init_spectral_state,
                      operator_norm_power)
 
 ADJACENCY_MODES = ("flat", "node", "pair")
@@ -100,24 +100,47 @@ class FactoredWeight:
     vt: np.ndarray
 
 
-def _weight_sigma(w, seed: int = 0) -> float:
+def _weight_sigma(w) -> float:
+    """Largest singular value: exact (LAPACK) for a dense weight, power
+    iteration for a rank-r factored one."""
     if isinstance(w, FactoredWeight):
         sigma, _, _ = operator_norm_power(
             lambda x: w.u @ (w.vt @ x), lambda y: w.vt.T @ (w.u.T @ y),
-            w.vt.shape[1], seed=seed)
+            w.vt.shape[1])
         return sigma
-    sigma, _, _ = operator_norm_power(lambda x: w @ x, lambda y: w.T @ y,
-                                      w.shape[1], seed=seed)
-    return sigma
+    return float(np.linalg.norm(w, 2))
 
 
-def _scale_weight_inplace(w, factor: float) -> None:
-    if isinstance(w, FactoredWeight):
-        root = np.sqrt(factor)
-        w.u *= root
-        w.vt *= root
-    else:
-        w *= factor
+def _dense_sigmas(weights: list) -> np.ndarray:
+    """Exact largest singular values of same-shape dense weights, in one batch."""
+    stack = np.stack(weights)
+    if not np.isfinite(stack).all():
+        raise NumericalError("non-finite weight: its spectral norm is undefined")
+    return np.linalg.norm(stack, 2, axis=(1, 2))
+
+
+def _clamp_dense(weights: list, bound: float) -> None:
+    """Scale each dense weight in place so its exact sigma is at most `bound`.
+
+    Scaling by bound/sigma can leave sigma a few ulps above the bound, so
+    the scaled weights are measured again and shrunk by the next float
+    below the ratio until none exceeds it.
+    """
+    sigmas = _dense_sigmas(weights)
+    over = np.flatnonzero(sigmas > bound)
+    shrink = bound / sigmas[over]
+    while over.size:
+        for i, factor in zip(over, shrink):
+            weights[i] *= factor
+        sigmas = _dense_sigmas([weights[i] for i in over])
+        still = sigmas > bound
+        over, shrink = over[still], np.nextafter(bound / sigmas[still], 0.0)
+
+
+def _scale_factored(w: FactoredWeight, factor: float) -> None:
+    root = np.sqrt(factor)
+    w.u *= root
+    w.vt *= root
 
 
 def _weight_entries(path: str, w) -> list[tuple[str, np.ndarray]]:
@@ -187,28 +210,15 @@ class GcnResidualBlock:
         return bound
 
     def certified_bound(self) -> float:
-        """Product of converged per-layer operator norms (an upper Lipschitz bound)."""
-        total = 1.0
-        for w in self.weights:
-            if self.relational:
-                total *= sum(_weight_sigma(w_ch) for w_ch in w)
-            else:
-                total *= _weight_sigma(w)
-        return total
+        """Product of exact per-layer operator norms (an upper Lipschitz bound).
+
+        A relational layer contributes the sum of its channels' norms.
+        """
+        sigmas = _dense_sigmas([w for _, w in self.weight_items()])
+        return float(np.prod(sigmas.reshape(self.depth, -1).sum(axis=1)))
 
     def project(self) -> None:
-        bound = self.per_weight_bound()
-        idx = 0
-        for l in range(self.depth):
-            layer = self.weights[l] if self.relational else [self.weights[l]]
-            for w in layer:
-                state = self.spectral_states[idx]
-                w[...] = normalize_to_bound(w, bound, state=state)
-                sigma, u, v = operator_norm_power(
-                    lambda x, w=w: w @ x, lambda y, w=w: w.T @ y,
-                    w.shape[1], u0=state.u)
-                state.u, state.v, state.sigma_estimate = u, v, sigma
-                idx += 1
+        _clamp_dense([w for _, w in self.weight_items()], self.per_weight_bound())
 
     # -- math ----------------------------------------------------------------
 
@@ -313,29 +323,27 @@ class MlpResidualBlock:
         return self.lipschitz_budget ** (1.0 / self.depth)
 
     def certified_bound(self) -> float:
-        total = 1.0
-        for w in self.weights:
-            total *= _weight_sigma(w)
-        return total
+        """Product of per-layer operator norms (an upper Lipschitz bound):
+        exact for dense weights, power-iteration estimates for rank-r ones."""
+        if isinstance(self.weights[0], FactoredWeight):
+            sigmas = [_weight_sigma(w) for w in self.weights]
+        else:
+            sigmas = _dense_sigmas(self.weights)
+        return float(np.prod(sigmas))
 
     def project(self) -> None:
         bound = self.per_weight_bound()
-        for l in range(self.depth):
-            w = self.weights[l]
-            state = self.spectral_states[l]
-            if isinstance(w, FactoredWeight):
-                sigma, u, v = operator_norm_power(
-                    lambda x: w.u @ (w.vt @ x), lambda y: w.vt.T @ (w.u.T @ y),
-                    w.vt.shape[1], u0=state.u)
-                if sigma > bound:
-                    _scale_weight_inplace(w, bound / sigma)
-                    sigma = bound
-                state.u, state.v, state.sigma_estimate = u, v, sigma
-            else:
-                w[...] = normalize_to_bound(w, bound, state=state)
-                sigma, u, v = operator_norm_power(
-                    lambda x: w @ x, lambda y: w.T @ y, w.shape[1], u0=state.u)
-                state.u, state.v, state.sigma_estimate = u, v, sigma
+        if not isinstance(self.weights[0], FactoredWeight):
+            _clamp_dense(self.weights, bound)
+            return
+        for w, state in zip(self.weights, self.spectral_states):
+            sigma, u, v = operator_norm_power(
+                lambda x: w.u @ (w.vt @ x), lambda y: w.vt.T @ (w.u.T @ y),
+                w.vt.shape[1], u0=state.u)
+            if sigma > bound:
+                _scale_factored(w, bound / sigma)
+                sigma = bound
+            state.u, state.v, state.sigma_estimate = u, v, sigma
 
     def apply(self, x, params=None):
         h = x
@@ -488,7 +496,7 @@ class GrfModel:
                            vt=rng.standard_normal((rank, d)))
         sigma = _weight_sigma(w)
         if sigma > 0:
-            _scale_weight_inplace(w, target_sigma / sigma)
+            _scale_factored(w, target_sigma / sigma)
         return w
 
     # -- parameters -----------------------------------------------------------

@@ -126,7 +126,7 @@ def check_gcn_contraction(n_blocks: int = 40, pairs_per_block: int = 250,
                           seed: int = 0, inject_overbudget: bool = False) -> CheckResult:
     """Residual blocks with in-budget weights never expand distances.
 
-    Checks both the certified bound (product of converged operator norms,
+    Checks both the certified bound (product of exact operator norms,
     must stay below 1) and sampled difference ratios.  The
     `inject_overbudget` hook deliberately breaks one block so callers can
     verify the check fails loudly.

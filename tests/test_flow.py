@@ -7,6 +7,7 @@ from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_flow_forw
                       feature_flow_forward, load_checkpoint, qm9_table_config,
                       save_checkpoint, toy_config)
 from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
+from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
 
 
@@ -277,3 +278,57 @@ def test_model_config_validation():
         ModelConfig(lipschitz_budget=1.0)
     with pytest.raises(ValueError):
         ModelConfig(mlp_blocks=0)
+
+
+# -- exact spectral control ------------------------------------------------------------
+
+def near_degenerate(n, sigma1, rng):
+    """Random n x n matrix whose top singular pair is split by a relative 1e-6."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.linspace(0.3, 0.1, n) * sigma1
+    s[:2] = sigma1, sigma1 * (1.0 - 1e-6)
+    return (u * s) @ v.T
+
+
+def test_projection_bound_is_strict_on_near_degenerate_top_pair():
+    rng = np.random.default_rng(40)
+    for seed in range(20):
+        model = GrfModel(toy_config(seed=seed, gcn_layers=2))
+        for block in model.blocks():
+            bound = block.per_weight_bound()
+            for _, w in block.weight_items():
+                w[...] = near_degenerate(w.shape[0], bound * rng.uniform(1.01, 3.0), rng)
+            block.project()
+            for _, w in block.weight_items():
+                assert np.linalg.norm(w, 2) <= bound
+
+
+def exact_product(block):
+    total = 1.0
+    for w in block.weights:
+        layer = w if isinstance(w, list) else [w]
+        total *= sum(np.linalg.norm(w_ch, 2) for w_ch in layer)
+    return total
+
+
+@pytest.mark.parametrize("relational", [False, True])
+def test_certified_bound_is_exact_and_never_stale(relational):
+    model = GrfModel(toy_config(seed=41, gcn_layers=2, relational_gcn=relational))
+    for block in (model.feature_layers[0], model.adjacency_layers[0]):
+        assert block.certified_bound() == pytest.approx(exact_product(block), rel=1e-12)
+        _, w = block.weight_items()[0]
+        w *= 1.5 / np.linalg.norm(w, 2)  # in place, after the last projection
+        assert block.certified_bound() == pytest.approx(exact_product(block), rel=1e-12)
+        assert block.certified_bound() >= 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_weight_fails_loudly(value):
+    model = GrfModel(toy_config(seed=42))
+    for block in model.blocks():
+        block.weight_items()[0][1][0, 0] = value
+        with pytest.raises(NumericalError):
+            block.certified_bound()
+        with pytest.raises(NumericalError):
+            block.project()

@@ -3,11 +3,17 @@
 A small tape engine: every operation records its parent tensors and a
 closure that routes the output gradient back to them.  It implements
 exactly the primitives the residual flows need -- broadcast arithmetic,
-2-D matmul, ELU together with its derivative as a first-class op (the
-Jacobian-vector products of a residual block reference ``elu_prime``
-directly, so its own gradient must be available), and a full-sum
-reduction.  Everything else stays in plain numpy where no gradient is
-required.
+a contraction ``dot`` (``np.tensordot(a, b, 1)``, computed as one 2-D
+matrix product; ``@`` is its 2-D form), ``reshape``, ELU together with
+its derivative as a first-class op (the Jacobian-vector products of a
+residual block reference ``elu_prime`` directly, so its own gradient
+must be available), and a full-sum reduction.  Everything else stays in
+plain numpy where no gradient is required.
+
+`backward()` allocates a node's gradient on its first write and drops it
+(sets ``.grad`` to None) once the node has passed it on to its parents;
+only leaves keep theirs.  Gradients are never updated in place, so
+nodes may share gradient arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +32,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a contracted with b over a's last and b's first axis, as one 2-D product."""
+    if a.ndim == 2 and b.ndim == 2:
+        return a @ b
+    out = a.reshape(-1, a.shape[-1]) @ b.reshape(b.shape[0], -1)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -67,12 +81,19 @@ class Tensor:
 
     @staticmethod
     def _node(data, parents, backward) -> "Tensor":
-        if any(p.requires_grad for p in parents):
-            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, requires_grad=True, _parents=tuple(parents),
+                              _backward=backward)
         return Tensor(data)
 
     def _add_grad(self, g: np.ndarray) -> None:
-        self.grad += _unbroadcast(g, self.data.shape)
+        g = _unbroadcast(g, self.data.shape)
+        if self.grad is None:
+            # an interior node may share `g` with its sibling; a leaf owns its gradient
+            self.grad = g if self._parents else np.array(g)
+        else:
+            self.grad = self.grad + g
 
     # -- arithmetic ------------------------------------------------------
 
@@ -121,21 +142,41 @@ class Tensor:
             raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
         return self * (1.0 / float(other))
 
+    def dot(self, other):
+        """Contract this tensor's last axis with `other`'s first axis.
+
+        Extra axes on either side ride along as extra rows or columns of
+        one 2-D matrix product, so a stack of tangents costs one product.
+        """
+        other = Tensor._lift(other)
+        a, b = self.data, other.data
+
+        def backward(out):
+            a2 = a.reshape(-1, a.shape[-1])
+            b2 = b.reshape(b.shape[0], -1)
+            g2 = out.grad.reshape(a2.shape[0], b2.shape[1])
+            if self.requires_grad:
+                self._add_grad((g2 @ b2.T).reshape(a.shape))
+            if other.requires_grad:
+                other._add_grad((a2.T @ g2).reshape(b.shape))
+
+        return Tensor._node(_dot(a, b), (self, other), backward)
+
     def __matmul__(self, other):
         other = Tensor._lift(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ValueError("matmul is restricted to 2-D operands")
-
-        def backward(out):
-            if self.requires_grad:
-                self._add_grad(out.grad @ other.data.T)
-            if other.requires_grad:
-                other._add_grad(self.data.T @ out.grad)
-
-        return Tensor._node(self.data @ other.data, (self, other), backward)
+        return self.dot(other)
 
     def __rmatmul__(self, other):
         return Tensor._lift(other) @ self
+
+    def reshape(self, *shape):
+        def backward(out):
+            if self.requires_grad:
+                self._add_grad(out.grad.reshape(self.data.shape))
+
+        return Tensor._node(self.data.reshape(*shape), (self,), backward)
 
     # -- nonlinearities and reductions ------------------------------------
 
@@ -169,7 +210,11 @@ class Tensor:
     # -- backward pass ----------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from this scalar node; leaf gradients land in `.grad`."""
+        """Backpropagate from this scalar node; leaf gradients land in `.grad`.
+
+        A leaf that no gradient reaches keeps `.grad` None; every interior
+        node's `.grad` is None afterwards.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
 
@@ -190,15 +235,23 @@ class Tensor:
                     stack.append((parent, False))
 
         for node in topo:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
+            if node.grad is not None and node._backward is not None:
                 node._backward(node)
+                node.grad = None
 
 
 # Dispatch helpers: flow code is written once against these and runs on
 # plain arrays (no tape) or Tensors (tape) depending on the inputs.
+
+def dot(a, b):
+    """np.tensordot(a, b, 1) on arrays, the `dot` op when either is a Tensor."""
+    if isinstance(a, Tensor) or isinstance(b, Tensor):
+        return Tensor._lift(a).dot(b)
+    return _dot(a, b)
+
 
 def elu(x):
     return x.elu() if isinstance(x, Tensor) else _elu(np.asarray(x, dtype=np.float64))

@@ -22,7 +22,8 @@ from .analysis import latent_grid, reconstruction_curve
 from .chem import (ChemError, SmilesError, check_validity, compute_metrics,
                    load_smiles_file, load_valence_table, training_string_set,
                    write_smiles)
-from .flow import GrfModel, ModelConfig, load_checkpoint, save_checkpoint, toy_config
+from .flow import (CheckpointError, GrfModel, ModelConfig, load_checkpoint,
+                   save_checkpoint, toy_config)
 from .graphs import GraphError, GraphSchema, pad_graph, unpad_graph
 from .inversion import InversionConfig, generate
 from .likelihood import LogDetEstimatorConfig, full_logp
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (SmilesError, ChemError, GraphError, FileNotFoundError,
+    except (SmilesError, ChemError, GraphError, CheckpointError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -17,19 +17,20 @@ from __future__ import annotations
 
 import io
 import json
+import operator
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, elu, elu_prime
-from .graphs import (DequantGraph, GraphSchema, LatentPoint,
-                     augmented_normalized_adjacency, normalized_adjacency_per_channel)
+from .autodiff import dot, elu, elu_prime
+from .graphs import DequantGraph, GraphSchema, LatentPoint, augmented_normalized_adjacency
 from .linalg import (NumericalError, SpectralNormState, init_spectral_state,
                      operator_norm_power)
 
 ADJACENCY_MODES = ("flat", "node", "pair")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -53,7 +54,6 @@ class ModelConfig:
     mlp_layers: int = 2
     adjacency_mode: str = "flat"
     adjacency_rank: int = 0
-    relational_gcn: bool = False
     use_bias: bool = False
     lipschitz_budget: float = 0.9
     noise_scale: float = 0.9
@@ -149,14 +149,8 @@ def _weight_entries(path: str, w) -> list[tuple[str, np.ndarray]]:
     return [(path, w)]
 
 
-def _resolve_matvec(w, path: str, params, x):
-    """w @ x with optional tape-tensor overrides looked up by path."""
-    if isinstance(w, FactoredWeight):
-        u = params[f"{path}.u"] if params else w.u
-        vt = params[f"{path}.vt"] if params else w.vt
-        return u @ (vt @ x)
-    ww = params[path] if params else w
-    return ww @ x
+def _add_bias(pre, b, path: str, params):
+    return pre + (params[path] if params and path in params else b)
 
 
 # ---------------------------------------------------------------------------
@@ -169,32 +163,23 @@ class GcnResidualBlock:
     P is the normalized adjacency operator of the conditioning graph (norm
     at most 1), W is spectrally bounded, and phi is ELU with unit
     Lipschitz constant, so the whole block is a contraction whenever the
-    per-layer weight norms multiply to less than 1.  In the relational
-    variant each layer sums one convolution per real bond channel and the
-    per-channel budgets are divided accordingly.
+    per-layer weight norms multiply to less than 1.
+
+    Tangent stacks have shape (N, S, M): S probes of the (N, M) feature
+    matrix, probe-major, i.e. the (N, S*M) column layout viewed in 3-D.
     """
 
-    def __init__(self, prefix: str, weights: list, biases: list, budget: float,
-                 relational: bool, states: list[SpectralNormState]):
+    def __init__(self, prefix: str, weights: list, biases: list, budget: float):
         self.prefix = prefix
-        self.weights = weights          # dense (M, M), or list per channel if relational
+        self.weights = weights          # dense (M, M)
         self.biases = biases            # (1, M) arrays or None
         self.lipschitz_budget = budget
-        self.relational = relational
-        self.spectral_states = states   # aligned with weight_entries order
         self.depth = len(weights)
 
     # -- parameter plumbing -------------------------------------------------
 
     def weight_items(self):
-        items = []
-        for l, w in enumerate(self.weights):
-            if self.relational:
-                for ch, w_ch in enumerate(w):
-                    items.append((f"{self.prefix}.w{l}.c{ch}", w_ch))
-            else:
-                items.append((f"{self.prefix}.w{l}", w))
-        return items
+        return [(f"{self.prefix}.w{l}", w) for l, w in enumerate(self.weights)]
 
     def named_parameters(self):
         items = list(self.weight_items())
@@ -204,39 +189,24 @@ class GcnResidualBlock:
         return items
 
     def per_weight_bound(self) -> float:
-        bound = self.lipschitz_budget ** (1.0 / self.depth)
-        if self.relational:
-            bound /= max(1, len(self.weights[0]))
-        return bound
+        return self.lipschitz_budget ** (1.0 / self.depth)
 
     def certified_bound(self) -> float:
-        """Product of exact per-layer operator norms (an upper Lipschitz bound).
-
-        A relational layer contributes the sum of its channels' norms.
-        """
-        sigmas = _dense_sigmas([w for _, w in self.weight_items()])
-        return float(np.prod(sigmas.reshape(self.depth, -1).sum(axis=1)))
+        """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
+        return float(np.prod(_dense_sigmas(self.weights)))
 
     def project(self) -> None:
-        _clamp_dense([w for _, w in self.weight_items()], self.per_weight_bound())
+        _clamp_dense(self.weights, self.per_weight_bound())
 
     # -- math ----------------------------------------------------------------
 
+    def _weight(self, l, params):
+        return params[f"{self.prefix}.w{l}"] if params else self.weights[l]
+
     def _layer_pre(self, h, p, l, params):
-        if self.relational:
-            pre = None
-            for ch, w_ch in enumerate(self.weights[l]):
-                ww = params[f"{self.prefix}.w{l}.c{ch}"] if params else w_ch
-                term = p[ch] @ (h @ ww) if isinstance(h, Tensor) else p[ch] @ h @ ww
-                pre = term if pre is None else pre + term
-        else:
-            ww = params[f"{self.prefix}.w{l}"] if params else self.weights[l]
-            pre = p @ (h @ ww) if isinstance(h, Tensor) else p @ h @ ww
+        pre = p @ h @ self._weight(l, params)
         b = self.biases[l]
-        if b is not None:
-            bb = params[f"{self.prefix}.b{l}"] if params and f"{self.prefix}.b{l}" in params else b
-            pre = pre + bb
-        return pre
+        return pre if b is None else _add_bias(pre, b, f"{self.prefix}.b{l}", params)
 
     def apply(self, z, p, params=None):
         h = z
@@ -244,47 +214,26 @@ class GcnResidualBlock:
             h = elu(self._layer_pre(h, p, l, params))
         return h
 
-    def linearize(self, z, p, params=None):
-        """Per-layer ELU slopes at the linearization point `z`."""
+    def forward(self, z, p, params=None):
+        """(apply(z, p), per-layer ELU slopes shaped (N, 1, M) for `jvp_many`)."""
         h = z
         slopes = []
         for l in range(self.depth):
             pre = self._layer_pre(h, p, l, params)
-            slopes.append(elu_prime(pre))
+            slopes.append(elu_prime(pre).reshape(pre.shape[0], 1, pre.shape[1]))
             h = elu(pre)
-        return slopes
+        return h, slopes
 
-    def jvp(self, u, p, slopes, params=None):
-        """Jacobian-vector product at the linearization captured in `slopes`."""
+    def jvp_many(self, u, p, slopes, params=None):
+        """Jacobian-vector products of a tangent stack u (N, S, M) at the
+        linearization captured in `slopes`: P @ U as (N, N) @ (N, S*M), then
+        @ W as (N*S, M) @ (M, M), then the broadcast slopes."""
         for l in range(self.depth):
-            if self.relational:
-                nxt = None
-                for ch in range(len(self.weights[l])):
-                    ww = (params[f"{self.prefix}.w{l}.c{ch}"] if params
-                          else self.weights[l][ch])
-                    term = p[ch] @ (u @ ww) if isinstance(u, Tensor) else p[ch] @ u @ ww
-                    nxt = term if nxt is None else nxt + term
-                u = nxt
-            else:
-                ww = params[f"{self.prefix}.w{l}"] if params else self.weights[l]
-                u = p @ (u @ ww) if isinstance(u, Tensor) else p @ u @ ww
-            u = slopes[l] * u
-        return u
-
-    def jvp_many(self, u, p, slopes):
-        """Vectorized numpy JVP over a stack of tangents u of shape (N, M, S)."""
-        for l in range(self.depth):
-            if self.relational:
-                nxt = None
-                for ch, w_ch in enumerate(self.weights[l]):
-                    t = np.einsum("ij,jms->ims", p[ch], u)
-                    t = np.einsum("ims,mk->iks", t, w_ch)
-                    nxt = t if nxt is None else nxt + t
-                u = nxt
-            else:
-                t = np.einsum("ij,jms->ims", p, u)
-                u = np.einsum("ims,mk->iks", t, self.weights[l])
-            u = slopes[l][:, :, None] * u
+            u = dot(dot(p, u), self._weight(l, params))
+            # In place on an array: the product is a fresh temporary, and
+            # reusing it saves an allocation per layer.  A Tensor has no
+            # in-place ops, so on the tape `*=` records a new node.
+            u *= slopes[l]
         return u
 
 
@@ -294,7 +243,9 @@ class MlpResidualBlock:
     The activation follows every linear map (so a depth-1 block is
     phi(W x), mirroring the graph-convolution block).  Operating
     column-wise means one call handles every slice of the adjacency
-    tensor (and any batch of samples) at once.
+    tensor (and any batch of samples) at once.  Tangent stacks have shape
+    (d, S, C): S probes of the (d, C) column matrix, probe-major, i.e. the
+    (d, S*C) column layout viewed in 3-D.
     """
 
     def __init__(self, prefix: str, weights: list, biases: list, budget: float,
@@ -303,7 +254,7 @@ class MlpResidualBlock:
         self.weights = weights          # dense (d, d) or FactoredWeight
         self.biases = biases            # (d, 1) arrays or None
         self.lipschitz_budget = budget
-        self.spectral_states = states
+        self.spectral_states = states   # one per FactoredWeight; empty when dense
         self.depth = len(weights)
 
     def weight_items(self):
@@ -345,49 +296,50 @@ class MlpResidualBlock:
                 sigma = bound
             state.u, state.v, state.sigma_estimate = u, v, sigma
 
+    def _matvec(self, l, x, params, prod=operator.matmul):
+        """prod(W_l, x), with W_l looked up by path in `params` when given.
+
+        `prod` is `@` for a 2-D x and `dot` for a tangent stack.  Inversion
+        calls this without `params` on every fixed-point iteration, so that
+        case builds no path strings and skips the dispatch.
+        """
+        w = self.weights[l]
+        if params:
+            path = f"{self.prefix}.w{l}"
+            w = (FactoredWeight(u=params[f"{path}.u"], vt=params[f"{path}.vt"])
+                 if isinstance(w, FactoredWeight) else params[path])
+        if isinstance(w, FactoredWeight):
+            return prod(w.u, prod(w.vt, x))
+        return prod(w, x)
+
+    def _layer_pre(self, h, l, params):
+        pre = self._matvec(l, h, params)
+        b = self.biases[l]
+        return pre if b is None else _add_bias(pre, b, f"{self.prefix}.b{l}", params)
+
     def apply(self, x, params=None):
         h = x
         for l in range(self.depth):
-            h = _resolve_matvec(self.weights[l], f"{self.prefix}.w{l}", params, h)
-            b = self.biases[l]
-            if b is not None:
-                bb = (params[f"{self.prefix}.b{l}"]
-                      if params and f"{self.prefix}.b{l}" in params else b)
-                h = h + bb
-            h = elu(h)
+            h = elu(self._layer_pre(h, l, params))
         return h
 
-    def linearize(self, x, params=None):
+    def forward(self, x, params=None):
+        """(apply(x), per-layer ELU slopes shaped (d, 1, C) for `jvp_many`)."""
         h = x
         slopes = []
         for l in range(self.depth):
-            h = _resolve_matvec(self.weights[l], f"{self.prefix}.w{l}", params, h)
-            b = self.biases[l]
-            if b is not None:
-                bb = (params[f"{self.prefix}.b{l}"]
-                      if params and f"{self.prefix}.b{l}" in params else b)
-                h = h + bb
-            slopes.append(elu_prime(h))
-            h = elu(h)
-        return slopes
+            pre = self._layer_pre(h, l, params)
+            slopes.append(elu_prime(pre).reshape(pre.shape[0], 1, pre.shape[1]))
+            h = elu(pre)
+        return h, slopes
 
-    def jvp(self, u, slopes, params=None):
+    def jvp_many(self, u, slopes, params=None):
+        """Jacobian-vector products of a tangent stack u (d, S, C) at the
+        linearization captured in `slopes`: one (d, d) @ (d, S*C) product and
+        one broadcast slope multiply per layer."""
         for l in range(self.depth):
-            u = _resolve_matvec(self.weights[l], f"{self.prefix}.w{l}", params, u)
-            u = slopes[l] * u
-        return u
-
-    def jvp_many(self, u, slopes):
-        """Numpy JVP over probe stacks laid out as extra columns.
-
-        `slopes` entries have C columns while `u` has C*S; the slope block
-        is tiled across the probe copies.
-        """
-        for l in range(self.depth):
-            u = _resolve_matvec(self.weights[l], f"{self.prefix}.w{l}", None, u)
-            s = slopes[l]
-            reps = u.shape[1] // s.shape[1]
-            u = (np.tile(s, (1, reps)) * u) if reps > 1 else s * u
+            u = self._matvec(l, u, params, dot)
+            u *= slopes[l]  # in place on arrays, as in GcnResidualBlock.jvp_many
         return u
 
 
@@ -442,28 +394,21 @@ class GrfModel:
                                   n_bond_types=config.n_bond_types)
         rng = np.random.default_rng(config.seed)
         m = self.schema.n_atom_types
-        n_channels = config.n_bond_types - 1
 
+        # Each weight is followed by one draw that seeds its power-iteration
+        # state.  Dense weights keep no state but still make the draw, so
+        # GrfModel(config) builds the same weights as earlier versions.
         self.feature_layers: list[GcnResidualBlock] = []
         gcn_target = config.init_scale ** (1.0 / config.gcn_layers)
         for b in range(config.gcn_blocks):
-            weights, biases, states = [], [], []
+            weights, biases = [], []
             for l in range(config.gcn_layers):
-                if config.relational_gcn:
-                    per = []
-                    for _ in range(n_channels):
-                        per.append(self._init_dense(rng, m, m, gcn_target / n_channels))
-                    weights.append(per)
-                    states.extend(init_spectral_state(m, m, seed=int(rng.integers(2 ** 31)))
-                                  for _ in range(n_channels))
-                else:
-                    weights.append(self._init_dense(rng, m, m, gcn_target))
-                    states.append(init_spectral_state(m, m, seed=int(rng.integers(2 ** 31))))
+                weights.append(self._init_dense(rng, m, m, gcn_target))
+                rng.integers(2 ** 31)
                 biases.append(np.zeros((1, m)) if config.use_bias else None)
             self.feature_layers.append(GcnResidualBlock(
                 prefix=f"feature.{b}", weights=weights, biases=biases,
-                budget=config.lipschitz_budget, relational=config.relational_gcn,
-                states=states))
+                budget=config.lipschitz_budget))
 
         d, _ = adjacency_slice_shape(self.schema, config.adjacency_mode)
         self.adjacency_layers: list[MlpResidualBlock] = []
@@ -474,9 +419,10 @@ class GrfModel:
                 if config.adjacency_rank > 0:
                     weights.append(self._init_factored(rng, d, config.adjacency_rank,
                                                        mlp_target))
+                    states.append(init_spectral_state(d, d, seed=int(rng.integers(2 ** 31))))
                 else:
                     weights.append(self._init_dense(rng, d, d, mlp_target))
-                states.append(init_spectral_state(d, d, seed=int(rng.integers(2 ** 31))))
+                    rng.integers(2 ** 31)
                 biases.append(np.zeros((d, 1)) if config.use_bias else None)
             self.adjacency_layers.append(MlpResidualBlock(
                 prefix=f"adjacency.{b}", weights=weights, biases=biases,
@@ -521,8 +467,6 @@ class GrfModel:
     # -- conditioning ----------------------------------------------------------
 
     def conditioning_operator(self, adjacency: np.ndarray):
-        if self.config.relational_gcn:
-            return normalized_adjacency_per_channel(adjacency)
         return augmented_normalized_adjacency(adjacency)
 
     # -- numpy-mode encoding convenience ---------------------------------------
@@ -537,23 +481,23 @@ class GrfModel:
             z_features=z_x)
 
 
-def feature_flow_forward(model: GrfModel, x, p, params=None):
+def feature_flow_forward(model: GrfModel, x, p):
     """Run the feature residual stack; returns (z, per-layer inputs)."""
     z = x
     inputs = []
     for block in model.feature_layers:
         inputs.append(z)
-        z = z + block.apply(z, p, params=params)
+        z = z + block.apply(z, p)
     return z, inputs
 
 
-def adjacency_flow_columns(model: GrfModel, cols, params=None):
+def adjacency_flow_columns(model: GrfModel, cols):
     """Run the adjacency residual stack on column layout; returns (z, inputs)."""
     z = cols
     inputs = []
     for block in model.adjacency_layers:
         inputs.append(z)
-        z = z + block.apply(z, params=params)
+        z = z + block.apply(z)
     return z, inputs
 
 
@@ -574,16 +518,20 @@ def count_parameters(model: GrfModel) -> int:
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read back into a model."""
+
+
 def save_checkpoint(path, model: GrfModel, extra_arrays: dict | None = None,
                     extra_meta: dict | None = None) -> None:
-    """Versioned npz container: config, weights, spectral states, extras.
+    """Versioned npz container: config, weights, rank-r spectral states, extras.
 
     Round trips are bit exact: arrays are stored as raw float64.
     """
     arrays: dict[str, np.ndarray] = {}
     for name, arr in model.named_parameters():
         arrays[f"param::{name}"] = arr
-    for block in model.blocks():
+    for block in model.adjacency_layers:
         for idx, state in enumerate(block.spectral_states):
             arrays[f"sn::{block.prefix}.{idx}::u"] = state.u
             arrays[f"sn::{block.prefix}.{idx}::v"] = state.v
@@ -601,21 +549,51 @@ def save_checkpoint(path, model: GrfModel, extra_arrays: dict | None = None,
 
 
 def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
-    """Rebuild a model (bit exact) plus any extra arrays/metadata."""
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode())
-        if meta["format_version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['format_version']}")
-        cfg_dict = dict(meta["config"])
-        cfg_dict["atom_symbols"] = tuple(cfg_dict["atom_symbols"])
-        model = GrfModel(ModelConfig(**cfg_dict))
-        for name, arr in model.named_parameters():
-            arr[...] = data[f"param::{name}"]
-        for block in model.blocks():
-            for idx, state in enumerate(block.spectral_states):
-                state.u = data[f"sn::{block.prefix}.{idx}::u"].copy()
-                state.v = data[f"sn::{block.prefix}.{idx}::v"].copy()
-                state.sigma_estimate = float(data[f"sn::{block.prefix}.{idx}::sigma"][0])
-        extra_arrays = {key[len("extra::"):]: data[key].copy()
-                        for key in data.files if key.startswith("extra::")}
+    """Rebuild a model (bit exact) plus any extra arrays/metadata.
+
+    Reads format versions 1 and 2; the spectral states version 1 stored
+    for dense weights are ignored.  A file that is not a checkpoint, or
+    lacks an array the model needs or holds it at the wrong shape, raises
+    `CheckpointError`.
+    """
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise CheckpointError("an .npy array, not an .npz archive")
+        with data:
+            return _read_checkpoint(data)
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from None
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"checkpoint {path} is unreadable: {exc}") from exc
+
+
+def _checkpoint_array(data, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    if key not in data.files:
+        raise CheckpointError(f"missing array {key!r}")
+    arr = data[key]
+    if shape is not None and arr.shape != shape:
+        raise CheckpointError(f"array {key!r} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
+    meta = json.loads(bytes(_checkpoint_array(data, "__meta__")).decode())
+    if meta.get("format_version") not in (1, CHECKPOINT_VERSION):
+        raise CheckpointError(f"unsupported format version {meta.get('format_version')!r}")
+    cfg_dict = dict(meta["config"])
+    if cfg_dict.pop("relational_gcn", False):
+        raise CheckpointError("relational_gcn models are no longer supported")
+    cfg_dict["atom_symbols"] = tuple(cfg_dict["atom_symbols"])
+    model = GrfModel(ModelConfig(**cfg_dict))
+    for name, arr in model.named_parameters():
+        arr[...] = _checkpoint_array(data, f"param::{name}", arr.shape)
+    for block in model.adjacency_layers:
+        for idx, state in enumerate(block.spectral_states):
+            key = f"sn::{block.prefix}.{idx}"
+            state.u = _checkpoint_array(data, f"{key}::u", state.u.shape).copy()
+            state.v = _checkpoint_array(data, f"{key}::v", state.v.shape).copy()
+            state.sigma_estimate = float(_checkpoint_array(data, f"{key}::sigma", (1,))[0])
+    extra_arrays = {key[len("extra::"):]: data[key].copy()
+                    for key in data.files if key.startswith("extra::")}
     return model, extra_arrays, meta["extra"]

@@ -232,20 +232,6 @@ def augmented_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     return a_tilde * np.outer(d_inv_sqrt, d_inv_sqrt)
 
 
-def normalized_adjacency_per_channel(adjacency: np.ndarray) -> list[np.ndarray]:
-    """One normalized operator per real bond channel (relational variant)."""
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    n, _, r = adjacency.shape
-    out = []
-    for ch in range(r - 1):
-        a = adjacency[:, :, ch].copy()
-        np.fill_diagonal(a, 0.0)
-        a_tilde = np.minimum(a, 1.0) + np.eye(n)
-        d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-        out.append(a_tilde * np.outer(d_inv_sqrt, d_inv_sqrt))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Padding
 # ---------------------------------------------------------------------------

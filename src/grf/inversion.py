@@ -8,6 +8,7 @@ argmax, then invert the feature stack conditioned on that decoded graph.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,8 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
     Stops early once successive iterates move less than the tolerance.
     Successive-iterate distances must shrink for a contraction; five
     consecutive increases mean the Lipschitz condition is broken and the
-    loop would never converge, so that surfaces as an error instead.
+    loop would never converge, so that surfaces as an error instead, as
+    does a non-finite iterate (for example from a NaN latent).
     """
     x = y
     prev_delta = np.inf
@@ -45,6 +47,8 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
     for _ in range(cfg.iterations):
         x_next = y - apply_fn(x)
         delta = float(np.linalg.norm(x_next - x))
+        if not math.isfinite(delta):
+            raise NumericalError("fixed-point iterate is not finite")
         if delta > prev_delta * (1.0 + 1e-12) and delta > noise_floor:
             growth_streak += 1
             if growth_streak >= 5:

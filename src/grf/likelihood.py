@@ -98,10 +98,11 @@ def draw_probes(shape: tuple[int, ...], kind: str, rng: np.random.Generator) -> 
 def logdet_series_from_probes(jvp, probes, n_probes: int, series_terms: int):
     """Alternating trace series evaluated with a fixed probe stack.
 
-    `probes` may carry any layout (extra probe axis or extra columns); the
-    estimator only needs the elementwise dot against the evolving tangent,
-    so the mean over probes is one full-sum divided by the probe count.
-    Works on plain arrays and on tape tensors alike.
+    `probes` is a stack of `n_probes` probes in whatever layout `jvp`
+    takes (the blocks use a probe axis after the first); the estimator
+    only needs the elementwise dot against the evolving tangent, so the
+    mean over probes is one full-sum divided by the probe count.  Works on
+    plain arrays and on tape tensors alike.
     """
     u = probes
     total = 0.0
@@ -123,8 +124,9 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
                   validate: bool = True) -> float:
     """Stochastic log-det of one residual layer, linearized at input `x`.
 
-    Feature blocks need the conditioning operator `p`; adjacency blocks
-    take `x` in their column layout.  Deterministic given the seed; an
+    Feature blocks need the conditioning operator `p` and take probes as
+    (N, M, S); adjacency blocks take `x` in their column layout (d, C) and
+    probes as (d, S*C), probe-major.  Deterministic given the seed; an
     explicit probe stack may be supplied instead (used by permutation
     tests).
     """
@@ -133,16 +135,18 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
     if p is not None:
-        slopes = block.linearize(x, p)
+        _, slopes = block.forward(x, p)
         if probes is None:
             rng = derive_rng(seed, TAG_FEATURE_PROBE)
             probes = draw_probes((*x.shape, s), cfg.probe, rng)
+        probes = np.ascontiguousarray(probes.transpose(0, 2, 1))
         jvp = lambda u: block.jvp_many(u, p, slopes)
     else:
-        slopes = block.linearize(x)
+        _, slopes = block.forward(x)
         if probes is None:
             rng = derive_rng(seed, TAG_ADJACENCY_PROBE)
             probes = draw_probes((x.shape[0], x.shape[1] * s), cfg.probe, rng)
+        probes = probes.reshape(x.shape[0], s, x.shape[1])
         jvp = lambda u: block.jvp_many(u, slopes)
     return float(value_of(logdet_series_from_probes(jvp, probes, s, cfg.series_terms)))
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, sum_all, value_of
-from .flow import (GrfModel, adjacency_flow_columns, adjacency_to_columns,
-                   feature_flow_forward, save_checkpoint)
+from .flow import GrfModel, adjacency_to_columns, save_checkpoint
 from .graphs import MolGraph, dequantize
 from .likelihood import (TAG_ADJACENCY_PROBE, TAG_DEQUANT, TAG_FEATURE_PROBE,
                          TAG_SHUFFLE, derive_rng, draw_probes,
@@ -85,48 +84,46 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     logdet_values: list[tuple[str, float]] = []
     a_cols_per_sample: list[np.ndarray] = []
 
+    # Each block's log-det is one series over all S probes at once, stacked
+    # probe-major along a probe axis; the slopes come from the forward pass.
     for i, g in enumerate(batch):
         noise_seed = int(derive_rng(base, TAG_DEQUANT, epoch, step, i).integers(2 ** 31))
         deq = dequantize(g, model.config.noise_scale, noise_seed)
         p = model.conditioning_operator(g.adjacency)
-        z_x, x_inputs = feature_flow_forward(model, deq.features_c, p, params=params)
-        prior_sumsq = prior_sumsq + sum_all(z_x * z_x)
+        z = deq.features_c
         for bi, block in enumerate(model.feature_layers):
-            slopes = block.linearize(x_inputs[bi], p, params=params)
+            y, slopes = block.forward(z, p, params=params)
             rng = derive_rng(base, TAG_FEATURE_PROBE, epoch, step, i, bi)
-            shape = value_of(x_inputs[bi]).shape
-            acc = 0.0
-            for _ in range(s_probes):
-                probe = draw_probes(shape, cfg.probe, rng)
-                acc = acc + logdet_series_from_probes(
-                    lambda u: block.jvp(u, p, slopes, params=params),
-                    probe, 1, cfg.series_terms)
-            ld = acc / s_probes
+            probes = np.stack([draw_probes(z.shape, cfg.probe, rng) for _ in range(s_probes)],
+                              axis=1)
+            ld = logdet_series_from_probes(
+                lambda u: block.jvp_many(u, p, slopes, params=params),
+                probes, s_probes, cfg.series_terms)
             total_logdet = total_logdet + ld
             logdet_values.append((f"{block.prefix} (sample {i})", float(value_of(ld))))
+            z = z + y
+        prior_sumsq = prior_sumsq + sum_all(z * z)
         a_cols_per_sample.append(adjacency_to_columns(deq.adjacency_c, mode))
 
     # Adjacency blocks share weights across samples, so the whole batch runs
     # as one wide column matrix.
-    cols = np.concatenate(a_cols_per_sample, axis=1)
+    z = np.concatenate(a_cols_per_sample, axis=1)
     n_cols_each = a_cols_per_sample[0].shape[1]
-    z_cols, a_inputs = adjacency_flow_columns(model, cols, params=params)
-    prior_sumsq = prior_sumsq + sum_all(z_cols * z_cols)
     for bi, block in enumerate(model.adjacency_layers):
-        slopes = block.linearize(a_inputs[bi], params=params)
-        acc = 0.0
-        for s in range(s_probes):
-            per_sample = [draw_probes((cols.shape[0], n_cols_each), cfg.probe,
-                                      derive_rng(base, TAG_ADJACENCY_PROBE,
-                                                 epoch, step, i, bi, s))
-                          for i in range(n_batch)]
-            probe = np.concatenate(per_sample, axis=1)
-            acc = acc + logdet_series_from_probes(
-                lambda u: block.jvp(u, slopes, params=params),
-                probe, 1, cfg.series_terms)
-        ld = acc / s_probes
+        y, slopes = block.forward(z, params=params)
+        probes = np.stack([
+            np.concatenate([draw_probes((z.shape[0], n_cols_each), cfg.probe,
+                                        derive_rng(base, TAG_ADJACENCY_PROBE,
+                                                   epoch, step, i, bi, s))
+                            for i in range(n_batch)], axis=1)
+            for s in range(s_probes)], axis=1)
+        ld = logdet_series_from_probes(
+            lambda u: block.jvp_many(u, slopes, params=params),
+            probes, s_probes, cfg.series_terms)
         total_logdet = total_logdet + ld
         logdet_values.append((block.prefix, float(value_of(ld))))
+        z = z + y
+    prior_sumsq = prior_sumsq + sum_all(z * z)
 
     dim_total = n_batch * model.schema.latent_dim
     prior_total = gaussian_logp_from_sumsq(prior_sumsq, dim_total)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grf.autodiff import Tensor, elu, elu_prime, sum_all, value_of
+from grf.autodiff import Tensor, dot, elu, elu_prime, sum_all, value_of
 
 
 def central_diff(f, x, h=1e-6):
@@ -133,3 +133,45 @@ def test_sum_then_scale():
     loss = (t * t).sum() / 6.0
     loss.backward()
     assert np.allclose(t.grad, np.full((2, 3), 2 * 2.0 / 6.0))
+
+
+def test_gradient_reshape():
+    # a (3, 4) matrix viewed as (3, 2, 2) and multiplied by a broadcast (3, 1, 2)
+    check_gradient(lambda a, b: (a.reshape(3, 2, 2) * b.reshape(3, 1, 2)).sum(), (3, 4), (3, 2))
+
+
+def test_gradient_dot_with_stacked_columns():
+    # (3, 4) . (4, 2, 5) and (4, 2, 5) . (5, 3): the extra axes are extra columns/rows
+    check_gradient(lambda a, b: (dot(a, b) * dot(a, b)).sum(), (3, 4), (4, 2, 5))
+    check_gradient(lambda a, b: (dot(a, b) * dot(a, b)).sum(), (4, 2, 5), (5, 3))
+
+
+def test_dot_matches_tensordot():
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2, 5))
+    assert np.allclose(dot(a, b), np.tensordot(a, b, 1))
+    assert np.allclose(dot(Tensor(a), b).data, np.tensordot(a, b, 1))
+    assert np.array_equal(dot(a, b[:, 0, :]), a @ b[:, 0, :])
+
+
+def test_backward_keeps_leaf_grads_and_frees_interior_grads():
+    rng = np.random.default_rng(8)
+    w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    unused = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    h = (w @ rng.standard_normal((3, 2))).elu()
+    loss = (h * h).sum() + 0.0 * (unused * 1.0).sum()
+    loss.backward()
+    assert w.grad is not None and w.grad.shape == (3, 3)
+    assert unused.grad is not None and np.array_equal(unused.grad, np.zeros((3, 3)))
+    assert h.grad is None and loss.grad is None
+    # a second backward starts from fresh leaf gradients instead of accumulating
+    (w * 2.0).sum().backward()
+    assert np.array_equal(w.grad, np.full((3, 3), 2.0))
+
+
+def test_leaf_grad_is_its_own_array():
+    a = Tensor(np.ones((2, 2)), requires_grad=True)
+    b = Tensor(np.ones((2, 2)), requires_grad=True)
+    (a + b).sum().backward()
+    a.grad[0, 0] = 5.0
+    assert b.grad[0, 0] == 1.0

@@ -154,3 +154,49 @@ def test_sample_rejects_bad_temperature(trained_dir, tmp_path):
     code = main(["sample", "--ckpt", str(trained_dir / "run" / "model.npz"),
                  "--out", str(tmp_path / "bad"), "--count", "2", "--tx", "-1.0"])
     assert code == 3
+
+
+def _rewrite_checkpoint(src, dst, drop=(), replace=None):
+    """Copy a checkpoint's arrays, leaving out `drop` and swapping in `replace`."""
+    import numpy as np
+
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files if k not in drop}
+    arrays.update(replace or {})
+    np.savez(dst, **arrays)
+
+
+def _eval_args(ckpt, tmp_path):
+    return ["eval", "--ckpt", str(ckpt), "--dataset", str(DATA / "toy_train.smi"),
+            "--out", str(tmp_path / "e"), "--count", "1"]
+
+
+def test_corrupt_checkpoint_is_data_error(trained_dir, tmp_path, capsys):
+    good = (trained_dir / "run" / "model.npz").read_bytes()
+    for name, blob in (("garbage.npz", b"not a checkpoint" * 8),
+                       ("truncated.npz", good[:len(good) // 2]),
+                       ("empty.npz", b"")):
+        ckpt = tmp_path / name
+        ckpt.write_bytes(blob)
+        assert main(_eval_args(ckpt, tmp_path)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and name in err
+
+
+def test_checkpoint_missing_parameter_is_data_error(trained_dir, tmp_path, capsys):
+    ckpt = tmp_path / "missing.npz"
+    _rewrite_checkpoint(trained_dir / "run" / "model.npz", ckpt, drop=("param::adjacency.1.w0",))
+    assert main(_eval_args(ckpt, tmp_path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "param::adjacency.1.w0" in err
+
+
+def test_checkpoint_wrong_shape_is_data_error(trained_dir, tmp_path, capsys):
+    import numpy as np
+
+    ckpt = tmp_path / "shape.npz"
+    _rewrite_checkpoint(trained_dir / "run" / "model.npz", ckpt,
+                        replace={"param::feature.0.w0": np.zeros((4, 4))})
+    assert main(_eval_args(ckpt, tmp_path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "param::feature.0.w0" in err and "(4, 4)" in err

@@ -72,10 +72,10 @@ def test_gcn_jvp_matches_finite_difference_jacobian():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3, 3))
     jac = exact_block_jacobian(block, x, p=p)
-    slopes = block.linearize(x, p)
+    _, slopes = block.forward(x, p)
     for _ in range(5):
         v = rng.standard_normal((3, 3))
-        jv = block.jvp(v, p, slopes)
+        jv = block.jvp_many(v[:, None, :], p, slopes)[:, 0, :]
         assert np.allclose(jv.ravel(), jac @ v.ravel(), atol=1e-6)
 
 
@@ -83,12 +83,48 @@ def test_gcn_jvp_many_agrees_with_single():
     block, p = random_feature_block(13, n=4, m_real=3, sigma=0.8)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 4))
-    slopes = block.linearize(x, p)
-    probes = rng.standard_normal((4, 4, 6))
+    _, slopes = block.forward(x, p)
+    probes = rng.standard_normal((4, 6, 4))
     batch = block.jvp_many(probes, p, slopes)
     for s in range(6):
-        single = block.jvp(probes[:, :, s], p, slopes)
-        assert np.allclose(batch[:, :, s], single, atol=1e-12)
+        single = block.jvp_many(probes[:, s:s + 1, :], p, slopes)
+        assert np.allclose(batch[:, s, :], single[:, 0, :], atol=1e-12)
+
+
+def test_tape_and_numpy_jvp_many_agree_for_both_blocks():
+    from grf.autodiff import Tensor
+
+    rng = np.random.default_rng(50)
+    model = GrfModel(toy_config(seed=50, gcn_layers=2, use_bias=True))
+    g = random_molgraph(model.schema, 51)
+    p = model.conditioning_operator(g.adjacency)
+    gcn, mlp = model.feature_layers[0], model.adjacency_layers[0]
+    cases = [(gcn, rng.standard_normal((6, 5)), rng.standard_normal((6, 3, 5)), (p,)),
+             (mlp, rng.standard_normal((24, 6)), rng.standard_normal((24, 3, 6)), ())]
+    for block, x, probes, op in cases:
+        _, slopes = block.forward(x, *op)
+        plain = block.jvp_many(probes, *op, slopes)
+        params = {path: Tensor(arr, requires_grad=True)
+                  for path, arr in block.named_parameters()}
+        _, tape_slopes = block.forward(Tensor(x), *op, params=params)
+        tape = block.jvp_many(Tensor(probes), *op, tape_slopes, params=params)
+        assert isinstance(tape, Tensor) and tape.requires_grad
+        assert np.allclose(tape.data, plain, rtol=1e-14, atol=1e-14)
+
+
+def test_mlp_jvp_many_matches_dense_jacobian_per_probe():
+    from grf.selfcheck import exact_block_jacobian
+
+    model = GrfModel(toy_config(seed=52, mlp_layers=3))
+    block = model.adjacency_layers[0]
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((24, 1))
+    jac = exact_block_jacobian(block, x)
+    _, slopes = block.forward(x)
+    probes = rng.standard_normal((24, 4, 1))
+    out = block.jvp_many(probes, slopes)
+    for s in range(4):
+        assert np.allclose(out[:, s, 0], jac @ probes[:, s, 0], atol=1e-6)
 
 
 # -- flows ------------------------------------------------------------------------
@@ -157,20 +193,6 @@ def test_adjacency_column_layouts_roundtrip():
         model = GrfModel(toy_config(adjacency_mode=mode))
         back = columns_to_adjacency(c, model.schema, mode)
         assert np.array_equal(back, a)
-
-
-def test_relational_gcn_runs_and_contracts():
-    model = GrfModel(toy_config(relational_gcn=True, seed=14))
-    g = random_molgraph(model.schema, 15)
-    p = model.conditioning_operator(g.adjacency)
-    assert isinstance(p, list) and len(p) == 3
-    rng = np.random.default_rng(16)
-    block = model.feature_layers[0]
-    assert block.certified_bound() < 1.0
-    for _ in range(50):
-        x, y = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
-        lhs = np.linalg.norm(block.apply(x, p) - block.apply(y, p))
-        assert lhs < np.linalg.norm(x - y)
 
 
 # -- budgets and counting ------------------------------------------------------------
@@ -251,7 +273,8 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path):
     for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
         assert n1 == n2
         assert np.array_equal(a1, a2)
-    for b1, b2 in zip(model.blocks(), loaded.blocks()):
+    for b1, b2 in zip(model.adjacency_layers, loaded.adjacency_layers):
+        assert len(b1.spectral_states) == len(b1.weights)
         for s1, s2 in zip(b1.spectral_states, b2.spectral_states):
             assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.v, s2.v)
             assert s1.sigma_estimate == s2.sigma_estimate
@@ -269,6 +292,53 @@ def test_checkpoint_preserves_forward(tmp_path):
     z2 = loaded.encode(deq, g.adjacency)
     assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
     assert np.array_equal(z1.z_features, z2.z_features)
+
+
+def write_version_1(src, dst, relational=False):
+    """Rewrite a checkpoint in format 1: a `relational_gcn` config field and
+    `sn::` power-iteration states for the dense weights too."""
+    import json
+
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["format_version"] = 1
+    meta["config"]["relational_gcn"] = relational
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    arrays["sn::feature.0.0::u"] = np.full(5, np.nan)
+    arrays["sn::feature.0.0::v"] = np.full(5, np.nan)
+    arrays["sn::feature.0.0::sigma"] = np.array([np.nan])
+    np.savez(dst, **arrays)
+
+
+def test_checkpoint_version_2_stores_states_only_for_factored_weights(tmp_path):
+    from grf.flow import CHECKPOINT_VERSION
+
+    assert CHECKPOINT_VERSION == 2
+    save_checkpoint(tmp_path / "dense.npz", GrfModel(toy_config(seed=25)))
+    with np.load(tmp_path / "dense.npz") as data:
+        assert not [k for k in data.files if k.startswith("sn::")]
+    save_checkpoint(tmp_path / "rank.npz", GrfModel(toy_config(seed=25, adjacency_rank=2)))
+    with np.load(tmp_path / "rank.npz") as data:
+        keys = {k for k in data.files if k.startswith("sn::")}
+    assert keys and all(k.startswith("sn::adjacency.") for k in keys)
+
+
+def test_checkpoint_version_1_still_loads(tmp_path):
+    from grf.flow import CheckpointError
+
+    model = GrfModel(toy_config(seed=26, adjacency_rank=2))
+    save_checkpoint(tmp_path / "v2.npz", model)
+    write_version_1(tmp_path / "v2.npz", tmp_path / "v1.npz")
+    loaded, _, _ = load_checkpoint(tmp_path / "v1.npz")
+    for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert n1 == n2 and np.array_equal(a1, a2)
+    for b1, b2 in zip(model.adjacency_layers, loaded.adjacency_layers):
+        for s1, s2 in zip(b1.spectral_states, b2.spectral_states):
+            assert np.array_equal(s1.u, s2.u) and s1.sigma_estimate == s2.sigma_estimate
+    write_version_1(tmp_path / "v2.npz", tmp_path / "rel.npz", relational=True)
+    with pytest.raises(CheckpointError, match="relational_gcn"):
+        load_checkpoint(tmp_path / "rel.npz")
 
 
 def test_model_config_validation():
@@ -305,16 +375,11 @@ def test_projection_bound_is_strict_on_near_degenerate_top_pair():
 
 
 def exact_product(block):
-    total = 1.0
-    for w in block.weights:
-        layer = w if isinstance(w, list) else [w]
-        total *= sum(np.linalg.norm(w_ch, 2) for w_ch in layer)
-    return total
+    return float(np.prod([np.linalg.norm(w, 2) for w in block.weights]))
 
 
-@pytest.mark.parametrize("relational", [False, True])
-def test_certified_bound_is_exact_and_never_stale(relational):
-    model = GrfModel(toy_config(seed=41, gcn_layers=2, relational_gcn=relational))
+def test_certified_bound_is_exact_and_never_stale():
+    model = GrfModel(toy_config(seed=41, gcn_layers=2))
     for block in (model.feature_layers[0], model.adjacency_layers[0]):
         assert block.certified_bound() == pytest.approx(exact_product(block), rel=1e-12)
         _, w = block.weight_items()[0]

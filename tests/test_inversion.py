@@ -130,6 +130,15 @@ def test_decode_molecule_satisfies_invariants():
     mol.validate()
 
 
+@pytest.mark.parametrize("part", ["z_adjacency", "z_features"])
+def test_nan_latent_raises_instead_of_decoding(part):
+    model = GrfModel(toy_config(seed=15))
+    z = sample_prior(model, 0.65, 0.69, rng_seed=16)
+    getattr(z, part)[0, 0] = np.nan
+    with pytest.raises(NumericalError, match="not finite"):
+        decode_molecule(model, z, InversionConfig())
+
+
 def test_generate_empty_and_deterministic():
     model = GrfModel(toy_config(seed=13))
     assert generate(model, 0, 0.65, 0.69, InversionConfig(), rng_seed=1) == []

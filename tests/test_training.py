@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grf.flow import GrfModel, ModelConfig, toy_config
+from grf.flow import GrfModel, ModelConfig, qm9_table_config, toy_config
 from grf.graphs import pad_graph
 from grf.chem import parse_smiles
 from grf.training import (AdamState, TrainConfig, adam_state_arrays,
@@ -75,6 +75,17 @@ def test_grad_every_parameter_small_random_model():
             assert an == pytest.approx(fd, rel=1e-3, abs=1e-7), path
 
 
+def test_grad_rank_r_factors_match_finite_differences():
+    model = tiny_model(seed=22, adjacency_rank=2)
+    batch = graphs_for(model.schema, ["CO", "CC"])
+    cfg = TrainConfig(series_terms=4, hutchinson_samples=2, rng_seed=23)
+    _, grads, _ = grad_nll(model, batch, cfg)
+    for path in ("adjacency.0.w0.u", "adjacency.1.w1.vt"):
+        for index in (0, 3):
+            fd = fd_gradient(model, batch, cfg, path, index, 1e-5)
+            assert grads[path].ravel()[index] == pytest.approx(fd, rel=1e-4, abs=1e-8), path
+
+
 def test_grad_deterministic_given_seed():
     model = tiny_model(seed=7)
     batch = graphs_for(model.schema, ["CO"])
@@ -84,6 +95,82 @@ def test_grad_deterministic_given_seed():
     assert l1 == l2
     for path in g1:
         assert np.array_equal(g1[path], g2[path])
+
+
+def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
+    """Reference loss and gradients: one series per probe, summed in a Python loop.
+
+    The same keyed probe streams as `grad_nll`, with the forward flow run
+    first and every block linearized again at its saved input.
+    """
+    from grf.autodiff import sum_all, value_of
+    from grf.flow import adjacency_to_columns
+    from grf.graphs import dequantize
+    from grf.likelihood import (TAG_ADJACENCY_PROBE, TAG_DEQUANT, TAG_FEATURE_PROBE,
+                                derive_rng, draw_probes, gaussian_logp_from_sumsq,
+                                logdet_series_from_probes)
+    from grf.training import wrap_parameters
+
+    params = wrap_parameters(model)
+    base, n_batch, s_probes = cfg.rng_seed, len(batch), cfg.hutchinson_samples
+    total_logdet, prior_sumsq, a_cols = 0.0, 0.0, []
+    for i, g in enumerate(batch):
+        noise_seed = int(derive_rng(base, TAG_DEQUANT, epoch, step, i).integers(2 ** 31))
+        deq = dequantize(g, model.config.noise_scale, noise_seed)
+        p = model.conditioning_operator(g.adjacency)
+        z, inputs = deq.features_c, []
+        for block in model.feature_layers:
+            inputs.append(z)
+            z = z + block.apply(z, p, params=params)
+        prior_sumsq = prior_sumsq + sum_all(z * z)
+        for bi, block in enumerate(model.feature_layers):
+            _, slopes = block.forward(inputs[bi], p, params=params)
+            rng = derive_rng(base, TAG_FEATURE_PROBE, epoch, step, i, bi)
+            acc = 0.0
+            for _ in range(s_probes):
+                probe = draw_probes(value_of(inputs[bi]).shape, cfg.probe, rng)
+                acc = acc + logdet_series_from_probes(
+                    lambda u: block.jvp_many(u, p, slopes, params=params),
+                    probe[:, None, :], 1, cfg.series_terms)
+            total_logdet = total_logdet + acc / s_probes
+        a_cols.append(adjacency_to_columns(deq.adjacency_c, model.config.adjacency_mode))
+    cols = np.concatenate(a_cols, axis=1)
+    z, inputs = cols, []
+    for block in model.adjacency_layers:
+        inputs.append(z)
+        z = z + block.apply(z, params=params)
+    prior_sumsq = prior_sumsq + sum_all(z * z)
+    for bi, block in enumerate(model.adjacency_layers):
+        _, slopes = block.forward(inputs[bi], params=params)
+        acc = 0.0
+        for s in range(s_probes):
+            probe = np.concatenate(
+                [draw_probes((cols.shape[0], a_cols[0].shape[1]), cfg.probe,
+                             derive_rng(base, TAG_ADJACENCY_PROBE, epoch, step, i, bi, s))
+                 for i in range(n_batch)], axis=1)
+            acc = acc + logdet_series_from_probes(
+                lambda u: block.jvp_many(u, slopes, params=params),
+                probe[:, None, :], 1, cfg.series_terms)
+        total_logdet = total_logdet + acc / s_probes
+    prior = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
+    loss = -(prior + total_logdet) / n_batch
+    loss.backward()
+    return float(value_of(loss)), {path: t.grad for path, t in params.items()}
+
+
+@pytest.mark.parametrize("shape", ["toy", "qm9"])
+def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus_graphs):
+    if shape == "toy":
+        model, batch = GrfModel(toy_config(seed=30, use_bias=True)), toy_graphs[:5]
+    else:
+        model, batch = GrfModel(qm9_table_config(seed=31, mlp_blocks=4)), corpus_graphs[:2]
+    cfg = TrainConfig(series_terms=5, hutchinson_samples=3, rng_seed=32)
+    loss, grads, _ = grad_nll(model, batch, cfg, epoch=1, step=2)
+    ref_loss, ref_grads = per_probe_grad_nll(model, batch, cfg, epoch=1, step=2)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for path, g in grads.items():
+        scale = np.abs(ref_grads[path]).max()
+        assert np.abs(g - ref_grads[path]).max() <= 1e-12 * scale, path
 
 
 def test_grad_rejects_empty_batch():

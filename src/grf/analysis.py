@@ -9,7 +9,7 @@ from .flow import GrfModel
 from .graphs import LatentPoint, MolGraph, dequantize, quantize_adjacency, quantize_features
 from .inversion import InversionConfig, decode_molecule, invert_flow
 from .likelihood import TAG_DEQUANT, derive_rng
-from .linalg import dominant_symmetric_eigenpairs
+from .linalg import NumericalError
 
 
 def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
@@ -68,14 +68,29 @@ def encode_dataset(model: GrfModel, graphs: list[MolGraph], rng_seed: int = 0) -
     return np.stack(vecs)
 
 
+def principal_axes(latents: np.ndarray) -> np.ndarray:
+    """Top two principal directions of the latent rows, as orthonormal columns.
+
+    Raises NumericalError when the second covariance eigenvalue is at or
+    below the float-noise floor 1e-15 * max(1, max|cov|): the latent cloud
+    then has no second direction to span a plane.
+    """
+    centered = latents - latents.mean(axis=0, keepdims=True)
+    cov = centered.T @ centered / max(1, latents.shape[0] - 1)
+    values, vectors = np.linalg.eigh(cov)
+    if values[-2] <= 1e-15 * max(1.0, float(np.abs(cov).max())):
+        raise NumericalError("degenerate covariance: no second principal direction")
+    return vectors[:, [-1, -2]]
+
+
 def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
                 step: float = 0.5, rng_seed: int = 0, encode_count: int = 100,
                 inversion: InversionConfig | None = None,
                 valences=None) -> list[dict]:
     """Decode a grid on the dominant latent plane around a query molecule.
 
-    Fits the top two principal directions of encoded dataset latents (via
-    covariance power iteration), then decodes latents offset from the
+    Fits the top two principal directions of encoded dataset latents (an
+    `eigh` of their covariance), then decodes latents offset from the
     query molecule's own latent point along that plane.  Each record
     carries the grid coordinates and either the decoded SMILES or an
     invalid marker (smiles = null).
@@ -88,10 +103,8 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
     sample_idx = picks[:min(encode_count, len(graphs))]
     query_idx = int(picks[-1])
 
-    latents = encode_dataset(model, [graphs[i] for i in sample_idx], rng_seed=rng_seed)
-    centered = latents - latents.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / max(1, latents.shape[0] - 1)
-    _, axes = dominant_symmetric_eigenpairs(cov, 2, seed=rng_seed)
+    axes = principal_axes(encode_dataset(model, [graphs[i] for i in sample_idx],
+                                         rng_seed=rng_seed))
     v1, v2 = axes[:, 0], axes[:, 1]
 
     deq_q = dequantize(graphs[query_idx], model.config.noise_scale,
@@ -116,9 +129,6 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
 def principal_axes_orthonormality(model: GrfModel, graphs: list[MolGraph],
                                   rng_seed: int = 0) -> float:
     """Max deviation of the fitted principal axes from orthonormality."""
-    latents = encode_dataset(model, graphs, rng_seed=rng_seed)
-    centered = latents - latents.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / max(1, latents.shape[0] - 1)
-    _, axes = dominant_symmetric_eigenpairs(cov, 2, seed=rng_seed)
+    axes = principal_axes(encode_dataset(model, graphs, rng_seed=rng_seed))
     gram = axes.T @ axes
     return float(np.abs(gram - np.eye(2)).max())

@@ -43,11 +43,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    # expm1(min(x, 0)) is elu(x) on the negative branch and 0 <= x on the
+    # other, so one maximum selects the branch; all three passes share one
+    # buffer (an explicit `out`, so a 0-d input also stays an array).
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=out)
 
 
 def _elu_prime(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+    # exp(min(x, 0)) is exp(x) on the negative branch and exactly 1 elsewhere
+    return np.exp(np.minimum(x, 0.0))
 
 
 class Tensor:
@@ -191,14 +197,15 @@ class Tensor:
 
     def elu_prime(self):
         x = self.data
-        # d/dx elu'(x) = exp(x) on the negative branch, 0 elsewhere
-        second = np.where(x >= 0.0, 0.0, np.exp(np.minimum(x, 0.0)))
+        slope = _elu_prime(x)
+        # d/dx elu'(x) = exp(x) = elu'(x) on the negative branch, 0 elsewhere
+        second = np.where(x >= 0.0, 0.0, slope)
 
         def backward(out):
             if self.requires_grad:
                 self._add_grad(out.grad * second)
 
-        return Tensor._node(_elu_prime(x), (self,), backward)
+        return Tensor._node(slope, (self,), backward)
 
     def sum(self):
         def backward(out):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,6 +47,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    try:
+        if math.isfinite(float(text)) and float(text) > 0.0:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+
+
+def _iteration_counts(text: str) -> list[int]:
+    """argparse type: comma-separated iteration counts, each >= 0."""
+    counts = [_int_at_least(0)(tok) for tok in text.split(",") if tok.strip()]
+    if not counts:
+        raise argparse.ArgumentTypeError("expected at least one iteration count")
+    return counts
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="grf",
                      description="Invertible residual flows for molecular graphs")
@@ -60,12 +90,12 @@ def build_parser() -> _Parser:
     p_sample = sub.add_parser("sample", help="generate molecules from a checkpoint")
     p_sample.add_argument("--ckpt", type=Path, required=True)
     p_sample.add_argument("--out", type=Path, required=True)
-    p_sample.add_argument("--count", type=int, default=1000)
-    p_sample.add_argument("--tx", type=float, default=0.65)
-    p_sample.add_argument("--ta", type=float, default=0.69)
-    p_sample.add_argument("--iterations", type=int, default=100)
+    p_sample.add_argument("--count", type=_int_at_least(0), default=1000)
+    p_sample.add_argument("--tx", type=_positive_float, default=0.65)
+    p_sample.add_argument("--ta", type=_positive_float, default=0.69)
+    p_sample.add_argument("--iterations", type=_int_at_least(1), default=100)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--threads", type=int, default=1)
+    p_sample.add_argument("--threads", type=_int_at_least(1), default=1)
     p_sample.add_argument("--dataset", type=Path,
                           help="training SMILES for the novelty metric")
     p_sample.add_argument("--valence-table", type=Path)
@@ -74,27 +104,27 @@ def build_parser() -> _Parser:
     p_rec.add_argument("--ckpt", type=Path, required=True)
     p_rec.add_argument("--dataset", type=Path, required=True)
     p_rec.add_argument("--out", type=Path, required=True)
-    p_rec.add_argument("--iterations", type=str, default="1,5,10,30,100",
+    p_rec.add_argument("--iterations", type=_iteration_counts, default="1,5,10,30,100",
                        help="comma-separated iteration counts")
-    p_rec.add_argument("--count", type=int, help="cap the number of molecules")
+    p_rec.add_argument("--count", type=_int_at_least(1), help="cap the number of molecules")
     p_rec.add_argument("--seed", type=int, default=0)
 
     p_eval = sub.add_parser("eval", help="per-molecule log-likelihood traces")
     p_eval.add_argument("--ckpt", type=Path, required=True)
     p_eval.add_argument("--dataset", type=Path, required=True)
     p_eval.add_argument("--out", type=Path, required=True)
-    p_eval.add_argument("--count", type=int)
+    p_eval.add_argument("--count", type=_int_at_least(1))
     p_eval.add_argument("--seed", type=int, default=0)
 
     p_grid = sub.add_parser("latent-grid", help="decode a grid on the principal latent plane")
     p_grid.add_argument("--ckpt", type=Path, required=True)
     p_grid.add_argument("--dataset", type=Path, required=True)
     p_grid.add_argument("--out", type=Path, required=True)
-    p_grid.add_argument("--grid-size", type=int, default=5)
+    p_grid.add_argument("--grid-size", type=_int_at_least(1), default=5)
     p_grid.add_argument("--grid-step", type=float, default=0.5)
-    p_grid.add_argument("--count", type=int, default=100,
+    p_grid.add_argument("--count", type=_int_at_least(2), default=100,
                         help="molecules used to fit the principal plane")
-    p_grid.add_argument("--iterations", type=int, default=100)
+    p_grid.add_argument("--iterations", type=_int_at_least(1), default=100)
     p_grid.add_argument("--seed", type=int, default=0)
 
     p_check = sub.add_parser("selfcheck", help="run the numerical property suites")
@@ -181,8 +211,7 @@ def _cmd_sample(args) -> int:
 def _cmd_reconstruct(args) -> int:
     model, _, _ = load_checkpoint(args.ckpt)
     graphs = _load_dataset(args.dataset, model.schema, cap=args.count)
-    counts = [int(tok) for tok in args.iterations.split(",") if tok.strip()]
-    rows = reconstruction_curve(model, graphs, counts, rng_seed=args.seed)
+    rows = reconstruction_curve(model, graphs, args.iterations, rng_seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "reconstruction.csv", "w", encoding="utf-8") as fh:
         fh.write("iterations,feature_l2,adjacency_l2,combined_l2,exact_rate\n")

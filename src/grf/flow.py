@@ -25,12 +25,13 @@ import numpy as np
 
 from .autodiff import dot, elu, elu_prime
 from .graphs import DequantGraph, GraphSchema, LatentPoint, augmented_normalized_adjacency
-from .linalg import (NumericalError, SpectralNormState, init_spectral_state,
-                     operator_norm_power)
+# operator_norm_power has no caller here; perfbench/tracing.py still patches
+# grf.flow.operator_norm_power by name, so the import keeps that lookup alive.
+from .linalg import NumericalError, operator_norm_power  # noqa: F401
 
 ADJACENCY_MODES = ("flat", "node", "pair")
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -100,47 +101,59 @@ class FactoredWeight:
     vt: np.ndarray
 
 
-def _weight_sigma(w) -> float:
-    """Largest singular value: exact (LAPACK) for a dense weight, power
-    iteration for a rank-r factored one."""
-    if isinstance(w, FactoredWeight):
-        sigma, _, _ = operator_norm_power(
-            lambda x: w.u @ (w.vt @ x), lambda y: w.vt.T @ (w.u.T @ y),
-            w.vt.shape[1])
-        return sigma
-    return float(np.linalg.norm(w, 2))
+def _sigmas(weights: list) -> np.ndarray:
+    """Exact largest singular values of a block's weights, in one batch.
 
-
-def _dense_sigmas(weights: list) -> np.ndarray:
-    """Exact largest singular values of same-shape dense weights, in one batch."""
-    stack = np.stack(weights)
+    Dense weights go through a batched SVD.  A rank-r weight U Vt shares
+    its nonzero singular values with R_U R_V^T, where R_U and R_V are the
+    triangular QR factors of U and Vt^T, so only an r x r SVD remains.
+    """
+    if isinstance(weights[0], FactoredWeight):
+        r_u = np.linalg.qr(np.stack([w.u for w in weights]), mode="r")
+        r_v = np.linalg.qr(np.stack([w.vt.T for w in weights]), mode="r")
+        with np.errstate(invalid="ignore"):  # non-finite factors raise below
+            stack = r_u @ r_v.transpose(0, 2, 1)
+    else:
+        stack = np.stack(weights)
     if not np.isfinite(stack).all():
         raise NumericalError("non-finite weight: its spectral norm is undefined")
     return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
-def _clamp_dense(weights: list, bound: float) -> None:
-    """Scale each dense weight in place so its exact sigma is at most `bound`.
+def _scale(w, factor: float) -> None:
+    """Scale a weight in place; a rank-r one by sqrt(factor) on each factor."""
+    if isinstance(w, FactoredWeight):
+        root = np.sqrt(factor)
+        w.u *= root
+        w.vt *= root
+    else:
+        w *= factor
+
+
+def _clamp(weights: list, bound: float) -> None:
+    """Scale each weight in place so its exact sigma is at most `bound`.
 
     Scaling by bound/sigma can leave sigma a few ulps above the bound, so
     the scaled weights are measured again and shrunk by the next float
     below the ratio until none exceeds it.
     """
-    sigmas = _dense_sigmas(weights)
+    sigmas = _sigmas(weights)
     over = np.flatnonzero(sigmas > bound)
     shrink = bound / sigmas[over]
     while over.size:
         for i, factor in zip(over, shrink):
-            weights[i] *= factor
-        sigmas = _dense_sigmas([weights[i] for i in over])
+            _scale(weights[i], factor)
+        sigmas = _sigmas([weights[i] for i in over])
         still = sigmas > bound
         over, shrink = over[still], np.nextafter(bound / sigmas[still], 0.0)
 
 
-def _scale_factored(w: FactoredWeight, factor: float) -> None:
-    root = np.sqrt(factor)
-    w.u *= root
-    w.vt *= root
+def _scaled_to(w, target_sigma: float):
+    """`w` scaled in place to spectral norm `target_sigma` (a zero weight stays)."""
+    sigma = _sigmas([w])[0]
+    if sigma > 0:
+        _scale(w, target_sigma / sigma)
+    return w
 
 
 def _weight_entries(path: str, w) -> list[tuple[str, np.ndarray]]:
@@ -193,10 +206,10 @@ class GcnResidualBlock:
 
     def certified_bound(self) -> float:
         """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
-        return float(np.prod(_dense_sigmas(self.weights)))
+        return float(np.prod(_sigmas(self.weights)))
 
     def project(self) -> None:
-        _clamp_dense(self.weights, self.per_weight_bound())
+        _clamp(self.weights, self.per_weight_bound())
 
     # -- math ----------------------------------------------------------------
 
@@ -248,13 +261,11 @@ class MlpResidualBlock:
     (d, S*C) column layout viewed in 3-D.
     """
 
-    def __init__(self, prefix: str, weights: list, biases: list, budget: float,
-                 states: list[SpectralNormState]):
+    def __init__(self, prefix: str, weights: list, biases: list, budget: float):
         self.prefix = prefix
         self.weights = weights          # dense (d, d) or FactoredWeight
         self.biases = biases            # (d, 1) arrays or None
         self.lipschitz_budget = budget
-        self.spectral_states = states   # one per FactoredWeight; empty when dense
         self.depth = len(weights)
 
     def weight_items(self):
@@ -274,27 +285,11 @@ class MlpResidualBlock:
         return self.lipschitz_budget ** (1.0 / self.depth)
 
     def certified_bound(self) -> float:
-        """Product of per-layer operator norms (an upper Lipschitz bound):
-        exact for dense weights, power-iteration estimates for rank-r ones."""
-        if isinstance(self.weights[0], FactoredWeight):
-            sigmas = [_weight_sigma(w) for w in self.weights]
-        else:
-            sigmas = _dense_sigmas(self.weights)
-        return float(np.prod(sigmas))
+        """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
+        return float(np.prod(_sigmas(self.weights)))
 
     def project(self) -> None:
-        bound = self.per_weight_bound()
-        if not isinstance(self.weights[0], FactoredWeight):
-            _clamp_dense(self.weights, bound)
-            return
-        for w, state in zip(self.weights, self.spectral_states):
-            sigma, u, v = operator_norm_power(
-                lambda x: w.u @ (w.vt @ x), lambda y: w.vt.T @ (w.u.T @ y),
-                w.vt.shape[1], u0=state.u)
-            if sigma > bound:
-                _scale_factored(w, bound / sigma)
-                sigma = bound
-            state.u, state.v, state.sigma_estimate = u, v, sigma
+        _clamp(self.weights, self.per_weight_bound())
 
     def _matvec(self, l, x, params, prod=operator.matmul):
         """prod(W_l, x), with W_l looked up by path in `params` when given.
@@ -395,15 +390,15 @@ class GrfModel:
         rng = np.random.default_rng(config.seed)
         m = self.schema.n_atom_types
 
-        # Each weight is followed by one draw that seeds its power-iteration
-        # state.  Dense weights keep no state but still make the draw, so
-        # GrfModel(config) builds the same weights as earlier versions.
+        # Each weight is followed by one unused draw, which once seeded a
+        # power-iteration state; keeping it makes GrfModel(config) build the
+        # same dense weights as earlier versions.
         self.feature_layers: list[GcnResidualBlock] = []
         gcn_target = config.init_scale ** (1.0 / config.gcn_layers)
         for b in range(config.gcn_blocks):
             weights, biases = [], []
             for l in range(config.gcn_layers):
-                weights.append(self._init_dense(rng, m, m, gcn_target))
+                weights.append(_scaled_to(rng.standard_normal((m, m)), gcn_target))
                 rng.integers(2 ** 31)
                 biases.append(np.zeros((1, m)) if config.use_bias else None)
             self.feature_layers.append(GcnResidualBlock(
@@ -413,37 +408,21 @@ class GrfModel:
         d, _ = adjacency_slice_shape(self.schema, config.adjacency_mode)
         self.adjacency_layers: list[MlpResidualBlock] = []
         mlp_target = config.init_scale ** (1.0 / config.mlp_layers)
+        rank = config.adjacency_rank
         for b in range(config.mlp_blocks):
-            weights, biases, states = [], [], []
+            weights, biases = [], []
             for l in range(config.mlp_layers):
-                if config.adjacency_rank > 0:
-                    weights.append(self._init_factored(rng, d, config.adjacency_rank,
-                                                       mlp_target))
-                    states.append(init_spectral_state(d, d, seed=int(rng.integers(2 ** 31))))
-                else:
-                    weights.append(self._init_dense(rng, d, d, mlp_target))
-                    rng.integers(2 ** 31)
+                w = (FactoredWeight(u=rng.standard_normal((d, rank)),
+                                    vt=rng.standard_normal((rank, d)))
+                     if rank > 0 else rng.standard_normal((d, d)))
+                weights.append(_scaled_to(w, mlp_target))
+                rng.integers(2 ** 31)
                 biases.append(np.zeros((d, 1)) if config.use_bias else None)
             self.adjacency_layers.append(MlpResidualBlock(
                 prefix=f"adjacency.{b}", weights=weights, biases=biases,
-                budget=config.lipschitz_budget, states=states))
+                budget=config.lipschitz_budget))
 
         self.project_to_budget()
-
-    @staticmethod
-    def _init_dense(rng, rows: int, cols: int, target_sigma: float) -> np.ndarray:
-        w = rng.standard_normal((rows, cols))
-        sigma = _weight_sigma(w)
-        return w * (target_sigma / sigma) if sigma > 0 else w
-
-    @staticmethod
-    def _init_factored(rng, d: int, rank: int, target_sigma: float) -> FactoredWeight:
-        w = FactoredWeight(u=rng.standard_normal((d, rank)),
-                           vt=rng.standard_normal((rank, d)))
-        sigma = _weight_sigma(w)
-        if sigma > 0:
-            _scale_factored(w, target_sigma / sigma)
-        return w
 
     # -- parameters -----------------------------------------------------------
 
@@ -524,18 +503,13 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, model: GrfModel, extra_arrays: dict | None = None,
                     extra_meta: dict | None = None) -> None:
-    """Versioned npz container: config, weights, rank-r spectral states, extras.
+    """Versioned npz container: config, weights, extras.
 
     Round trips are bit exact: arrays are stored as raw float64.
     """
     arrays: dict[str, np.ndarray] = {}
     for name, arr in model.named_parameters():
         arrays[f"param::{name}"] = arr
-    for block in model.adjacency_layers:
-        for idx, state in enumerate(block.spectral_states):
-            arrays[f"sn::{block.prefix}.{idx}::u"] = state.u
-            arrays[f"sn::{block.prefix}.{idx}::v"] = state.v
-            arrays[f"sn::{block.prefix}.{idx}::sigma"] = np.array([state.sigma_estimate])
     for key, arr in (extra_arrays or {}).items():
         arrays[f"extra::{key}"] = np.asarray(arr)
     meta = {"format_version": CHECKPOINT_VERSION,
@@ -551,10 +525,10 @@ def save_checkpoint(path, model: GrfModel, extra_arrays: dict | None = None,
 def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
     """Rebuild a model (bit exact) plus any extra arrays/metadata.
 
-    Reads format versions 1 and 2; the spectral states version 1 stored
-    for dense weights are ignored.  A file that is not a checkpoint, or
-    lacks an array the model needs or holds it at the wrong shape, raises
-    `CheckpointError`.
+    Reads format versions 1 to 3; the power-iteration states (`sn::`
+    arrays) that versions 1 and 2 stored are ignored.  A file that is not
+    a checkpoint, or lacks an array the model needs or holds it at the
+    wrong shape, raises `CheckpointError`.
     """
     try:
         data = np.load(path)
@@ -579,7 +553,7 @@ def _checkpoint_array(data, key: str, shape: tuple[int, ...] | None = None) -> n
 
 def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
     meta = json.loads(bytes(_checkpoint_array(data, "__meta__")).decode())
-    if meta.get("format_version") not in (1, CHECKPOINT_VERSION):
+    if meta.get("format_version") not in (1, 2, CHECKPOINT_VERSION):
         raise CheckpointError(f"unsupported format version {meta.get('format_version')!r}")
     cfg_dict = dict(meta["config"])
     if cfg_dict.pop("relational_gcn", False):
@@ -588,12 +562,6 @@ def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
     model = GrfModel(ModelConfig(**cfg_dict))
     for name, arr in model.named_parameters():
         arr[...] = _checkpoint_array(data, f"param::{name}", arr.shape)
-    for block in model.adjacency_layers:
-        for idx, state in enumerate(block.spectral_states):
-            key = f"sn::{block.prefix}.{idx}"
-            state.u = _checkpoint_array(data, f"{key}::u", state.u.shape).copy()
-            state.v = _checkpoint_array(data, f"{key}::v", state.v.shape).copy()
-            state.sigma_estimate = float(_checkpoint_array(data, f"{key}::sigma", (1,))[0])
     extra_arrays = {key[len("extra::"):]: data[key].copy()
                     for key in data.files if key.startswith("extra::")}
     return model, extra_arrays, meta["extra"]

@@ -120,8 +120,7 @@ def _require_contractive(bound: float, where: str) -> None:
 
 
 def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
-                  rng_seed: int | None = None, probes: np.ndarray | None = None,
-                  validate: bool = True) -> float:
+                  rng_seed: int | None = None, probes: np.ndarray | None = None) -> float:
     """Stochastic log-det of one residual layer, linearized at input `x`.
 
     Feature blocks need the conditioning operator `p` and take probes as
@@ -130,8 +129,7 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     explicit probe stack may be supplied instead (used by permutation
     tests).
     """
-    if validate:
-        _require_contractive(block.certified_bound(), block.prefix)
+    _require_contractive(block.certified_bound(), block.prefix)
     seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
     if p is not None:

@@ -1,15 +1,11 @@
-"""Dense linear algebra kernels.
+"""Linear-algebra leftovers that `numpy.linalg` does not cover.
 
-Power-iteration operator norms (with persistent warm-start state for the
-weight constraint), cyclic-Jacobi symmetric eigenvalues, an LU
-log-determinant used as the exact oracle for the stochastic estimator,
-and a deflated power iteration for dominant eigenpairs of covariance
-matrices.
+Spectral norms, eigenvalues and log-determinants all come from
+`numpy.linalg`.  What stays here is the package's numerical error type and
+a converged power iteration on an operator given only as matvec closures.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,67 +14,9 @@ class NumericalError(RuntimeError):
     """A numerical contract was violated (divergence, lost contraction, ...)."""
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-# ---------------------------------------------------------------------------
-# Spectral norm via power iteration
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SpectralNormState:
-    """Warm-start state for power iteration on one weight matrix.
-
-    `u` estimates the left singular vector (length = rows), `v` the right
-    one (length = cols).  Both stay unit length.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    sigma_estimate: float = 0.0
-    iterations_per_step: int = 1
-
-
-def init_spectral_state(rows: int, cols: int, seed: int = 0,
-                        iterations_per_step: int = 1) -> SpectralNormState:
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(rows)
-    v = rng.standard_normal(cols)
-    return SpectralNormState(u=u / np.linalg.norm(u), v=v / np.linalg.norm(v),
-                             iterations_per_step=iterations_per_step)
-
-
 def _normalize(x: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(x)
     return x / n if n > 0.0 else x
-
-
-def spectral_norm(w: np.ndarray, state: SpectralNormState) -> tuple[float, SpectralNormState]:
-    """Estimate the largest singular value of `w`, warm-starting from `state`.
-
-    Runs `state.iterations_per_step` power iterations.  A zero matrix maps
-    to sigma = 0 with the vectors left untouched.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if not np.any(w):
-        return 0.0, replace(state, sigma_estimate=0.0)
-    u, v = state.u, state.v
-    sigma = state.sigma_estimate
-    for _ in range(max(1, state.iterations_per_step)):
-        v = _normalize(w.T @ u)
-        wv = w @ v
-        sigma = float(np.linalg.norm(wv))
-        u = _normalize(wv)
-    return sigma, SpectralNormState(u=u, v=v, sigma_estimate=sigma,
-                                    iterations_per_step=state.iterations_per_step)
 
 
 def operator_norm_power(matvec, rmatvec, n_cols: int, u0: np.ndarray | None = None,
@@ -87,7 +25,8 @@ def operator_norm_power(matvec, rmatvec, n_cols: int, u0: np.ndarray | None = No
     """Converged power iteration on an operator given as matvec closures.
 
     Returns (sigma, u, v).  Stops once the sigma estimate changes by less
-    than `tol` relative between iterations.
+    than `tol` relative between iterations, which is not a guarantee of
+    convergence: use it only where an estimate suffices.
     """
     rng = np.random.default_rng(seed)
     if u0 is None or not np.all(np.isfinite(u0)) or not np.any(u0):
@@ -109,160 +48,3 @@ def operator_norm_power(matvec, rmatvec, n_cols: int, u0: np.ndarray | None = No
             break
         sigma = new_sigma
     return sigma, u, v
-
-
-def converged_spectral_norm(w: np.ndarray, state: SpectralNormState | None = None,
-                            tol: float = 1e-13, max_iter: int = 2000) -> float:
-    w = np.asarray(w, dtype=np.float64)
-    if not np.any(w):
-        return 0.0
-    u0 = state.u if state is not None else None
-    sigma, _, _ = operator_norm_power(lambda x: w @ x, lambda x: w.T @ x,
-                                      w.shape[1], u0=u0, tol=tol, max_iter=max_iter)
-    return sigma
-
-
-def normalize_to_bound(w: np.ndarray, bound: float,
-                       state: SpectralNormState | None = None) -> np.ndarray:
-    """Rescale `w` so its largest singular value does not exceed `bound`.
-
-    Matrices already within the bound are returned unscaled (modulo a copy).
-    Uses a converged power iteration; the one-step warm-start estimate is
-    not accurate enough to certify the bound after rescaling.
-    """
-    if bound <= 0.0:
-        raise ValueError("bound must be positive")
-    w = np.asarray(w, dtype=np.float64)
-    sigma = converged_spectral_norm(w, state=state)
-    if sigma <= bound:
-        return w.copy()
-    return w * (bound / sigma)
-
-
-# ---------------------------------------------------------------------------
-# Symmetric eigenvalues via cyclic Jacobi
-# ---------------------------------------------------------------------------
-
-_JACOBI_MAX_DIM = 64
-
-
-def sym_eigenvalues(s: np.ndarray, max_sweeps: int = 64) -> np.ndarray:
-    """All eigenvalues of a small symmetric matrix, ascending.
-
-    Cyclic Jacobi with thresholding; restricted to matrices of size at
-    most 64 and symmetric within 1e-9.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = s.shape[0]
-    if n > _JACOBI_MAX_DIM:
-        raise ValueError(f"Jacobi eigensolver limited to {_JACOBI_MAX_DIM}x{_JACOBI_MAX_DIM}")
-    if not np.allclose(s, s.T, atol=1e-9):
-        raise ValueError("matrix is not symmetric within 1e-9")
-
-    a = 0.5 * (s + s.T)
-    if n == 1:
-        return a.diagonal().copy()
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(0.0, float(np.sum(a * a) - np.sum(np.diag(a) ** 2))))
-        if off <= 1e-14 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-16 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - sn * col_q
-                a[:, q] = sn * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - sn * row_q
-                a[q, :] = sn * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-    return np.sort(np.diag(a).copy())
-
-
-# ---------------------------------------------------------------------------
-# Exact log|det| via LU with partial pivoting
-# ---------------------------------------------------------------------------
-
-_LU_MAX_DIM = 256
-
-
-def exact_logabsdet(j: np.ndarray) -> float:
-    """log|det(j)| by LU with partial pivoting; -inf for a singular matrix."""
-    a = np.array(j, dtype=np.float64, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = a.shape[0]
-    if n > _LU_MAX_DIM:
-        raise ValueError(f"LU log-determinant limited to {_LU_MAX_DIM}x{_LU_MAX_DIM}")
-    logdet = 0.0
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = a[pivot_row, k]
-        if pivot == 0.0:
-            return -np.inf
-        if pivot_row != k:
-            a[[k, pivot_row], :] = a[[pivot_row, k], :]
-        logdet += np.log(abs(pivot))
-        if k + 1 < n:
-            factors = a[k + 1:, k] / pivot
-            a[k + 1:, k:] -= np.outer(factors, a[k, k:])
-    return float(logdet)
-
-
-# ---------------------------------------------------------------------------
-# Dominant eigenpairs of a symmetric PSD matrix (covariance PCA)
-# ---------------------------------------------------------------------------
-
-def dominant_symmetric_eigenpairs(s: np.ndarray, k: int, seed: int = 0,
-                                  tol: float = 1e-12, max_iter: int = 5000
-                                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k eigenvalues/vectors of a symmetric PSD matrix via deflation.
-
-    Each iterate is re-orthogonalized against previously found vectors, so
-    the returned columns are orthonormal.  Raises NumericalError when the
-    matrix is too degenerate to yield k directions.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    n = s.shape[0]
-    if k > n:
-        raise ValueError("k exceeds matrix dimension")
-    rng = np.random.default_rng(seed)
-    # directions carrying only float-noise variance count as missing
-    noise_floor = 1e-15 * max(1.0, float(np.abs(s).max()) if s.size else 0.0)
-    values = np.zeros(k)
-    vectors = np.zeros((n, k))
-    for i in range(k):
-        x = rng.standard_normal(n)
-        lam = 0.0
-        for _ in range(max_iter):
-            if i:
-                x = x - vectors[:, :i] @ (vectors[:, :i].T @ x)
-            nx = np.linalg.norm(x)
-            if nx <= 1e-300:
-                raise NumericalError("degenerate covariance: no remaining principal direction")
-            x /= nx
-            y = s @ x
-            new_lam = float(x @ y)
-            if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-                lam = new_lam
-                x = y
-                break
-            lam = new_lam
-            x = y
-        if i:
-            x = x - vectors[:, :i] @ (vectors[:, :i].T @ x)
-        nx = np.linalg.norm(x)
-        if nx <= 1e-300 or lam <= noise_floor:
-            raise NumericalError("degenerate covariance: no remaining principal direction")
-        vectors[:, i] = x / nx
-        values[i] = lam
-    return values, vectors

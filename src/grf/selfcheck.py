@@ -4,8 +4,8 @@ Each suite hammers one load-bearing mathematical fact with random
 instances: the product bound that links Frobenius and operator norms, the
 unit spectral bound of the normalized adjacency operator, contraction of
 the graph-convolution residual blocks, agreement of the stochastic
-log-det series with the exact LU oracle, and geometric convergence of
-fixed-point inversion.  Default instance counts match the acceptance
+log-det series with the exact `slogdet` oracle, and geometric convergence
+of fixed-point inversion.  Default instance counts match the acceptance
 gate, so a clean selfcheck certifies the same properties.
 """
 
@@ -19,7 +19,6 @@ from .analysis import reconstruction_curve
 from .flow import GrfModel, ModelConfig
 from .graphs import augmented_normalized_adjacency, random_molgraph
 from .likelihood import LogDetEstimatorConfig, logdet_series
-from .linalg import converged_spectral_norm, exact_logabsdet, sym_eigenvalues
 
 
 @dataclass
@@ -76,7 +75,7 @@ def check_frobenius_operator_bound(count: int = 10_000, seed: int = 0) -> CheckR
         d = int(rng.integers(1, 9))
         a = rng.standard_normal((n, n)) * rng.uniform(0.1, 3.0)
         x = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0)
-        margin = np.linalg.norm(a @ x) - converged_spectral_norm(a) * np.linalg.norm(x)
+        margin = np.linalg.norm(a @ x) - np.linalg.norm(a, 2) * np.linalg.norm(x)
         worst = max(worst, margin)
         if margin > 1e-9:
             violations += 1
@@ -84,36 +83,35 @@ def check_frobenius_operator_bound(count: int = 10_000, seed: int = 0) -> CheckR
                        f"{count} pairs, {violations} violations, max excess {worst:.2e}")
 
 
+def spectral_radius(p: np.ndarray) -> float:
+    """Largest |eigenvalue| of a symmetric operator; inf when P is not
+    symmetric within 1e-9, so an asymmetric P counts as a violation."""
+    if not np.allclose(p, p.T, atol=1e-9):
+        return np.inf
+    return float(np.abs(np.linalg.eigvalsh(p)).max())
+
+
 def check_normalized_adjacency_spectrum(count: int = 10_000, seed: int = 0,
-                                        full_spectrum_count: int = 300,
                                         extra_graphs=None) -> CheckResult:
     """Spectrum of the normalized adjacency operator stays inside [-1, 1].
 
-    All instances are checked through the operator norm (for a symmetric
-    matrix that bounds every |eigenvalue|); a subsample additionally runs
-    the full Jacobi spectrum.
+    Every instance, random or from the dataset, gets its full spectrum.
     """
     rng = np.random.default_rng(seed)
     violations = 0
     worst = 0.0
-    for k in range(count):
+    for _ in range(count):
         n = int(rng.integers(1, 17))
         mat = (rng.random((n, n)) < rng.uniform(0.05, 0.9)).astype(np.float64)
         mat = np.triu(mat, 1)
         mat = mat + mat.T
-        p = augmented_normalized_adjacency(mat)
-        sigma = converged_spectral_norm(p)
-        worst = max(worst, sigma)
-        if sigma > 1.0 + 1e-9:
+        radius = spectral_radius(augmented_normalized_adjacency(mat))
+        worst = max(worst, radius)
+        if radius > 1.0 + 1e-9:
             violations += 1
-        if k < full_spectrum_count:
-            lam = sym_eigenvalues(p)
-            if np.abs(lam).max() > 1.0 + 1e-9:
-                violations += 1
     n_extra = 0
     for g in extra_graphs or []:
-        p = augmented_normalized_adjacency(g.adjacency)
-        if np.abs(sym_eigenvalues(p)).max() > 1.0 + 1e-9:
+        if spectral_radius(augmented_normalized_adjacency(g.adjacency)) > 1.0 + 1e-9:
             violations += 1
         n_extra += 1
     return CheckResult(
@@ -139,7 +137,7 @@ def check_gcn_contraction(n_blocks: int = 40, pairs_per_block: int = 250,
         block, p = random_feature_block(seed + 7919 * b)
         if inject_overbudget and b == 0:
             w = block.weights[0]
-            w[...] = w * (1.5 / converged_spectral_norm(w))
+            w[...] = w * (1.5 / np.linalg.norm(w, 2))
         cert = block.certified_bound()
         worst_cert = max(worst_cert, cert)
         if cert >= 1.0:
@@ -165,7 +163,7 @@ def check_gcn_contraction(n_blocks: int = 40, pairs_per_block: int = 250,
 def check_logdet_oracle(n_blocks: int = 10, n_seeds: int = 256, seed: int = 0,
                         series_terms: int = 20, hutchinson_samples: int = 256
                         ) -> CheckResult:
-    """Seed-averaged stochastic log-det matches the exact LU value.
+    """Seed-averaged stochastic log-det matches the exact `slogdet` value.
 
     Blocks are sampled with operator norms in [0.2, 0.75]: at those scales
     the 20-term truncation bias is negligible and the remaining error is
@@ -181,7 +179,7 @@ def check_logdet_oracle(n_blocks: int = 10, n_seeds: int = 256, seed: int = 0,
         sigma = float(rng.uniform(0.2, 0.75))
         block, p = random_feature_block(seed + 31 * t, n=n, m_real=m_real, sigma=sigma)
         x = rng.standard_normal((n, block.weights[0].shape[0])) * 1.2
-        exact = exact_logabsdet(np.eye(x.size) + exact_block_jacobian(block, x, p=p))
+        exact = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x, p=p))[1]
         estimates = [
             logdet_series(block, x,
                           LogDetEstimatorConfig(series_terms=series_terms,

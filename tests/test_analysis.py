@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grf.analysis import latent_grid, principal_axes_orthonormality
+from grf.analysis import encode_dataset, latent_grid, principal_axes, principal_axes_orthonormality
 from grf.flow import GrfModel, toy_config
 from grf.inversion import InversionConfig
 from grf.linalg import NumericalError
@@ -33,16 +33,8 @@ def test_latent_grid_requires_two_molecules(toy_graphs):
 
 def test_latent_grid_degenerate_covariance_raises(toy_graphs):
     model = GrfModel(toy_config(seed=7))
-    # identical molecules with identical noise seeds give a rank-deficient,
-    # effectively one-point latent cloud only when dequantization noise is
-    # shared; easier: a zero-weight model plus identical graphs still varies
-    # through noise, so force degeneracy by repeating one encoded latent
-    from grf.analysis import encode_dataset
-    from grf.linalg import dominant_symmetric_eigenpairs
-
+    # dequantization noise keeps distinct draws apart, so force a one-point
+    # latent cloud by repeating one encoded latent
     latents = encode_dataset(model, [toy_graphs[0]], rng_seed=8)
-    stacked = np.repeat(latents, 5, axis=0)
-    centered = stacked - stacked.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / 4
     with pytest.raises(NumericalError):
-        dominant_symmetric_eigenpairs(cov, 2, seed=9)
+        principal_axes(np.repeat(latents, 5, axis=0))

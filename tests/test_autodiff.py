@@ -59,6 +59,14 @@ def test_elu_values():
     x = np.array([-2.0, -1.0, 0.0, 1.0, 3.0])
     assert np.allclose(elu(x), np.where(x >= 0, x, np.exp(x) - 1))
     assert np.allclose(elu_prime(x), np.where(x >= 0, 1.0, np.exp(x)))
+    # exact against the branch-select forms, at zeros, subnormals, underflow and NaN
+    x = np.array([-2.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1.5, -800.0, np.nan])
+    neg = np.minimum(x, 0.0)
+    np.testing.assert_array_equal(elu(x), np.where(x >= 0.0, x, np.expm1(neg)))
+    np.testing.assert_array_equal(elu_prime(x), np.where(x >= 0.0, 1.0, np.exp(neg)))
+    t = Tensor(x, requires_grad=True)
+    np.testing.assert_array_equal(t.elu().data, elu(x))
+    np.testing.assert_array_equal(t.elu_prime().data, elu_prime(x))
 
 
 def test_numpy_dispatch_returns_plain_arrays():

@@ -150,10 +150,48 @@ def test_latent_grid_center_reproduces_query(trained_dir, tmp_path):
     assert rec["smiles"] == write_smiles(graphs[int(picks[-1])])
 
 
-def test_sample_rejects_bad_temperature(trained_dir, tmp_path):
-    code = main(["sample", "--ckpt", str(trained_dir / "run" / "model.npz"),
-                 "--out", str(tmp_path / "bad"), "--count", "2", "--tx", "-1.0"])
-    assert code == 3
+def test_sample_rejects_bad_temperature(trained_dir, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--ckpt", str(trained_dir / "run" / "model.npz"),
+              "--out", str(tmp_path / "bad"), "--count", "2", "--tx", "-1.0"])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --tx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["reconstruct", "--dataset", "d.smi", "--iterations", "1,x"], "--iterations",
+                 id="reconstruct-iterations-not-int"),
+    pytest.param(["reconstruct", "--dataset", "d.smi", "--iterations=-5"], "--iterations",
+                 id="reconstruct-iterations-negative"),
+    pytest.param(["reconstruct", "--dataset", "d.smi", "--count", "0"], "--count",
+                 id="reconstruct-count-zero"),
+    pytest.param(["sample", "--count", "-3"], "--count", id="sample-count-negative"),
+    pytest.param(["sample", "--iterations", "0"], "--iterations", id="sample-iterations-zero"),
+    pytest.param(["sample", "--ta", "nan"], "--ta", id="sample-ta-nan"),
+    pytest.param(["sample", "--threads", "0"], "--threads", id="sample-threads-zero"),
+    pytest.param(["eval", "--dataset", "d.smi", "--count", "-1"], "--count",
+                 id="eval-count-negative"),
+    pytest.param(["eval", "--dataset", "d.smi", "--count", "0"], "--count", id="eval-count-zero"),
+    pytest.param(["latent-grid", "--dataset", "d.smi", "--count", "1"], "--count",
+                 id="latent-grid-count-one"),
+    pytest.param(["latent-grid", "--dataset", "d.smi", "--grid-size", "0"], "--grid-size",
+                 id="latent-grid-size-zero"),
+])
+def test_malformed_flag_is_usage_error(argv, flag, tmp_path, capsys):
+    # argparse rejects the value before the (absent) checkpoint is opened
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--ckpt", str(tmp_path / "none.npz"), "--out", str(tmp_path / "o")])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_reconstruct_accepts_zero_iterations(trained_dir, tmp_path):
+    code = main(["reconstruct", "--ckpt", str(trained_dir / "run" / "model.npz"),
+                 "--dataset", str(DATA / "toy_train.smi"), "--out", str(tmp_path / "r"),
+                 "--iterations", "0,1", "--count", "2"])
+    assert code == EXIT_OK
+    rows = (tmp_path / "r" / "reconstruction.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
 
 
 def _rewrite_checkpoint(src, dst, drop=(), replace=None):

@@ -15,6 +15,13 @@ def svd_sigma(w):
     return float(np.linalg.svd(w, compute_uv=False).max())
 
 
+def qr_sigma(w):
+    """sigma(u @ vt) of a rank-r weight, one weight at a time: the nonzero
+    singular values of u @ vt are those of R_u @ R_v.T for u = Q_u R_u and
+    vt.T = Q_v R_v."""
+    return float(np.linalg.norm(np.linalg.qr(w.u)[1] @ np.linalg.qr(w.vt.T)[1].T, 2))
+
+
 def zero_weights(model):
     for _, arr in model.named_parameters():
         arr[...] = 0.0
@@ -237,7 +244,7 @@ def test_factored_weights_respect_budget():
     for block in model.adjacency_layers:
         for w in block.weights:
             assert isinstance(w, FactoredWeight)
-            assert svd_sigma(w.u @ w.vt) <= block.per_weight_bound() * (1 + 1e-6)
+            assert qr_sigma(w) <= block.per_weight_bound()
 
 
 def test_factored_forward_matches_dense_product():
@@ -273,11 +280,6 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path):
     for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
         assert n1 == n2
         assert np.array_equal(a1, a2)
-    for b1, b2 in zip(model.adjacency_layers, loaded.adjacency_layers):
-        assert len(b1.spectral_states) == len(b1.weights)
-        for s1, s2 in zip(b1.spectral_states, b2.spectral_states):
-            assert np.array_equal(s1.u, s2.u) and np.array_equal(s1.v, s2.v)
-            assert s1.sigma_estimate == s2.sigma_estimate
     assert np.array_equal(extra_arrays["counter"], np.arange(3))
     assert extra_meta == {"note": "x"}
 
@@ -294,49 +296,64 @@ def test_checkpoint_preserves_forward(tmp_path):
     assert np.array_equal(z1.z_features, z2.z_features)
 
 
-def write_version_1(src, dst, relational=False):
-    """Rewrite a checkpoint in format 1: a `relational_gcn` config field and
-    `sn::` power-iteration states for the dense weights too."""
+def write_old_version(src, dst, version, model, relational=False):
+    """Rewrite a format-3 checkpoint in an older format: `sn::` power-iteration
+    states for every rank-r weight (format 2) or every weight (format 1),
+    and in format 1 a `relational_gcn` config field."""
     import json
 
     with np.load(src) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["format_version"] = 1
-    meta["config"]["relational_gcn"] = relational
+    meta["format_version"] = version
+    if version == 1:
+        meta["config"]["relational_gcn"] = relational
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    arrays["sn::feature.0.0::u"] = np.full(5, np.nan)
-    arrays["sn::feature.0.0::v"] = np.full(5, np.nan)
-    arrays["sn::feature.0.0::sigma"] = np.array([np.nan])
+    for block in model.blocks():
+        for idx, w in enumerate(block.weights):
+            if version == 1 or isinstance(w, FactoredWeight):
+                d = w.vt.shape[1] if isinstance(w, FactoredWeight) else w.shape[0]
+                arrays[f"sn::{block.prefix}.{idx}::u"] = np.full(d, np.nan)
+                arrays[f"sn::{block.prefix}.{idx}::v"] = np.full(d, np.nan)
+                arrays[f"sn::{block.prefix}.{idx}::sigma"] = np.array([np.nan])
     np.savez(dst, **arrays)
 
 
-def test_checkpoint_version_2_stores_states_only_for_factored_weights(tmp_path):
+def assert_same_parameters(model, loaded):
+    for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
+        assert n1 == n2 and np.array_equal(a1, a2)
+
+
+def test_checkpoint_version_3_writes_no_spectral_states(tmp_path):
     from grf.flow import CHECKPOINT_VERSION
 
-    assert CHECKPOINT_VERSION == 2
-    save_checkpoint(tmp_path / "dense.npz", GrfModel(toy_config(seed=25)))
-    with np.load(tmp_path / "dense.npz") as data:
-        assert not [k for k in data.files if k.startswith("sn::")]
-    save_checkpoint(tmp_path / "rank.npz", GrfModel(toy_config(seed=25, adjacency_rank=2)))
-    with np.load(tmp_path / "rank.npz") as data:
-        keys = {k for k in data.files if k.startswith("sn::")}
-    assert keys and all(k.startswith("sn::adjacency.") for k in keys)
+    assert CHECKPOINT_VERSION == 3
+    for tag, cfg in (("dense", toy_config(seed=25)),
+                     ("rank", toy_config(seed=25, adjacency_rank=2))):
+        save_checkpoint(tmp_path / f"{tag}.npz", GrfModel(cfg))
+        with np.load(tmp_path / f"{tag}.npz") as data:
+            assert not [k for k in data.files if k.startswith("sn::")]
+
+
+def test_checkpoint_version_2_with_spectral_states_still_loads(tmp_path):
+    model = GrfModel(toy_config(seed=27, adjacency_rank=2))
+    save_checkpoint(tmp_path / "v3.npz", model)
+    write_old_version(tmp_path / "v3.npz", tmp_path / "v2.npz", 2, model)
+    with np.load(tmp_path / "v2.npz") as data:
+        assert any(k.startswith("sn::adjacency.") for k in data.files)
+    loaded, _, _ = load_checkpoint(tmp_path / "v2.npz")
+    assert_same_parameters(model, loaded)
 
 
 def test_checkpoint_version_1_still_loads(tmp_path):
     from grf.flow import CheckpointError
 
     model = GrfModel(toy_config(seed=26, adjacency_rank=2))
-    save_checkpoint(tmp_path / "v2.npz", model)
-    write_version_1(tmp_path / "v2.npz", tmp_path / "v1.npz")
+    save_checkpoint(tmp_path / "v3.npz", model)
+    write_old_version(tmp_path / "v3.npz", tmp_path / "v1.npz", 1, model)
     loaded, _, _ = load_checkpoint(tmp_path / "v1.npz")
-    for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
-        assert n1 == n2 and np.array_equal(a1, a2)
-    for b1, b2 in zip(model.adjacency_layers, loaded.adjacency_layers):
-        for s1, s2 in zip(b1.spectral_states, b2.spectral_states):
-            assert np.array_equal(s1.u, s2.u) and s1.sigma_estimate == s2.sigma_estimate
-    write_version_1(tmp_path / "v2.npz", tmp_path / "rel.npz", relational=True)
+    assert_same_parameters(model, loaded)
+    write_old_version(tmp_path / "v3.npz", tmp_path / "rel.npz", 1, model, relational=True)
     with pytest.raises(CheckpointError, match="relational_gcn"):
         load_checkpoint(tmp_path / "rel.npz")
 
@@ -374,24 +391,53 @@ def test_projection_bound_is_strict_on_near_degenerate_top_pair():
                 assert np.linalg.norm(w, 2) <= bound
 
 
+def near_degenerate_factored(d, rank, sigma1, rng):
+    """Rank-r factors whose product's top singular pair is split by a relative 1e-6."""
+    q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    s = np.linspace(0.3, 0.1, rank) * sigma1
+    s[:2] = sigma1, sigma1 * (1.0 - 1e-6)
+    return q1[:, :rank] * s, q2[:, :rank].T
+
+
+def test_factored_projection_bound_is_strict_on_near_degenerate_top_pair():
+    rng = np.random.default_rng(43)
+    for seed in range(20):
+        model = GrfModel(toy_config(seed=seed, adjacency_rank=2))  # slice dim d = 24
+        for block in model.adjacency_layers:
+            bound = block.per_weight_bound()
+            for w in block.weights:
+                w.u[...], w.vt[...] = near_degenerate_factored(
+                    24, 2, bound * rng.uniform(1.01, 3.0), rng)
+            block.project()
+            for w in block.weights:
+                assert qr_sigma(w) <= bound
+
+
+def exact_sigma(w):
+    return np.linalg.norm(w.u @ w.vt if isinstance(w, FactoredWeight) else w, 2)
+
+
 def exact_product(block):
-    return float(np.prod([np.linalg.norm(w, 2) for w in block.weights]))
+    return float(np.prod([exact_sigma(w) for w in block.weights]))
 
 
 def test_certified_bound_is_exact_and_never_stale():
     model = GrfModel(toy_config(seed=41, gcn_layers=2))
-    for block in (model.feature_layers[0], model.adjacency_layers[0]):
+    factored = GrfModel(toy_config(seed=41, adjacency_rank=3))
+    for block in (model.feature_layers[0], model.adjacency_layers[0],
+                  factored.adjacency_layers[0]):
         assert block.certified_bound() == pytest.approx(exact_product(block), rel=1e-12)
         _, w = block.weight_items()[0]
-        w *= 1.5 / np.linalg.norm(w, 2)  # in place, after the last projection
+        w *= 1.5 / exact_sigma(block.weights[0])  # in place, after the last projection
         assert block.certified_bound() == pytest.approx(exact_product(block), rel=1e-12)
         assert block.certified_bound() >= 1.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_weight_fails_loudly(value):
-    model = GrfModel(toy_config(seed=42))
-    for block in model.blocks():
+    dense, factored = (GrfModel(toy_config(seed=42, adjacency_rank=r)) for r in (0, 2))
+    for block in [*dense.blocks(), *factored.adjacency_layers]:
         block.weight_items()[0][1][0, 0] = value
         with pytest.raises(NumericalError):
             block.certified_bound()

@@ -8,13 +8,13 @@ from grf.graphs import LatentPoint, dequantize, random_molgraph
 from grf.likelihood import (EVAL_ESTIMATOR, FlowTrace, LogDetEstimatorConfig,
                             draw_probes, full_logp, full_logp_from_dequant,
                             logdet_series, prior_logp, sample_prior)
-from grf.linalg import NumericalError, exact_logabsdet, init_spectral_state
+from grf.linalg import NumericalError
 from grf.selfcheck import exact_block_jacobian, random_feature_block
 
 
 def scalar_mlp_block(w: float) -> MlpResidualBlock:
     return MlpResidualBlock(prefix="t", weights=[np.array([[w]])], biases=[None],
-                            budget=0.9, states=[init_spectral_state(1, 1, seed=0)])
+                            budget=0.9)
 
 
 # -- prior ---------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_logdet_matches_exact_oracle_on_gcn_block():
     block, p = random_feature_block(3, n=3, m_real=2, sigma=0.6)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 3))
-    exact = exact_logabsdet(np.eye(9) + exact_block_jacobian(block, x, p=p))
+    exact = np.linalg.slogdet(np.eye(9) + exact_block_jacobian(block, x, p=p))[1]
     ests = [logdet_series(block, x, LogDetEstimatorConfig(
         series_terms=20, hutchinson_samples=256, rng_seed=s), p=p)
         for s in range(64)]
@@ -128,7 +128,7 @@ def test_logdet_truncation_tail_bound():
     x = rng.standard_normal((3, 3))
     jac = exact_block_jacobian(block, x, p=p)
     dim = x.size
-    exact = exact_logabsdet(np.eye(dim) + jac)
+    exact = np.linalg.slogdet(np.eye(dim) + jac)[1]
     lip = block.certified_bound()
     power = np.eye(dim)
     partial = 0.0
@@ -231,7 +231,7 @@ def test_full_logp_matches_composed_jacobian_oracle():
         e[j] = h
         jac[:, j] = (encode_vec(v0 + e) - encode_vec(v0 - e)) / (2 * h)
     z = LatentPoint.from_vector(encode_vec(v0), model.schema)
-    exact_total = prior_logp(z) + exact_logabsdet(jac)
+    exact_total = prior_logp(z) + np.linalg.slogdet(jac)[1]
 
     est_cfg = LogDetEstimatorConfig(series_terms=30, hutchinson_samples=1024)
     totals = [full_logp_from_dequant(model, deq, g.adjacency, est_cfg,

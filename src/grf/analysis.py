@@ -6,42 +6,46 @@ import numpy as np
 
 from .chem import check_validity, write_smiles
 from .flow import GrfModel
-from .graphs import LatentPoint, MolGraph, dequantize, quantize_adjacency, quantize_features
-from .inversion import InversionConfig, decode_molecule, invert_flow
+from .graphs import (DequantGraph, LatentPoint, MolGraph, dequantize, quantize_adjacency,
+                     quantize_features)
+from .inversion import InversionConfig, decode_latents, invert_latents
 from .likelihood import TAG_DEQUANT, derive_rng
 from .linalg import NumericalError
+
+
+def _dequantized(model: GrfModel, graphs: list[MolGraph], rng_seed: int,
+                 first_index: int = 0) -> list[DequantGraph]:
+    return [dequantize(g, model.config.noise_scale,
+                       int(derive_rng(rng_seed, TAG_DEQUANT, first_index + i).integers(2 ** 31)))
+            for i, g in enumerate(graphs)]
 
 
 def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
                          iteration_counts: list[int], rng_seed: int = 0) -> list[dict]:
     """Encode-decode error against the fixed-point iteration count.
 
-    For each requested count the molecules are re-inverted from scratch
-    with exactly that many iterations (no early stop), reporting the mean
-    L2 distance between dequantized and reconstructed tensors normalized
-    by the number of entries, plus the exact discrete reconstruction rate.
+    For each requested count the molecules are re-inverted from scratch,
+    as one batch, with exactly that many iterations (no early stop),
+    reporting the mean L2 distance between dequantized and reconstructed
+    tensors normalized by the number of entries, plus the exact discrete
+    reconstruction rate.
     """
-    deqs = []
-    lats = []
-    for i, g in enumerate(graphs):
-        deq = dequantize(g, model.config.noise_scale,
-                         int(derive_rng(rng_seed, TAG_DEQUANT, i).integers(2 ** 31)))
-        deqs.append(deq)
-        lats.append(model.encode(deq, g.adjacency))
+    deqs = _dequantized(model, graphs, rng_seed)
+    lats = model.encode(deqs, [g.adjacency for g in graphs])
     rows = []
     for n_it in iteration_counts:
-        cfg = InversionConfig(iterations=max(1, n_it), early_stop_tol=0.0)
+        if n_it == 0:
+            # zero iterations: the latents themselves are the guess, so the
+            # error is the whole forward-chain displacement
+            recs = [DequantGraph(adjacency_c=z.z_adjacency, features_c=z.z_features,
+                                 noise_scale=model.config.noise_scale) for z in lats]
+        else:
+            recs = invert_latents(model, lats,
+                                  InversionConfig(iterations=n_it, early_stop_tol=0.0))
         feat_err = []
         adj_err = []
         exact = 0
-        for g, deq, z in zip(graphs, deqs, lats):
-            if n_it == 0:
-                # zero iterations: the latents themselves are the guess, so the
-                # error is the whole forward-chain displacement
-                rec = type(deq)(adjacency_c=z.z_adjacency, features_c=z.z_features,
-                                noise_scale=deq.noise_scale)
-            else:
-                rec = invert_flow(model, z, cfg)
+        for g, deq, rec in zip(graphs, deqs, recs):
             adj_err.append(np.linalg.norm(rec.adjacency_c - deq.adjacency_c)
                            / deq.adjacency_c.size)
             feat_err.append(np.linalg.norm(rec.features_c - deq.features_c)
@@ -59,13 +63,9 @@ def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
 
 
 def encode_dataset(model: GrfModel, graphs: list[MolGraph], rng_seed: int = 0) -> np.ndarray:
-    """Latent vectors (rows) of dequantized dataset molecules."""
-    vecs = []
-    for i, g in enumerate(graphs):
-        deq = dequantize(g, model.config.noise_scale,
-                         int(derive_rng(rng_seed, TAG_DEQUANT, i).integers(2 ** 31)))
-        vecs.append(model.encode(deq, g.adjacency).to_vector())
-    return np.stack(vecs)
+    """Latent vectors (rows) of dequantized dataset molecules, encoded as one batch."""
+    lats = model.encode(_dequantized(model, graphs, rng_seed), [g.adjacency for g in graphs])
+    return np.stack([z.to_vector() for z in lats])
 
 
 def principal_axes(latents: np.ndarray) -> np.ndarray:
@@ -107,28 +107,20 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
                                          rng_seed=rng_seed))
     v1, v2 = axes[:, 0], axes[:, 1]
 
-    deq_q = dequantize(graphs[query_idx], model.config.noise_scale,
-                       int(derive_rng(rng_seed, TAG_DEQUANT, 10 ** 6).integers(2 ** 31)))
-    z_query = model.encode(deq_q, graphs[query_idx].adjacency).to_vector()
+    query = graphs[query_idx]
+    z_query = model.encode(_dequantized(model, [query], rng_seed, first_index=10 ** 6),
+                           [query.adjacency])[0].to_vector()
 
     half = (grid_size - 1) / 2.0
+    cells = [(gi, gj, (gi - half) * step, (gj - half) * step)
+             for gi in range(grid_size) for gj in range(grid_size)]
+    mols = decode_latents(model, [LatentPoint.from_vector(z_query + a * v1 + b * v2,
+                                                          model.schema)
+                                  for _, _, a, b in cells], inversion)
     records = []
-    for gi in range(grid_size):
-        for gj in range(grid_size):
-            a = (gi - half) * step
-            b = (gj - half) * step
-            z = LatentPoint.from_vector(z_query + a * v1 + b * v2, model.schema)
-            mol = decode_molecule(model, z, inversion)
-            valid = check_validity(mol, valences)
-            records.append({"gx": gi, "gy": gj, "offset_1": a, "offset_2": b,
-                            "valid": bool(valid),
-                            "smiles": write_smiles(mol) if valid else None})
+    for (gi, gj, a, b), mol in zip(cells, mols):
+        valid = check_validity(mol, valences)
+        records.append({"gx": gi, "gy": gj, "offset_1": a, "offset_2": b,
+                        "valid": bool(valid),
+                        "smiles": write_smiles(mol) if valid else None})
     return records
-
-
-def principal_axes_orthonormality(model: GrfModel, graphs: list[MolGraph],
-                                  rng_seed: int = 0) -> float:
-    """Max deviation of the fitted principal axes from orthonormality."""
-    axes = principal_axes(encode_dataset(model, graphs, rng_seed=rng_seed))
-    gram = axes.T @ axes
-    return float(np.abs(gram - np.eye(2)).max())

@@ -95,7 +95,6 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--ta", type=_positive_float, default=0.69)
     p_sample.add_argument("--iterations", type=_int_at_least(1), default=100)
     p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--threads", type=_int_at_least(1), default=1)
     p_sample.add_argument("--dataset", type=Path,
                           help="training SMILES for the novelty metric")
     p_sample.add_argument("--valence-table", type=Path)
@@ -181,7 +180,7 @@ def _cmd_sample(args) -> int:
     valences = load_valence_table(args.valence_table) if args.valence_table else None
     molecules = generate(model, args.count, args.tx, args.ta,
                          InversionConfig(iterations=args.iterations),
-                         rng_seed=args.seed, threads=args.threads)
+                         rng_seed=args.seed)
     training_set = set()
     if args.dataset:
         training_set = training_string_set(load_smiles_file(args.dataset))

@@ -383,46 +383,60 @@ def columns_to_adjacency(cols: np.ndarray, schema: GraphSchema, mode: str) -> np
 class GrfModel:
     """Stacked feature and adjacency residual flows plus a standard-normal prior."""
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, stored=None):
+        """Random weights projected to the budget, or the stored ones.
+
+        `stored(name, shape)` returns the array of one named parameter (as
+        a checkpoint holds it); given it, the blocks take those arrays as
+        they are, with no random draw and no projection.
+        """
         self.config = config
         self.schema = GraphSchema(n_max=config.n_max, atom_symbols=config.atom_symbols,
                                   n_bond_types=config.n_bond_types)
         rng = np.random.default_rng(config.seed)
         m = self.schema.n_atom_types
-
-        # Each weight is followed by one unused draw, which once seeded a
-        # power-iteration state; keeping it makes GrfModel(config) build the
-        # same dense weights as earlier versions.
-        self.feature_layers: list[GcnResidualBlock] = []
-        gcn_target = config.init_scale ** (1.0 / config.gcn_layers)
-        for b in range(config.gcn_blocks):
-            weights, biases = [], []
-            for l in range(config.gcn_layers):
-                weights.append(_scaled_to(rng.standard_normal((m, m)), gcn_target))
-                rng.integers(2 ** 31)
-                biases.append(np.zeros((1, m)) if config.use_bias else None)
-            self.feature_layers.append(GcnResidualBlock(
-                prefix=f"feature.{b}", weights=weights, biases=biases,
-                budget=config.lipschitz_budget))
-
         d, _ = adjacency_slice_shape(self.schema, config.adjacency_mode)
-        self.adjacency_layers: list[MlpResidualBlock] = []
-        mlp_target = config.init_scale ** (1.0 / config.mlp_layers)
-        rank = config.adjacency_rank
-        for b in range(config.mlp_blocks):
-            weights, biases = [], []
-            for l in range(config.mlp_layers):
-                w = (FactoredWeight(u=rng.standard_normal((d, rank)),
-                                    vt=rng.standard_normal((rank, d)))
-                     if rank > 0 else rng.standard_normal((d, d)))
-                weights.append(_scaled_to(w, mlp_target))
-                rng.integers(2 ** 31)
-                biases.append(np.zeros((d, 1)) if config.use_bias else None)
-            self.adjacency_layers.append(MlpResidualBlock(
-                prefix=f"adjacency.{b}", weights=weights, biases=biases,
-                budget=config.lipschitz_budget))
 
-        self.project_to_budget()
+        # Each drawn weight is followed by one unused draw, which once seeded
+        # a power-iteration state; keeping it makes GrfModel(config) build
+        # the same dense weights as earlier versions.
+        def weight(path, dim, rank, target):
+            if stored is not None:
+                if rank > 0:
+                    return FactoredWeight(u=stored(f"{path}.u", (dim, rank)),
+                                          vt=stored(f"{path}.vt", (rank, dim)))
+                return stored(path, (dim, dim))
+            w = (FactoredWeight(u=rng.standard_normal((dim, rank)),
+                                vt=rng.standard_normal((rank, dim)))
+                 if rank > 0 else rng.standard_normal((dim, dim)))
+            w = _scaled_to(w, target)
+            rng.integers(2 ** 31)
+            return w
+
+        def bias(path, shape):
+            if not config.use_bias:
+                return None
+            return np.zeros(shape) if stored is None else stored(path, shape)
+
+        def layers(prefix, dim, rank, depth, bias_shape):
+            target = config.init_scale ** (1.0 / depth)
+            return ([weight(f"{prefix}.w{l}", dim, rank, target) for l in range(depth)],
+                    [bias(f"{prefix}.b{l}", bias_shape) for l in range(depth)])
+
+        self.feature_layers: list[GcnResidualBlock] = [
+            GcnResidualBlock(f"feature.{b}",
+                             *layers(f"feature.{b}", m, 0, config.gcn_layers, (1, m)),
+                             budget=config.lipschitz_budget)
+            for b in range(config.gcn_blocks)]
+        self.adjacency_layers: list[MlpResidualBlock] = [
+            MlpResidualBlock(f"adjacency.{b}",
+                             *layers(f"adjacency.{b}", d, config.adjacency_rank,
+                                     config.mlp_layers, (d, 1)),
+                             budget=config.lipschitz_budget)
+            for b in range(config.mlp_blocks)]
+
+        if stored is None:
+            self.project_to_budget()
 
     # -- parameters -----------------------------------------------------------
 
@@ -448,16 +462,23 @@ class GrfModel:
     def conditioning_operator(self, adjacency: np.ndarray):
         return augmented_normalized_adjacency(adjacency)
 
-    # -- numpy-mode encoding convenience ---------------------------------------
+    # -- numpy-mode encoding ---------------------------------------------------
 
-    def encode(self, deq: DequantGraph, adjacency_discrete: np.ndarray) -> LatentPoint:
-        p = self.conditioning_operator(adjacency_discrete)
-        z_x, _ = feature_flow_forward(self, deq.features_c, p)
-        cols = adjacency_to_columns(deq.adjacency_c, self.config.adjacency_mode)
-        z_cols, _ = adjacency_flow_columns(self, cols)
-        return LatentPoint(
-            z_adjacency=columns_to_adjacency(z_cols, self.schema, self.config.adjacency_mode),
-            z_features=z_x)
+    def encode(self, deqs: list[DequantGraph],
+               adjacencies: list[np.ndarray]) -> list[LatentPoint]:
+        """Latent points of a batch of dequantized graphs, each conditioned
+        on its discrete adjacency: the feature stack runs on a (B, N, M)
+        stack with a (B, N, N) P, the adjacency stack on the batch's
+        columns side by side."""
+        mode = self.config.adjacency_mode
+        p = np.stack([self.conditioning_operator(a) for a in adjacencies])
+        z_x, _ = feature_flow_forward(self, np.stack([deq.features_c for deq in deqs]), p)
+        cols = np.stack([adjacency_to_columns(deq.adjacency_c, mode) for deq in deqs], axis=1)
+        z_cols, _ = adjacency_flow_columns(self, cols.reshape(cols.shape[0], -1))
+        z_cols = z_cols.reshape(cols.shape)
+        return [LatentPoint(z_adjacency=columns_to_adjacency(z_cols[:, b], self.schema, mode),
+                            z_features=z_x[b])
+                for b in range(len(deqs))]
 
 
 def feature_flow_forward(model: GrfModel, x, p):
@@ -478,14 +499,6 @@ def adjacency_flow_columns(model: GrfModel, cols):
         inputs.append(z)
         z = z + block.apply(z)
     return z, inputs
-
-
-def adjacency_flow_forward(model: GrfModel, a: np.ndarray):
-    """Tensor-shaped convenience wrapper around the column flow (numpy mode)."""
-    mode = model.config.adjacency_mode
-    cols = adjacency_to_columns(np.asarray(a, dtype=np.float64), mode)
-    z_cols, inputs = adjacency_flow_columns(model, cols)
-    return columns_to_adjacency(z_cols, model.schema, mode), inputs
 
 
 def count_parameters(model: GrfModel) -> int:
@@ -559,9 +572,8 @@ def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
     if cfg_dict.pop("relational_gcn", False):
         raise CheckpointError("relational_gcn models are no longer supported")
     cfg_dict["atom_symbols"] = tuple(cfg_dict["atom_symbols"])
-    model = GrfModel(ModelConfig(**cfg_dict))
-    for name, arr in model.named_parameters():
-        arr[...] = _checkpoint_array(data, f"param::{name}", arr.shape)
+    model = GrfModel(ModelConfig(**cfg_dict), stored=lambda name, shape: np.asarray(
+        _checkpoint_array(data, f"param::{name}", shape), dtype=np.float64))
     extra_arrays = {key[len("extra::"):]: data[key].copy()
                     for key in data.files if key.startswith("extra::")}
     return model, extra_arrays, meta["extra"]

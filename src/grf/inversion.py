@@ -4,11 +4,13 @@ A residual layer y = x + R(x) with contractive R is inverted by iterating
 x <- y - R(x), which converges geometrically from x0 = y.  Generation is
 two-step: invert the adjacency stack, decode a discrete adjacency by
 argmax, then invert the feature stack conditioned on that decoded graph.
+
+Every inversion runs on a batch of latents at once, each sample with its
+own convergence state; a single latent is a batch of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,82 +33,104 @@ class InversionConfig:
 
 
 def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.ndarray:
-    """Solve x + R(x) = y by fixed-point iteration.
+    """Solve x + R(x) = y by fixed-point iteration, for a stack of samples.
 
-    Stops early once successive iterates move less than the tolerance.
-    Successive-iterate distances must shrink for a contraction; five
-    consecutive increases mean the Lipschitz condition is broken and the
-    loop would never converge, so that surfaces as an error instead, as
-    does a non-finite iterate (for example from a NaN latent).
+    `y` holds one sample per index of its leading axis, and `apply_fn`
+    maps such a stack to R of every sample.  Each sample has its own
+    convergence state: once its successive iterates move less than the
+    tolerance it stops, and its iterate is frozen while the rest of the
+    batch goes on.  Successive-iterate distances must shrink for a
+    contraction; five consecutive increases for one sample mean the
+    Lipschitz condition is broken and the loop would never converge, so
+    that surfaces as an error instead, as does a non-finite iterate (for
+    example from a NaN latent).
     """
+    batch = y.shape[0]
+
+    def norms(a):
+        return np.linalg.norm(a.reshape(batch, -1), axis=1)
+
     x = y
-    prev_delta = np.inf
-    growth_streak = 0
+    active = np.ones(batch, dtype=bool)
+    prev_delta = np.full(batch, np.inf)
+    growth_streak = np.zeros(batch, dtype=int)
     # below this, iterate distances are float noise, not divergence
-    noise_floor = 1e-13 * max(1.0, float(np.linalg.norm(y)))
+    noise_floor = 1e-13 * np.maximum(1.0, norms(y))
     for _ in range(cfg.iterations):
         x_next = y - apply_fn(x)
-        delta = float(np.linalg.norm(x_next - x))
-        if not math.isfinite(delta):
+        delta = norms(x_next - x)
+        if not np.isfinite(delta[active]).all():
             raise NumericalError("fixed-point iterate is not finite")
-        if delta > prev_delta * (1.0 + 1e-12) and delta > noise_floor:
-            growth_streak += 1
-            if growth_streak >= 5:
-                raise NumericalError(
-                    "fixed-point iteration diverging: residual block is not a contraction")
-        else:
-            growth_streak = 0
+        growing = (delta > prev_delta * (1.0 + 1e-12)) & (delta > noise_floor)
+        growth_streak = np.where(growing, growth_streak + 1, 0)
+        if (growth_streak[active] >= 5).any():
+            raise NumericalError(
+                "fixed-point iteration diverging: residual block is not a contraction")
+        if not active.all():
+            x_next[~active] = x[~active]
         x = x_next
-        if delta <= cfg.early_stop_tol:
+        active &= delta > cfg.early_stop_tol
+        if not active.any():
             break
         prev_delta = delta
     return x
 
 
-def invert_flow(model: GrfModel, z: LatentPoint, cfg: InversionConfig) -> DequantGraph:
-    """Two-step inverse: adjacency stack first, then features given the
-    argmax-decoded adjacency."""
-    mode = model.config.adjacency_mode
-    cols = adjacency_to_columns(z.z_adjacency, mode)
-    for block in reversed(model.adjacency_layers):
-        cols = invert_residual_layer(lambda x: block.apply(x), cols, cfg)
-    a_cont = columns_to_adjacency(cols, model.schema, mode)
+def _apply_columns(block, x: np.ndarray) -> np.ndarray:
+    """An adjacency block on a (B, d, C) stack, run as one (d, B*C) matrix."""
+    batch, d, c = x.shape
+    out = block.apply(x.transpose(1, 0, 2).reshape(d, batch * c))
+    return out.reshape(d, batch, c).transpose(1, 0, 2)
 
-    a_discrete = quantize_adjacency(a_cont, no_bond_channel=model.schema.no_bond)
-    p = model.conditioning_operator(a_discrete)
-    x = z.z_features
+
+def invert_latents(model: GrfModel, latents: list[LatentPoint],
+                   cfg: InversionConfig) -> list[DequantGraph]:
+    """Two-step inverse of a batch of latent points: the adjacency stack
+    first, then the feature stack given each argmax-decoded adjacency."""
+    if not latents:
+        return []
+    mode = model.config.adjacency_mode
+    cols = np.stack([adjacency_to_columns(z.z_adjacency, mode) for z in latents])
+    for block in reversed(model.adjacency_layers):
+        cols = invert_residual_layer(lambda x: _apply_columns(block, x), cols, cfg)
+    a_cont = [columns_to_adjacency(c, model.schema, mode) for c in cols]
+
+    p = np.stack([model.conditioning_operator(
+        quantize_adjacency(a, no_bond_channel=model.schema.no_bond)) for a in a_cont])
+    x = np.stack([z.z_features for z in latents])
     for block in reversed(model.feature_layers):
         x = invert_residual_layer(lambda t: block.apply(t, p), x, cfg)
-    return DequantGraph(adjacency_c=a_cont, features_c=x,
-                        noise_scale=model.config.noise_scale)
+    return [DequantGraph(adjacency_c=a, features_c=f, noise_scale=model.config.noise_scale)
+            for a, f in zip(a_cont, x)]
+
+
+def decode_latents(model: GrfModel, latents: list[LatentPoint],
+                   cfg: InversionConfig) -> list[MolGraph]:
+    """Invert and argmax-quantize a batch of latent points into molecules."""
+    return [MolGraph(schema=model.schema,
+                     adjacency=quantize_adjacency(deq.adjacency_c,
+                                                  no_bond_channel=model.schema.no_bond),
+                     features=quantize_features(deq.features_c))
+            for deq in invert_latents(model, latents, cfg)]
+
+
+def invert_flow(model: GrfModel, z: LatentPoint, cfg: InversionConfig) -> DequantGraph:
+    """Two-step inverse of one latent point (a batch of one)."""
+    return invert_latents(model, [z], cfg)[0]
 
 
 def decode_molecule(model: GrfModel, z: LatentPoint, cfg: InversionConfig) -> MolGraph:
-    """Invert and argmax-quantize a latent point into a discrete molecule."""
-    deq = invert_flow(model, z, cfg)
-    adjacency = quantize_adjacency(deq.adjacency_c, no_bond_channel=model.schema.no_bond)
-    features = quantize_features(deq.features_c)
-    return MolGraph(schema=model.schema, adjacency=adjacency, features=features)
+    """Invert and argmax-quantize one latent point (a batch of one)."""
+    return decode_latents(model, [z], cfg)[0]
 
 
 def generate(model: GrfModel, count: int, t_x: float, t_a: float,
-             cfg: InversionConfig, rng_seed: int, threads: int = 1,
-             truncate: bool = False) -> list[MolGraph]:
-    """Sample latents at the given temperatures and decode them.
+             cfg: InversionConfig, rng_seed: int) -> list[MolGraph]:
+    """Sample latents at the given temperatures and decode them as one batch.
 
     Validity is *not* enforced here; the metrics judge the output.  Each
-    sample gets its own seed-derived stream, so results do not depend on
-    the thread count, and a fixed seed reproduces the batch bit for bit.
+    sample gets its own seed-derived stream, so a fixed seed reproduces
+    the batch bit for bit.
     """
-    def one(i: int) -> MolGraph:
-        z = sample_prior(model, t_x, t_a, rng_seed=(rng_seed, i), truncate=truncate)
-        return decode_molecule(model, z, cfg)
-
-    if count <= 0:
-        return []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(count)))
-    return [one(i) for i in range(count)]
+    latents = [sample_prior(model, t_x, t_a, rng_seed=(rng_seed, i)) for i in range(count)]
+    return decode_latents(model, latents, cfg)

@@ -201,14 +201,11 @@ def full_logp(model: GrfModel, g: MolGraph, cfg: LogDetEstimatorConfig,
     return full_logp_from_dequant(model, deq, g.adjacency, cfg, rng_seed=seed)
 
 
-def sample_prior(model: GrfModel, t_x: float, t_a: float, rng_seed,
-                 truncate: bool = False) -> LatentPoint:
+def sample_prior(model: GrfModel, t_x: float, t_a: float, rng_seed) -> LatentPoint:
     """Draw a latent point with per-part temperature (standard-deviation) scaling.
 
     `rng_seed` may be an int or a tuple of ints (used to give each sample
-    in a batch its own stream).  With `truncate`, entries are redrawn
-    until they land within two standard deviations (hard-truncated
-    normal).
+    in a batch its own stream).
     """
     if t_x <= 0.0 or t_a <= 0.0:
         raise ValueError("temperatures must be positive")
@@ -217,10 +214,4 @@ def sample_prior(model: GrfModel, t_x: float, t_a: float, rng_seed,
     schema = model.schema
     z_a = rng.standard_normal((schema.n_max, schema.n_max, schema.n_bond_types))
     z_x = rng.standard_normal((schema.n_max, schema.n_atom_types))
-    if truncate:
-        for arr in (z_a, z_x):
-            mask = np.abs(arr) > 2.0
-            while mask.any():
-                arr[mask] = rng.standard_normal(int(mask.sum()))
-                mask = np.abs(arr) > 2.0
     return LatentPoint(z_adjacency=t_a * z_a, z_features=t_x * z_x)

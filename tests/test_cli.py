@@ -168,7 +168,6 @@ def test_sample_rejects_bad_temperature(trained_dir, tmp_path, capsys):
     pytest.param(["sample", "--count", "-3"], "--count", id="sample-count-negative"),
     pytest.param(["sample", "--iterations", "0"], "--iterations", id="sample-iterations-zero"),
     pytest.param(["sample", "--ta", "nan"], "--ta", id="sample-ta-nan"),
-    pytest.param(["sample", "--threads", "0"], "--threads", id="sample-threads-zero"),
     pytest.param(["eval", "--dataset", "d.smi", "--count", "-1"], "--count",
                  id="eval-count-negative"),
     pytest.param(["eval", "--dataset", "d.smi", "--count", "0"], "--count", id="eval-count-zero"),

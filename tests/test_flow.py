@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grf.autodiff import elu
-from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_flow_forward,
+from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_flow_columns,
                       adjacency_to_columns, columns_to_adjacency, count_parameters,
                       feature_flow_forward, load_checkpoint, qm9_table_config,
                       save_checkpoint, toy_config)
@@ -149,12 +149,14 @@ def test_feature_flow_zero_weights_is_identity():
 def test_adjacency_flow_zero_weights_is_identity():
     model = zero_weights(GrfModel(toy_config()))
     a = np.random.default_rng(7).standard_normal((6, 6, 4))
-    z, _ = adjacency_flow_forward(model, a)
-    assert np.allclose(z, a)
+    mode = model.config.adjacency_mode
+    z, _ = adjacency_flow_columns(model, adjacency_to_columns(a, mode))
+    assert np.allclose(columns_to_adjacency(z, model.schema, mode), a)
 
 
 def test_flows_shape_preserving_and_finite_for_extreme_inputs():
     model = GrfModel(toy_config(seed=30))
+    mode = model.config.adjacency_mode
     g = random_molgraph(model.schema, 31)
     p = augmented_normalized_adjacency(g.adjacency)
     for scale in (1.0, 1e4, -1e4, 1e8):
@@ -162,7 +164,8 @@ def test_flows_shape_preserving_and_finite_for_extreme_inputs():
         z, _ = feature_flow_forward(model, x, p)
         assert z.shape == x.shape and np.isfinite(z).all()
         a = np.full((6, 6, 4), scale)
-        za, _ = adjacency_flow_forward(model, a)
+        za, _ = adjacency_flow_columns(model, adjacency_to_columns(a, mode))
+        za = columns_to_adjacency(za, model.schema, mode)
         assert za.shape == a.shape and np.isfinite(za).all()
 
 
@@ -288,10 +291,10 @@ def test_checkpoint_preserves_forward(tmp_path):
     model = GrfModel(toy_config(seed=22))
     g = random_molgraph(model.schema, 23)
     deq = dequantize(g, 0.9, 24)
-    z1 = model.encode(deq, g.adjacency)
+    (z1,) = model.encode([deq], [g.adjacency])
     save_checkpoint(tmp_path / "m.npz", model)
     loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
-    z2 = loaded.encode(deq, g.adjacency)
+    (z2,) = loaded.encode([deq], [g.adjacency])
     assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
     assert np.array_equal(z1.z_features, z2.z_features)
 

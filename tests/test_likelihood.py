@@ -219,8 +219,8 @@ def test_full_logp_matches_composed_jacobian_oracle():
     def encode_vec(vec):
         a = vec[:8].reshape(2, 2, 2)
         x = vec[8:].reshape(2, 2)
-        z = model.encode(type(deq)(adjacency_c=a, features_c=x, noise_scale=0.9),
-                         g.adjacency)
+        (z,) = model.encode([type(deq)(adjacency_c=a, features_c=x, noise_scale=0.9)],
+                            [g.adjacency])
         return z.to_vector()
 
     v0 = np.concatenate([deq.adjacency_c.ravel(), deq.features_c.ravel()])
@@ -306,13 +306,6 @@ def test_sample_prior_accepts_low_temperatures():
     model = GrfModel(toy_config(seed=31))
     z = sample_prior(model, 0.15, 0.17, rng_seed=32)
     assert np.isfinite(z.to_vector()).all()
-
-
-def test_sample_prior_truncation_flag():
-    model = GrfModel(toy_config(seed=33))
-    z = sample_prior(model, 0.65, 0.69, rng_seed=34, truncate=True)
-    assert np.abs(z.z_features).max() <= 2.0 * 0.65 + 1e-12
-    assert np.abs(z.z_adjacency).max() <= 2.0 * 0.69 + 1e-12
 
 
 def test_sample_prior_rejects_nonpositive_temperature():

@@ -1,0 +1,50 @@
+"""The benchmark tracer patches grf functions by name and calls them with a
+fixed signature.  Installing it and running the traced entry points here
+makes a rename or re-signing of a traced function fail this suite, not only
+the benchmark's own self-test."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import grf
+import grf.analysis
+from grf.analysis import reconstruction_curve
+from grf.flow import GrfModel, toy_config
+from grf.inversion import InversionConfig, generate
+from grf.likelihood import LogDetEstimatorConfig, full_logp
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_generate_reconstruct_and_eval(toy_graphs):
+    tracing = load_tracing()
+    model = GrfModel(toy_config(init_scale=0.9, seed=40))
+    tracer = tracing.Tracer()
+    with tracing.install(tracer, grf):
+        with tracer.region("bench.sample", tracing.LOOP):
+            mols = generate(model, 4, 0.65, 0.69, InversionConfig(), rng_seed=41)
+        with tracer.region("bench.reconstruct", tracing.LOOP):
+            (row,) = reconstruction_curve(model, toy_graphs[:3], [100], rng_seed=42)
+        with tracer.region("bench.eval", tracing.LOOP):
+            trace = full_logp(model, toy_graphs[0],
+                              LogDetEstimatorConfig(series_terms=4, hutchinson_samples=2),
+                              rng_seed=43)
+    assert len(mols) == 4 and row["exact_rate"] == 1.0
+    assert math.isfinite(trace.total_logp)
+    spans = tracer.totals(tracing.LOOP)
+    layers = len(model.feature_layers) + len(model.adjacency_layers)
+    # one batched inversion per layer for each of generate and reconstruct
+    assert spans["inversion.invert_layer"]["calls"] == 2 * layers
+    assert spans["analysis.encode"]["calls"] == 1
+    assert spans["likelihood.logdet_series"]["calls"] == layers
+    metrics = tracing.layer_metrics(tracer, 1, 1)
+    assert metrics["inversion.sample_iters_mean"] > 0
+    assert metrics["inversion.reconstruct_iters_mean"] > 0

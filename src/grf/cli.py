@@ -27,7 +27,7 @@ from .flow import (CheckpointError, GrfModel, ModelConfig, load_checkpoint,
                    save_checkpoint, toy_config)
 from .graphs import GraphError, GraphSchema, pad_graph, unpad_graph
 from .inversion import InversionConfig, generate
-from .likelihood import LogDetEstimatorConfig, full_logp
+from .likelihood import full_logp
 from .linalg import NumericalError
 from .selfcheck import format_report, run_selfcheck
 from .training import TrainConfig, train, write_history_csv
@@ -226,13 +226,11 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.ckpt)
     graphs = _load_dataset(args.dataset, model.schema, cap=args.count)
-    cfg = LogDetEstimatorConfig(series_terms=20, hutchinson_samples=64,
-                                rng_seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     totals = []
     with open(args.out / "traces.jsonl", "w", encoding="utf-8") as fh:
         for i, g in enumerate(graphs):
-            trace = full_logp(model, g, cfg, rng_seed=args.seed + i)
+            trace = full_logp(model, g, rng_seed=args.seed + i)
             record = {"index": i, **trace.to_dict()}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             totals.append(trace.total_logp)

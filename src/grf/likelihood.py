@@ -2,11 +2,20 @@
 
 The objective is the standard change-of-variables decomposition: the
 standard-normal prior density of the latent point plus one log-det term
-per residual layer.  Because every block is a contraction, each layer's
-log-det has a convergent alternating power series in traces of Jacobian
-powers; the traces are estimated stochastically with zero-mean
-unit-covariance probes, and Jacobian powers are applied as repeated
-Jacobian-vector products so the Jacobian itself is never materialized.
+per residual layer.
+
+Eval (`full_logp`) computes each layer's log-det exactly.  Every block
+Jacobian is small or block-diagonal (one d x d block per adjacency
+column, one NM x NM matrix per graph-convolution layer), so one
+`jvp_many` over a basis tangent stack yields it densely and one batched
+`slogdet` finishes it, with no probes.
+
+Training keeps the stochastic estimate (`logdet_series_from_probes`):
+because every block is a contraction, each layer's log-det has a
+convergent alternating power series in traces of Jacobian powers; the
+traces are estimated with zero-mean unit-covariance probes, and Jacobian
+powers are applied as repeated Jacobian-vector products so the Jacobian
+is never materialized on the tape.
 """
 
 from __future__ import annotations
@@ -53,9 +62,6 @@ class LogDetEstimatorConfig:
             raise ValueError("probe must be 'rademacher' or 'normal'")
 
 
-EVAL_ESTIMATOR = LogDetEstimatorConfig(series_terms=20, hutchinson_samples=64)
-
-
 @dataclass
 class FlowTrace:
     """Per-sample record of everything that sums into the log-likelihood."""
@@ -64,10 +70,6 @@ class FlowTrace:
     adjacency_logdets: list[float]
     prior_logp: float
     total_logp: float
-
-    @property
-    def layer_logdets(self) -> list[float]:
-        return [*self.adjacency_logdets, *self.feature_logdets]
 
     def to_dict(self) -> dict:
         return {"prior_logp": self.prior_logp,
@@ -116,47 +118,77 @@ def _require_contractive(bound: float, where: str) -> None:
     if bound >= 1.0:
         raise NumericalError(
             f"{where}: certified Lipschitz bound {bound:.6f} >= 1, "
-            "log-det series may diverge")
+            "so the block is not a certified contraction")
 
 
 def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
-                  rng_seed: int | None = None, probes: np.ndarray | None = None) -> float:
+                  rng_seed: int | None = None) -> float:
     """Stochastic log-det of one residual layer, linearized at input `x`.
 
-    Feature blocks need the conditioning operator `p` and take probes as
-    (N, M, S); adjacency blocks take `x` in their column layout (d, C) and
-    probes as (d, S*C), probe-major.  Deterministic given the seed; an
-    explicit probe stack may be supplied instead (used by permutation
-    tests).
+    Feature blocks need the conditioning operator `p`; adjacency blocks
+    take `x` in their column layout (d, C).  Deterministic given the seed.
+    Training optimizes this series; `selfcheck.check_logdet_oracle` checks
+    it block by block against the exact value.
     """
     _require_contractive(block.certified_bound(), block.prefix)
     seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
     if p is not None:
         _, slopes = block.forward(x, p)
-        if probes is None:
-            rng = derive_rng(seed, TAG_FEATURE_PROBE)
-            probes = draw_probes((*x.shape, s), cfg.probe, rng)
+        probes = draw_probes((*x.shape, s), cfg.probe, derive_rng(seed, TAG_FEATURE_PROBE))
         probes = np.ascontiguousarray(probes.transpose(0, 2, 1))
         jvp = lambda u: block.jvp_many(u, p, slopes)
     else:
         _, slopes = block.forward(x)
-        if probes is None:
-            rng = derive_rng(seed, TAG_ADJACENCY_PROBE)
-            probes = draw_probes((x.shape[0], x.shape[1] * s), cfg.probe, rng)
+        probes = draw_probes((x.shape[0], x.shape[1] * s), cfg.probe,
+                             derive_rng(seed, TAG_ADJACENCY_PROBE))
         probes = probes.reshape(x.shape[0], s, x.shape[1])
         jvp = lambda u: block.jvp_many(u, slopes)
     return float(value_of(logdet_series_from_probes(jvp, probes, s, cfg.series_terms)))
 
 
+def exact_logdet(block, x: np.ndarray, p=None) -> float:
+    """Exact log det(I + J) of one residual layer at input `x`.
+
+    One `jvp_many` over a basis tangent stack gives the Jacobian densely.
+    An adjacency block (`x` in column layout (d, C), no `p`) acts on each
+    column separately, so the stack is (d, S=d, C) with u[:, s, c] = e_s
+    and the result, as (C, d, d), holds every column's J_c for one batched
+    `slogdet`; the block's log-det is the sum over columns.  A
+    graph-convolution block (`x` is (N, M), `p` given) mixes every entry,
+    so the stack (N, S=N*M, M) holds the row-major unit matrices and the
+    result is the dense (NM, NM) Jacobian.  A contraction has
+    det(I + J) > 0, so any other sign, like a non-finite value, raises
+    `NumericalError`.
+    """
+    _require_contractive(block.certified_bound(), block.prefix)
+    if p is not None:
+        n, m = x.shape
+        _, slopes = block.forward(x, p)
+        basis = np.eye(n * m).reshape(n * m, n, m).transpose(1, 0, 2)
+        jac = block.jvp_many(np.ascontiguousarray(basis), p, slopes)
+        jac = jac.transpose(0, 2, 1).reshape(1, n * m, n * m)  # [i, s] = J[i, s]
+    else:
+        d, c = x.shape
+        _, slopes = block.forward(x)
+        basis = np.repeat(np.eye(d)[:, :, None], c, axis=2)
+        jac = block.jvp_many(basis, slopes).transpose(2, 0, 1)  # [c, i, s] = J_c[i, s]
+    jac = np.ascontiguousarray(jac)
+    diag = np.arange(jac.shape[1])
+    jac[:, diag, diag] += 1.0
+    sign, logabs = np.linalg.slogdet(jac)
+    total = float(np.sum(logabs))
+    if not (np.all(sign > 0) and math.isfinite(total)):
+        raise NumericalError(f"{block.prefix}: det(I + J) of a contraction must be "
+                             f"positive with a finite log; got sign {sign.min()}, "
+                             f"log-det {total}")
+    return total
+
+
 def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
-                           adjacency_discrete: np.ndarray,
-                           cfg: LogDetEstimatorConfig,
-                           rng_seed: int | None = None,
-                           feature_probes: list[np.ndarray] | None = None,
-                           adjacency_probes: list[np.ndarray] | None = None) -> FlowTrace:
-    """Change-of-variables log-likelihood of one already-dequantized graph."""
-    seed = cfg.rng_seed if rng_seed is None else rng_seed
+                           adjacency_discrete: np.ndarray) -> FlowTrace:
+    """Change-of-variables log-likelihood of one already-dequantized graph,
+    with every layer's exact log-det; nothing is drawn."""
     mode = model.config.adjacency_mode
     p = model.conditioning_operator(adjacency_discrete)
 
@@ -164,24 +196,10 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
     cols = adjacency_to_columns(deq.adjacency_c, mode)
     z_cols, a_inputs = adjacency_flow_columns(model, cols)
 
-    feature_logdets = []
-    for i, block in enumerate(model.feature_layers):
-        probes = feature_probes[i] if feature_probes is not None else None
-        ld = logdet_series(block, x_inputs[i], cfg, p=p,
-                           rng_seed=derive_rng(seed, TAG_FEATURE_PROBE, i).integers(2 ** 31),
-                           probes=probes)
-        if not math.isfinite(ld):
-            raise NumericalError(f"non-finite log-det from {block.prefix}")
-        feature_logdets.append(ld)
-    adjacency_logdets = []
-    for i, block in enumerate(model.adjacency_layers):
-        probes = adjacency_probes[i] if adjacency_probes is not None else None
-        ld = logdet_series(block, a_inputs[i], cfg,
-                           rng_seed=derive_rng(seed, TAG_ADJACENCY_PROBE, i).integers(2 ** 31),
-                           probes=probes)
-        if not math.isfinite(ld):
-            raise NumericalError(f"non-finite log-det from {block.prefix}")
-        adjacency_logdets.append(ld)
+    feature_logdets = [exact_logdet(block, x, p=p)
+                       for block, x in zip(model.feature_layers, x_inputs)]
+    adjacency_logdets = [exact_logdet(block, x)
+                         for block, x in zip(model.adjacency_layers, a_inputs)]
 
     z = LatentPoint(z_adjacency=columns_to_adjacency(z_cols, model.schema, mode),
                     z_features=z_x)
@@ -192,13 +210,19 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
                      prior_logp=prior, total_logp=total)
 
 
-def full_logp(model: GrfModel, g: MolGraph, cfg: LogDetEstimatorConfig,
+def full_logp(model: GrfModel, g: MolGraph, cfg: LogDetEstimatorConfig | None = None,
               rng_seed: int | None = None) -> FlowTrace:
-    """Dequantize, push through both flows, sum prior and log-det terms."""
-    seed = cfg.rng_seed if rng_seed is None else rng_seed
+    """Dequantize, push through both flows, sum prior and exact log-det terms.
+
+    The only random draw is the dequantization noise, keyed by `rng_seed`
+    (default `cfg.rng_seed`, else 0).  Of `cfg` only that seed is read:
+    the log-dets are exact, so its series and probe settings play no part.
+    """
+    if rng_seed is None:
+        rng_seed = cfg.rng_seed if cfg is not None else 0
     deq = dequantize(g, model.config.noise_scale,
-                     int(derive_rng(seed, TAG_DEQUANT).integers(2 ** 31)))
-    return full_logp_from_dequant(model, deq, g.adjacency, cfg, rng_seed=seed)
+                     int(derive_rng(rng_seed, TAG_DEQUANT).integers(2 ** 31)))
+    return full_logp_from_dequant(model, deq, g.adjacency)
 
 
 def sample_prior(model: GrfModel, t_x: float, t_a: float, rng_seed) -> LatentPoint:

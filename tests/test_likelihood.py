@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from grf.flow import GrfModel, ModelConfig, MlpResidualBlock, toy_config
+from grf.flow import (GrfModel, ModelConfig, MlpResidualBlock, adjacency_slice_shape,
+                      toy_config)
 from grf.graphs import LatentPoint, dequantize, random_molgraph
-from grf.likelihood import (EVAL_ESTIMATOR, FlowTrace, LogDetEstimatorConfig,
-                            draw_probes, full_logp, full_logp_from_dequant,
-                            logdet_series, prior_logp, sample_prior)
+from grf.likelihood import (FlowTrace, LogDetEstimatorConfig, draw_probes, exact_logdet,
+                            full_logp, full_logp_from_dequant, logdet_series, prior_logp,
+                            sample_prior)
 from grf.linalg import NumericalError
 from grf.selfcheck import exact_block_jacobian, random_feature_block
 
@@ -77,6 +78,7 @@ def test_scalar_feature_flow_closed_form():
                                                   hutchinson_samples=1, rng_seed=0),
                             p=p)
         assert est == pytest.approx(exact_ld, abs=1e-6)
+        assert exact_logdet(block, np.array([[x]]), p=p) == pytest.approx(exact_ld, abs=1e-14)
 
 
 def test_scalar_adjacency_flow_closed_form():
@@ -91,6 +93,7 @@ def test_scalar_adjacency_flow_closed_form():
                             LogDetEstimatorConfig(series_terms=40,
                                                   hutchinson_samples=1, rng_seed=0))
         assert est == pytest.approx(exact_ld, abs=1e-6)
+        assert exact_logdet(block, np.array([[x]])) == pytest.approx(exact_ld, abs=1e-14)
 
 
 def test_logdet_matches_exact_oracle_on_gcn_block():
@@ -182,6 +185,30 @@ def test_estimator_config_validation():
         LogDetEstimatorConfig(probe="uniform")
 
 
+# -- exact log-det ------------------------------------------------------------------
+
+@pytest.mark.parametrize("rank", [0, 3], ids=["dense", "rank3-bias"])
+@pytest.mark.parametrize("mode", ["node", "pair", "flat"])
+def test_exact_logdet_matches_finite_difference_oracle_on_adjacency_block(mode, rank):
+    model = GrfModel(toy_config(adjacency_mode=mode, adjacency_rank=rank,
+                                use_bias=rank > 0, init_scale=0.9, seed=50))
+    block = model.adjacency_layers[0]
+    rng = np.random.default_rng(51)
+    for b in block.biases:
+        if b is not None:
+            b[...] = 0.3 * rng.standard_normal(b.shape)
+    x = rng.standard_normal(adjacency_slice_shape(model.schema, mode))
+    oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x))[1]
+    assert exact_logdet(block, x) == pytest.approx(oracle, abs=1e-8)
+
+
+def test_exact_logdet_matches_finite_difference_oracle_on_gcn_block():
+    block, p = random_feature_block(52, n=4, m_real=3, sigma=0.85)
+    x = np.random.default_rng(53).standard_normal((4, block.weights[0].shape[0]))
+    oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x, p=p))[1]
+    assert exact_logdet(block, x, p=p) == pytest.approx(oracle, abs=1e-8)
+
+
 # -- full log-likelihood -------------------------------------------------------------
 
 def test_full_logp_zero_weight_model_reduces_to_prior():
@@ -189,22 +216,44 @@ def test_full_logp_zero_weight_model_reduces_to_prior():
     for _, arr in model.named_parameters():
         arr[...] = 0.0
     g = random_molgraph(model.schema, 14)
-    cfg = LogDetEstimatorConfig(series_terms=8, hutchinson_samples=4, rng_seed=15)
-    trace = full_logp(model, g, cfg, rng_seed=16)
+    trace = full_logp(model, g, rng_seed=16)
     deq = dequantize(g, model.config.noise_scale,
                      int(np.random.default_rng([16, 0]).integers(2 ** 31)))
     z = LatentPoint(z_adjacency=deq.adjacency_c, z_features=deq.features_c)
     assert trace.total_logp == pytest.approx(prior_logp(z), abs=1e-9)
-    assert all(ld == 0.0 for ld in trace.layer_logdets)
+    assert all(ld == 0.0 for ld in [*trace.adjacency_logdets, *trace.feature_logdets])
 
 
 def test_flow_trace_total_consistency():
     model = GrfModel(toy_config(seed=17))
     g = random_molgraph(model.schema, 18)
-    trace = full_logp(model, g, EVAL_ESTIMATOR, rng_seed=19)
+    trace = full_logp(model, g, rng_seed=19)
     assert trace.total_logp == pytest.approx(
-        trace.prior_logp + sum(trace.layer_logdets), abs=1e-10)
+        trace.prior_logp + sum([*trace.adjacency_logdets, *trace.feature_logdets]),
+        abs=1e-10)
     assert isinstance(trace, FlowTrace)
+
+
+def test_full_logp_reads_only_the_seed_from_its_config():
+    model = GrfModel(toy_config(seed=54))
+    g = random_molgraph(model.schema, 55)
+    reference = full_logp(model, g, rng_seed=56).to_dict()
+    wide = LogDetEstimatorConfig(series_terms=20, hutchinson_samples=64, rng_seed=56)
+    narrow = LogDetEstimatorConfig(series_terms=1, hutchinson_samples=1, rng_seed=56)
+    assert full_logp(model, g, wide).to_dict() == reference
+    assert full_logp(model, g, narrow).to_dict() == reference
+    assert full_logp(model, g, wide, rng_seed=57).to_dict() != reference
+
+
+@pytest.mark.parametrize("stack", ["feature_layers", "adjacency_layers"])
+def test_full_logp_rejects_block_at_unit_bound(stack):
+    model = GrfModel(toy_config(seed=58))
+    block = getattr(model, stack)[-1]
+    for w in block.weights:
+        w *= 1.01 / np.linalg.norm(w, 2)
+    assert block.certified_bound() >= 1.0
+    with pytest.raises(NumericalError, match=block.prefix):
+        full_logp(model, random_molgraph(model.schema, 59), rng_seed=60)
 
 
 def test_full_logp_matches_composed_jacobian_oracle():
@@ -231,21 +280,16 @@ def test_full_logp_matches_composed_jacobian_oracle():
         e[j] = h
         jac[:, j] = (encode_vec(v0 + e) - encode_vec(v0 - e)) / (2 * h)
     z = LatentPoint.from_vector(encode_vec(v0), model.schema)
-    exact_total = prior_logp(z) + np.linalg.slogdet(jac)[1]
+    oracle_total = prior_logp(z) + np.linalg.slogdet(jac)[1]
 
-    est_cfg = LogDetEstimatorConfig(series_terms=30, hutchinson_samples=1024)
-    totals = [full_logp_from_dequant(model, deq, g.adjacency, est_cfg,
-                                     rng_seed=s).total_logp
-              for s in range(32)]
-    assert abs(float(np.mean(totals)) - exact_total) <= 0.02 * abs(exact_total)
+    total = full_logp_from_dequant(model, deq, g.adjacency).total_logp
+    assert total == pytest.approx(oracle_total, rel=1e-8)
 
 
 def test_full_logp_permutation_consistent_in_pair_mode():
     model = GrfModel(toy_config(adjacency_mode="pair", seed=23))
     g = random_molgraph(model.schema, 24)
-    n = model.schema.n_max
-    rng = np.random.default_rng(25)
-    perm = rng.permutation(n)
+    perm = np.random.default_rng(25).permutation(model.schema.n_max)
 
     deq = dequantize(g, 0.9, 26)
     deq_perm = type(deq)(adjacency_c=deq.adjacency_c[np.ix_(perm, perm)],
@@ -255,32 +299,9 @@ def test_full_logp_permutation_consistent_in_pair_mode():
                      adjacency=g.adjacency[np.ix_(perm, perm)],
                      features=g.features[perm])
 
-    s = 8
-    cfg = LogDetEstimatorConfig(series_terms=12, hutchinson_samples=s)
-    feat_probes = [draw_probes((n, model.schema.n_atom_types, s), "rademacher", rng)
-                   for _ in model.feature_layers]
-    r = model.schema.n_bond_types
-    adj_probes = [draw_probes((r, n * n * s), "rademacher", rng)
-                  for _ in model.adjacency_layers]
-
-    # permuted pair column (i', j') reads original column (perm[i'], perm[j'])
-    pair_map = np.empty(n * n, dtype=int)
-    for i in range(n):
-        for j in range(n):
-            pair_map[i * n + j] = perm[i] * n + perm[j]
-    feat_probes_perm = [pr[perm] for pr in feat_probes]
-    adj_probes_perm = []
-    for pr in adj_probes:
-        blocks = [pr[:, k * n * n:(k + 1) * n * n][:, pair_map] for k in range(s)]
-        adj_probes_perm.append(np.concatenate(blocks, axis=1))
-
-    t1 = full_logp_from_dequant(model, deq, g.adjacency, cfg,
-                                feature_probes=feat_probes,
-                                adjacency_probes=adj_probes)
-    t2 = full_logp_from_dequant(model, deq_perm, g_perm.adjacency, cfg,
-                                feature_probes=feat_probes_perm,
-                                adjacency_probes=adj_probes_perm)
-    assert abs(t1.total_logp - t2.total_logp) < 1e-6
+    t1 = full_logp_from_dequant(model, deq, g.adjacency)
+    t2 = full_logp_from_dequant(model, deq_perm, g_perm.adjacency)
+    assert abs(t1.total_logp - t2.total_logp) < 1e-10
 
 
 # -- prior sampling -------------------------------------------------------------------

@@ -4,7 +4,7 @@ A small tape engine: every operation records its parent tensors and a
 closure that routes the output gradient back to them.  It implements
 exactly the primitives the residual flows need -- broadcast arithmetic,
 a contraction ``dot`` (``np.tensordot(a, b, 1)``, computed as one 2-D
-matrix product; ``@`` is its 2-D form), ``reshape``, ELU together with
+matrix product), numpy's batched ``@``, ``reshape``, ELU together with
 its derivative as a first-class op (the Jacobian-vector products of a
 residual block reference ``elu_prime`` directly, so its own gradient
 must be available), and a full-sum reduction.  Everything else stays in
@@ -169,10 +169,19 @@ class Tensor:
         return Tensor._node(_dot(a, b), (self, other), backward)
 
     def __matmul__(self, other):
+        """numpy's `@`, batched over (and broadcast across) leading axes."""
         other = Tensor._lift(other)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise ValueError("matmul is restricted to 2-D operands")
-        return self.dot(other)
+        a, b = self.data, other.data
+        if a.ndim < 2 or b.ndim < 2:
+            raise ValueError("matmul needs operands of at least 2 dimensions")
+
+        def backward(out):
+            if self.requires_grad:
+                self._add_grad(out.grad @ np.swapaxes(b, -1, -2))
+            if other.requires_grad:
+                other._add_grad(np.swapaxes(a, -1, -2) @ out.grad)
+
+        return Tensor._node(a @ b, (self, other), backward)
 
     def __rmatmul__(self, other):
         return Tensor._lift(other) @ self

@@ -170,101 +170,14 @@ def _add_bias(pre, b, path: str, params):
 # Residual blocks
 # ---------------------------------------------------------------------------
 
-class GcnResidualBlock:
-    """Graph-convolution residual block phi(P . z . W), stacked `depth` times.
-
-    P is the normalized adjacency operator of the conditioning graph (norm
-    at most 1), W is spectrally bounded, and phi is ELU with unit
-    Lipschitz constant, so the whole block is a contraction whenever the
-    per-layer weight norms multiply to less than 1.
-
-    Tangent stacks have shape (N, S, M): S probes of the (N, M) feature
-    matrix, probe-major, i.e. the (N, S*M) column layout viewed in 3-D.
-    """
+class _ResidualBlock:
+    """What both kinds of block share: named weights and biases, the
+    per-layer share of the Lipschitz budget, and the forward pass."""
 
     def __init__(self, prefix: str, weights: list, biases: list, budget: float):
         self.prefix = prefix
-        self.weights = weights          # dense (M, M)
-        self.biases = biases            # (1, M) arrays or None
-        self.lipschitz_budget = budget
-        self.depth = len(weights)
-
-    # -- parameter plumbing -------------------------------------------------
-
-    def weight_items(self):
-        return [(f"{self.prefix}.w{l}", w) for l, w in enumerate(self.weights)]
-
-    def named_parameters(self):
-        items = list(self.weight_items())
-        for l, b in enumerate(self.biases):
-            if b is not None:
-                items.append((f"{self.prefix}.b{l}", b))
-        return items
-
-    def per_weight_bound(self) -> float:
-        return self.lipschitz_budget ** (1.0 / self.depth)
-
-    def certified_bound(self) -> float:
-        """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
-        return float(np.prod(_sigmas(self.weights)))
-
-    def project(self) -> None:
-        _clamp(self.weights, self.per_weight_bound())
-
-    # -- math ----------------------------------------------------------------
-
-    def _weight(self, l, params):
-        return params[f"{self.prefix}.w{l}"] if params else self.weights[l]
-
-    def _layer_pre(self, h, p, l, params):
-        pre = p @ h @ self._weight(l, params)
-        b = self.biases[l]
-        return pre if b is None else _add_bias(pre, b, f"{self.prefix}.b{l}", params)
-
-    def apply(self, z, p, params=None):
-        h = z
-        for l in range(self.depth):
-            h = elu(self._layer_pre(h, p, l, params))
-        return h
-
-    def forward(self, z, p, params=None):
-        """(apply(z, p), per-layer ELU slopes shaped (N, 1, M) for `jvp_many`)."""
-        h = z
-        slopes = []
-        for l in range(self.depth):
-            pre = self._layer_pre(h, p, l, params)
-            slopes.append(elu_prime(pre).reshape(pre.shape[0], 1, pre.shape[1]))
-            h = elu(pre)
-        return h, slopes
-
-    def jvp_many(self, u, p, slopes, params=None):
-        """Jacobian-vector products of a tangent stack u (N, S, M) at the
-        linearization captured in `slopes`: P @ U as (N, N) @ (N, S*M), then
-        @ W as (N*S, M) @ (M, M), then the broadcast slopes."""
-        for l in range(self.depth):
-            u = dot(dot(p, u), self._weight(l, params))
-            # In place on an array: the product is a fresh temporary, and
-            # reusing it saves an allocation per layer.  A Tensor has no
-            # in-place ops, so on the tape `*=` records a new node.
-            u *= slopes[l]
-        return u
-
-
-class MlpResidualBlock:
-    """Dense residual block on column vectors: phi(W_k ... phi(W_1 x)).
-
-    The activation follows every linear map (so a depth-1 block is
-    phi(W x), mirroring the graph-convolution block).  Operating
-    column-wise means one call handles every slice of the adjacency
-    tensor (and any batch of samples) at once.  Tangent stacks have shape
-    (d, S, C): S probes of the (d, C) column matrix, probe-major, i.e. the
-    (d, S*C) column layout viewed in 3-D.
-    """
-
-    def __init__(self, prefix: str, weights: list, biases: list, budget: float):
-        self.prefix = prefix
-        self.weights = weights          # dense (d, d) or FactoredWeight
-        self.biases = biases            # (d, 1) arrays or None
+        self.weights = weights          # per layer: dense, or FactoredWeight
+        self.biases = biases            # per layer: array or None
         self.lipschitz_budget = budget
         self.depth = len(weights)
 
@@ -284,12 +197,90 @@ class MlpResidualBlock:
     def per_weight_bound(self) -> float:
         return self.lipschitz_budget ** (1.0 / self.depth)
 
+    def project(self) -> None:
+        _clamp(self.weights, self.per_weight_bound())
+
+    def _forward(self, x, layer_pre):
+        """(h, slopes) of the layers h <- elu(layer_pre(h, l)) from `x`.
+
+        Each slope is elu' of a pre-activation reshaped to (..., rows, 1,
+        cols): the tangent-stack layout of `jvp_many`, with a probe axis to
+        broadcast over.
+        """
+        h, slopes = x, []
+        for l in range(self.depth):
+            pre = layer_pre(h, l)
+            slopes.append(elu_prime(pre).reshape(*pre.shape[:-1], 1, pre.shape[-1]))
+            h = elu(pre)
+        return h, slopes
+
+
+class GcnResidualBlock(_ResidualBlock):
+    """Graph-convolution residual block phi(P . z . W), stacked `depth` times.
+
+    P is the normalized adjacency operator of the conditioning graph (norm
+    at most 1), W (M, M) is spectrally bounded, and phi is ELU with unit
+    Lipschitz constant, so the whole block is a contraction whenever the
+    per-layer weight norms multiply to less than 1.
+
+    Inputs are an (N, M) feature matrix with its (N, N) P, or a (B, N, M)
+    stack of them with a (B, N, N) stack of P.  Tangent stacks insert a
+    probe axis before the last: (..., N, S, M) holds S probes of each
+    feature matrix.
+    """
+
     def certified_bound(self) -> float:
         """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
         return float(np.prod(_sigmas(self.weights)))
 
-    def project(self) -> None:
-        _clamp(self.weights, self.per_weight_bound())
+    def _weight(self, l, params):
+        return params[f"{self.prefix}.w{l}"] if params else self.weights[l]
+
+    def _layer_pre(self, h, p, l, params):
+        pre = p @ h @ self._weight(l, params)
+        b = self.biases[l]
+        return pre if b is None else _add_bias(pre, b, f"{self.prefix}.b{l}", params)
+
+    def apply(self, z, p, params=None):
+        h = z
+        for l in range(self.depth):
+            h = elu(self._layer_pre(h, p, l, params))
+        return h
+
+    def forward(self, z, p, params=None):
+        """(apply(z, p), per-layer ELU slopes shaped (..., N, 1, M) for `jvp_many`)."""
+        return self._forward(z, lambda h, l: self._layer_pre(h, p, l, params))
+
+    def jvp_many(self, u, p, slopes, params=None):
+        """Jacobian-vector products of a tangent stack u (..., N, S, M) at the
+        linearization captured in `slopes`: P @ U as (..., N, N) @ (..., N, S*M),
+        then @ W as one (...*N*S, M) @ (M, M) product, then the broadcast
+        slopes."""
+        for l in range(self.depth):
+            pu = (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
+            u = dot(pu, self._weight(l, params))
+            # In place on an array: the product is a fresh temporary, and
+            # reusing it saves an allocation per layer.  A Tensor has no
+            # in-place ops, so on the tape `*=` records a new node.
+            u *= slopes[l]
+        return u
+
+
+class MlpResidualBlock(_ResidualBlock):
+    """Dense residual block on column vectors: phi(W_k ... phi(W_1 x)).
+
+    The activation follows every linear map (so a depth-1 block is
+    phi(W x), mirroring the graph-convolution block).  Each W is dense
+    (d, d) or a rank-r FactoredWeight.  Operating column-wise means one
+    call handles every slice of the adjacency tensor (and any batch of
+    samples) at once.  Tangent stacks have shape (d, S, C): S probes of
+    the (d, C) column matrix, probe-major, i.e. the (d, S*C) column layout
+    viewed in 3-D.
+    """
+
+    def certified_bound(self) -> float:
+        """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
+        return float(np.prod(_sigmas(self.weights)))
 
     def _matvec(self, l, x, params, prod=operator.matmul):
         """prod(W_l, x), with W_l looked up by path in `params` when given.
@@ -320,13 +311,7 @@ class MlpResidualBlock:
 
     def forward(self, x, params=None):
         """(apply(x), per-layer ELU slopes shaped (d, 1, C) for `jvp_many`)."""
-        h = x
-        slopes = []
-        for l in range(self.depth):
-            pre = self._layer_pre(h, l, params)
-            slopes.append(elu_prime(pre).reshape(pre.shape[0], 1, pre.shape[1]))
-            h = elu(pre)
-        return h, slopes
+        return self._forward(x, lambda h, l: self._layer_pre(h, l, params))
 
     def jvp_many(self, u, slopes, params=None):
         """Jacobian-vector products of a tangent stack u (d, S, C) at the
@@ -462,43 +447,47 @@ class GrfModel:
     def conditioning_operator(self, adjacency: np.ndarray):
         return augmented_normalized_adjacency(adjacency)
 
-    # -- numpy-mode encoding ---------------------------------------------------
+    # -- the flow ----------------------------------------------------------------
+
+    def forward(self, x, p, cols, params=None):
+        """Both residual stacks, once, keeping what their log-dets need.
+
+        `x` is an (N, M) feature matrix with its (N, N) operator `p`, or a
+        (B, N, M) stack with a (B, N, N) one; `cols` is the adjacency in
+        its (d, C) column layout, or a batch's columns side by side.  On
+        plain arrays, or on tape tensors when `params` maps parameter paths
+        to them.  Returns (z_x, z_cols, layers), where `layers` lists
+        (block, input, slopes) per block in order, feature blocks first.
+        """
+        layers = []
+        for block in self.feature_layers:
+            y, slopes = block.forward(x, p, params=params)
+            layers.append((block, x, slopes))
+            x = x + y
+        for block in self.adjacency_layers:
+            y, slopes = block.forward(cols, params=params)
+            layers.append((block, cols, slopes))
+            cols = cols + y
+        return x, cols, layers
 
     def encode(self, deqs: list[DequantGraph],
                adjacencies: list[np.ndarray]) -> list[LatentPoint]:
         """Latent points of a batch of dequantized graphs, each conditioned
-        on its discrete adjacency: the feature stack runs on a (B, N, M)
-        stack with a (B, N, N) P, the adjacency stack on the batch's
-        columns side by side."""
+        on its discrete adjacency, in `forward`'s batch layout.  Only the
+        latents are needed, so the blocks run slope-free `apply`."""
         mode = self.config.adjacency_mode
         p = np.stack([self.conditioning_operator(a) for a in adjacencies])
-        z_x, _ = feature_flow_forward(self, np.stack([deq.features_c for deq in deqs]), p)
+        z_x = np.stack([deq.features_c for deq in deqs])
+        for block in self.feature_layers:
+            z_x = z_x + block.apply(z_x, p)
         cols = np.stack([adjacency_to_columns(deq.adjacency_c, mode) for deq in deqs], axis=1)
-        z_cols, _ = adjacency_flow_columns(self, cols.reshape(cols.shape[0], -1))
+        z_cols = cols.reshape(cols.shape[0], -1)
+        for block in self.adjacency_layers:
+            z_cols = z_cols + block.apply(z_cols)
         z_cols = z_cols.reshape(cols.shape)
         return [LatentPoint(z_adjacency=columns_to_adjacency(z_cols[:, b], self.schema, mode),
                             z_features=z_x[b])
                 for b in range(len(deqs))]
-
-
-def feature_flow_forward(model: GrfModel, x, p):
-    """Run the feature residual stack; returns (z, per-layer inputs)."""
-    z = x
-    inputs = []
-    for block in model.feature_layers:
-        inputs.append(z)
-        z = z + block.apply(z, p)
-    return z, inputs
-
-
-def adjacency_flow_columns(model: GrfModel, cols):
-    """Run the adjacency residual stack on column layout; returns (z, inputs)."""
-    z = cols
-    inputs = []
-    for block in model.adjacency_layers:
-        inputs.append(z)
-        z = z + block.apply(z)
-    return z, inputs
 
 
 def count_parameters(model: GrfModel) -> int:

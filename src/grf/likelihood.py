@@ -4,6 +4,9 @@ The objective is the standard change-of-variables decomposition: the
 standard-normal prior density of the latent point plus one log-det term
 per residual layer.
 
+Both eval and training run `GrfModel.forward` once, which returns each
+block's input and ELU slopes; the log-dets are taken from those slopes.
+
 Eval (`full_logp`) computes each layer's log-det exactly.  Every block
 Jacobian is small or block-diagonal (one d x d block per adjacency
 column, one NM x NM matrix per graph-convolution layer), so one
@@ -13,9 +16,9 @@ column, one NM x NM matrix per graph-convolution layer), so one
 Training keeps the stochastic estimate (`logdet_series_from_probes`):
 because every block is a contraction, each layer's log-det has a
 convergent alternating power series in traces of Jacobian powers; the
-traces are estimated with zero-mean unit-covariance probes, and Jacobian
-powers are applied as repeated Jacobian-vector products so the Jacobian
-is never materialized on the tape.
+traces are estimated with Rademacher probes, and Jacobian powers are
+applied as repeated Jacobian-vector products so the Jacobian is never
+materialized on the tape.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import sum_all, value_of
-from .flow import (GrfModel, adjacency_flow_columns, adjacency_to_columns,
-                   columns_to_adjacency, feature_flow_forward)
+from .flow import GrfModel, adjacency_to_columns, columns_to_adjacency
 from .graphs import DequantGraph, LatentPoint, MolGraph, dequantize
 from .linalg import NumericalError
 
@@ -36,8 +38,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Seed-stream tags so every random draw is a pure function of
 # (user seed, place in the computation).
 TAG_DEQUANT = 0
-TAG_FEATURE_PROBE = 1
-TAG_ADJACENCY_PROBE = 2
+TAG_PROBE = 1
 TAG_PRIOR_SAMPLE = 3
 TAG_SHUFFLE = 4
 
@@ -52,14 +53,11 @@ class LogDetEstimatorConfig:
 
     series_terms: int = 8
     hutchinson_samples: int = 4
-    probe: str = "rademacher"  # or "normal"
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.series_terms < 1 or self.hutchinson_samples < 1:
             raise ValueError("series_terms and hutchinson_samples must be >= 1")
-        if self.probe not in ("rademacher", "normal"):
-            raise ValueError("probe must be 'rademacher' or 'normal'")
 
 
 @dataclass
@@ -89,22 +87,22 @@ def gaussian_logp_from_sumsq(sum_sq, dim: int):
     return -0.5 * dim * LOG_2PI - 0.5 * sum_sq
 
 
-def draw_probes(shape: tuple[int, ...], kind: str, rng: np.random.Generator) -> np.ndarray:
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
-    if kind == "normal":
-        return rng.standard_normal(shape)
-    raise ValueError(f"unknown probe distribution {kind!r}")
+def draw_probes(shape: tuple[int, ...], n_probes: int, rng: np.random.Generator) -> np.ndarray:
+    """Rademacher probes for a layer input of `shape`, stacked as the
+    blocks' tangent stacks are: (*shape[:-1], n_probes, shape[-1])."""
+    size = (*shape[:-1], n_probes, shape[-1])
+    return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
 
 
 def logdet_series_from_probes(jvp, probes, n_probes: int, series_terms: int):
     """Alternating trace series evaluated with a fixed probe stack.
 
-    `probes` is a stack of `n_probes` probes in whatever layout `jvp`
-    takes (the blocks use a probe axis after the first); the estimator
-    only needs the elementwise dot against the evolving tangent, so the
-    mean over probes is one full-sum divided by the probe count.  Works on
-    plain arrays and on tape tensors alike.
+    `probes` is a stack of `n_probes` probes in the layout `jvp` takes;
+    the estimator only needs the elementwise dot against the evolving
+    tangent, so the mean over probes is one full-sum divided by the probe
+    count.  For a batch of inputs that sum also runs over the batch, which
+    gives the sum of the per-sample estimates.  Works on plain arrays and
+    on tape tensors alike.
     """
     u = probes
     total = 0.0
@@ -126,51 +124,45 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     """Stochastic log-det of one residual layer, linearized at input `x`.
 
     Feature blocks need the conditioning operator `p`; adjacency blocks
-    take `x` in their column layout (d, C).  Deterministic given the seed.
-    Training optimizes this series; `selfcheck.check_logdet_oracle` checks
-    it block by block against the exact value.
+    take `x` in their column layout (d, C).  The probes have training's
+    layout and come from one keyed stream, so the value is deterministic
+    given the seed.  Training optimizes this series;
+    `selfcheck.check_logdet_oracle` checks it block by block against the
+    exact value.
     """
     _require_contractive(block.certified_bound(), block.prefix)
     seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
-    if p is not None:
-        _, slopes = block.forward(x, p)
-        probes = draw_probes((*x.shape, s), cfg.probe, derive_rng(seed, TAG_FEATURE_PROBE))
-        probes = np.ascontiguousarray(probes.transpose(0, 2, 1))
-        jvp = lambda u: block.jvp_many(u, p, slopes)
-    else:
-        _, slopes = block.forward(x)
-        probes = draw_probes((x.shape[0], x.shape[1] * s), cfg.probe,
-                             derive_rng(seed, TAG_ADJACENCY_PROBE))
-        probes = probes.reshape(x.shape[0], s, x.shape[1])
-        jvp = lambda u: block.jvp_many(u, slopes)
+    ops = () if p is None else (p,)
+    _, slopes = block.forward(x, *ops)
+    probes = draw_probes(x.shape, s, derive_rng(seed, TAG_PROBE))
+    jvp = lambda u: block.jvp_many(u, *ops, slopes)
     return float(value_of(logdet_series_from_probes(jvp, probes, s, cfg.series_terms)))
 
 
-def exact_logdet(block, x: np.ndarray, p=None) -> float:
-    """Exact log det(I + J) of one residual layer at input `x`.
+def exact_logdet(block, slopes, p=None) -> float:
+    """Exact log det(I + J) of one residual layer at the linearization
+    `slopes` that its `forward` returned for one molecule.
 
     One `jvp_many` over a basis tangent stack gives the Jacobian densely.
-    An adjacency block (`x` in column layout (d, C), no `p`) acts on each
-    column separately, so the stack is (d, S=d, C) with u[:, s, c] = e_s
-    and the result, as (C, d, d), holds every column's J_c for one batched
+    An adjacency block (slopes (d, 1, C), no `p`) acts on each column
+    separately, so the stack is (d, S=d, C) with u[:, s, c] = e_s and the
+    result, as (C, d, d), holds every column's J_c for one batched
     `slogdet`; the block's log-det is the sum over columns.  A
-    graph-convolution block (`x` is (N, M), `p` given) mixes every entry,
-    so the stack (N, S=N*M, M) holds the row-major unit matrices and the
-    result is the dense (NM, NM) Jacobian.  A contraction has
+    graph-convolution block (slopes (N, 1, M), `p` given) mixes every
+    entry, so the stack (N, S=N*M, M) holds the row-major unit matrices
+    and the result is the dense (NM, NM) Jacobian.  A contraction has
     det(I + J) > 0, so any other sign, like a non-finite value, raises
     `NumericalError`.
     """
     _require_contractive(block.certified_bound(), block.prefix)
     if p is not None:
-        n, m = x.shape
-        _, slopes = block.forward(x, p)
+        n, _, m = slopes[0].shape
         basis = np.eye(n * m).reshape(n * m, n, m).transpose(1, 0, 2)
         jac = block.jvp_many(np.ascontiguousarray(basis), p, slopes)
         jac = jac.transpose(0, 2, 1).reshape(1, n * m, n * m)  # [i, s] = J[i, s]
     else:
-        d, c = x.shape
-        _, slopes = block.forward(x)
+        d, _, c = slopes[0].shape
         basis = np.repeat(np.eye(d)[:, :, None], c, axis=2)
         jac = block.jvp_many(basis, slopes).transpose(2, 0, 1)  # [c, i, s] = J_c[i, s]
     jac = np.ascontiguousarray(jac)
@@ -191,15 +183,11 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
     with every layer's exact log-det; nothing is drawn."""
     mode = model.config.adjacency_mode
     p = model.conditioning_operator(adjacency_discrete)
-
-    z_x, x_inputs = feature_flow_forward(model, deq.features_c, p)
-    cols = adjacency_to_columns(deq.adjacency_c, mode)
-    z_cols, a_inputs = adjacency_flow_columns(model, cols)
-
-    feature_logdets = [exact_logdet(block, x, p=p)
-                       for block, x in zip(model.feature_layers, x_inputs)]
-    adjacency_logdets = [exact_logdet(block, x)
-                         for block, x in zip(model.adjacency_layers, a_inputs)]
+    z_x, z_cols, layers = model.forward(deq.features_c, p,
+                                        adjacency_to_columns(deq.adjacency_c, mode))
+    n_x = len(model.feature_layers)
+    feature_logdets = [exact_logdet(block, slopes, p=p) for block, _, slopes in layers[:n_x]]
+    adjacency_logdets = [exact_logdet(block, slopes) for block, _, slopes in layers[n_x:]]
 
     z = LatentPoint(z_adjacency=columns_to_adjacency(z_cols, model.schema, mode),
                     z_features=z_x)

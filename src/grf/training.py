@@ -8,9 +8,14 @@ parameters).  After every optimizer step all weights are re-projected to
 the spectral budget, which keeps every block contractive throughout
 training.
 
-All randomness (dequantization noise, probes, shuffling) is keyed by
-(seed, epoch, step, sample), so resuming from a checkpoint replays the
-exact same trajectory.
+The minibatch runs as one batch: one `GrfModel.forward` on the tape over
+a (B, N, M) feature stack and the batch's adjacency columns side by side,
+then one log-det series per block over all probes and samples.
+
+All randomness is keyed, so resuming from a checkpoint replays the exact
+same trajectory: shuffling by (seed, epoch), dequantization noise by
+(seed, epoch, step, sample), and each block's probe stack by
+(seed, epoch, step, block), one stream per block and step.
 """
 
 from __future__ import annotations
@@ -21,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, sum_all, value_of
-from .flow import GrfModel, adjacency_to_columns, save_checkpoint
+from .flow import GcnResidualBlock, GrfModel, adjacency_to_columns, save_checkpoint
 from .graphs import MolGraph, dequantize
-from .likelihood import (TAG_ADJACENCY_PROBE, TAG_DEQUANT, TAG_FEATURE_PROBE,
-                         TAG_SHUFFLE, derive_rng, draw_probes,
+from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
                          gaussian_logp_from_sumsq, logdet_series_from_probes)
 from .linalg import NumericalError
 
@@ -37,18 +41,17 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
-    lipschitz_budget: float | None = None  # None keeps the model's own budget
     series_terms: int = 8
     hutchinson_samples: int = 4
-    probe: str = "rademacher"
     rng_seed: int = 0
     checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
 
     def __post_init__(self):
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "epochs", "series_terms", "hutchinson_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -74,56 +77,31 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     if not batch:
         raise ValueError("empty batch")
     params = wrap_parameters(model)
-    base = cfg.rng_seed
     n_batch = len(batch)
     mode = model.config.adjacency_mode
     s_probes = cfg.hutchinson_samples
 
+    deqs = [dequantize(g, model.config.noise_scale,
+                       int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
+            for i, g in enumerate(batch)]
+    p = np.stack([model.conditioning_operator(g.adjacency) for g in batch])
+    z_x, z_cols, layers = model.forward(
+        np.stack([deq.features_c for deq in deqs]), p,
+        np.concatenate([adjacency_to_columns(deq.adjacency_c, mode) for deq in deqs], axis=1),
+        params=params)
+
+    # Each block's log-det is one series over every probe and sample at once.
     total_logdet = 0.0
-    prior_sumsq = 0.0
     logdet_values: list[tuple[str, float]] = []
-    a_cols_per_sample: list[np.ndarray] = []
-
-    # Each block's log-det is one series over all S probes at once, stacked
-    # probe-major along a probe axis; the slopes come from the forward pass.
-    for i, g in enumerate(batch):
-        noise_seed = int(derive_rng(base, TAG_DEQUANT, epoch, step, i).integers(2 ** 31))
-        deq = dequantize(g, model.config.noise_scale, noise_seed)
-        p = model.conditioning_operator(g.adjacency)
-        z = deq.features_c
-        for bi, block in enumerate(model.feature_layers):
-            y, slopes = block.forward(z, p, params=params)
-            rng = derive_rng(base, TAG_FEATURE_PROBE, epoch, step, i, bi)
-            probes = np.stack([draw_probes(z.shape, cfg.probe, rng) for _ in range(s_probes)],
-                              axis=1)
-            ld = logdet_series_from_probes(
-                lambda u: block.jvp_many(u, p, slopes, params=params),
-                probes, s_probes, cfg.series_terms)
-            total_logdet = total_logdet + ld
-            logdet_values.append((f"{block.prefix} (sample {i})", float(value_of(ld))))
-            z = z + y
-        prior_sumsq = prior_sumsq + sum_all(z * z)
-        a_cols_per_sample.append(adjacency_to_columns(deq.adjacency_c, mode))
-
-    # Adjacency blocks share weights across samples, so the whole batch runs
-    # as one wide column matrix.
-    z = np.concatenate(a_cols_per_sample, axis=1)
-    n_cols_each = a_cols_per_sample[0].shape[1]
-    for bi, block in enumerate(model.adjacency_layers):
-        y, slopes = block.forward(z, params=params)
-        probes = np.stack([
-            np.concatenate([draw_probes((z.shape[0], n_cols_each), cfg.probe,
-                                        derive_rng(base, TAG_ADJACENCY_PROBE,
-                                                   epoch, step, i, bi, s))
-                            for i in range(n_batch)], axis=1)
-            for s in range(s_probes)], axis=1)
-        ld = logdet_series_from_probes(
-            lambda u: block.jvp_many(u, slopes, params=params),
-            probes, s_probes, cfg.series_terms)
+    for bi, (block, x, slopes) in enumerate(layers):
+        probes = draw_probes(value_of(x).shape, s_probes,
+                             derive_rng(cfg.rng_seed, TAG_PROBE, epoch, step, bi))
+        ops = (p,) if isinstance(block, GcnResidualBlock) else ()
+        ld = logdet_series_from_probes(lambda u: block.jvp_many(u, *ops, slopes, params=params),
+                                       probes, s_probes, cfg.series_terms)
         total_logdet = total_logdet + ld
         logdet_values.append((block.prefix, float(value_of(ld))))
-        z = z + y
-    prior_sumsq = prior_sumsq + sum_all(z * z)
+    prior_sumsq = sum_all(z_x * z_x) + sum_all(z_cols * z_cols)
 
     dim_total = n_batch * model.schema.latent_dim
     prior_total = gaussian_logp_from_sumsq(prior_sumsq, dim_total)
@@ -194,10 +172,6 @@ def train(model: GrfModel, dataset: list[MolGraph], cfg: TrainConfig,
     """
     if not dataset:
         raise ValueError("empty dataset")
-    if cfg.lipschitz_budget is not None:
-        for block in model.blocks():
-            block.lipschitz_budget = cfg.lipschitz_budget
-        model.project_to_budget()
     state = adam_state if adam_state is not None else AdamState()
     history: list[dict] = []
     for epoch in range(start_epoch, cfg.epochs):

@@ -55,6 +55,34 @@ def test_matmul_rejects_non_2d():
         Tensor(np.zeros(3)) @ Tensor(np.zeros(3))
 
 
+def test_batched_matmul_gradients_match_a_loop_of_2d_products():
+    """(P @ H) @ W with P (B, N, N): values and gradients of the batched
+    products equal those of one 2-D product per batch member."""
+    rng = np.random.default_rng(9)
+    p_arr, h_arr = rng.standard_normal((4, 3, 3)), rng.standard_normal((4, 3, 2))
+    w_arr, g_arr = rng.standard_normal((2, 2)), rng.standard_normal((4, 3, 2))
+
+    def grads(batched):
+        p, h, w = (Tensor(a, requires_grad=True) for a in (p_arr, h_arr, w_arr))
+        if batched:
+            loss = ((p @ h) @ w * g_arr).sum()
+        else:
+            loss = 0.0
+            for b in range(4):
+                # batch member b of a tape tensor: one-hot row times its rows
+                pb, hb = (dot(np.eye(4)[b], t.reshape(4, -1)).reshape(a.shape[1:])
+                          for t, a in ((p, p_arr), (h, h_arr)))
+                loss = loss + ((pb @ hb) @ w * g_arr[b]).sum()
+        loss.backward()
+        return loss.data, p.grad, h.grad, w.grad
+
+    for got, want in zip(grads(True), grads(False)):
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    check_gradient(lambda p, h, w: ((p @ h) @ w).elu().sum(), (2, 3, 3), (2, 3, 2), (2, 2))
+    with pytest.raises(ValueError):
+        Tensor(p_arr) @ Tensor(np.zeros(3))
+
+
 def test_elu_values():
     x = np.array([-2.0, -1.0, 0.0, 1.0, 3.0])
     assert np.allclose(elu(x), np.where(x >= 0, x, np.exp(x) - 1))

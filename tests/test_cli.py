@@ -88,6 +88,19 @@ def test_bad_config_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("field", ["series_terms", "hutchinson_samples", "epochs"])
+def test_train_config_below_one_is_data_error(field, tmp_path, capsys):
+    blob = {"model": TINY_CONFIG["model"], "train": {**TINY_CONFIG["train"], field: 0}}
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps(blob), encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--dataset",
+                 str(DATA / "toy_train.smi"), "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "bad config file" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_reconstruct_outputs(trained_dir, tmp_path):
     code = main(["reconstruct", "--ckpt", str(trained_dir / "run" / "model.npz"),
                  "--dataset", str(DATA / "toy_train.smi"), "--out", str(tmp_path / "r"),

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from grf.autodiff import elu
-from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_flow_columns,
-                      adjacency_to_columns, columns_to_adjacency, count_parameters,
-                      feature_flow_forward, load_checkpoint, qm9_table_config,
-                      save_checkpoint, toy_config)
+from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_to_columns,
+                      columns_to_adjacency, count_parameters, load_checkpoint,
+                      qm9_table_config, save_checkpoint, toy_config)
 from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
 from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
@@ -26,6 +25,13 @@ def zero_weights(model):
     for _, arr in model.named_parameters():
         arr[...] = 0.0
     return model
+
+
+def flow_latents(model, x, p, a):
+    """`model.forward` on one feature matrix and one adjacency tensor."""
+    mode = model.config.adjacency_mode
+    z_x, z_cols, _ = model.forward(x, p, adjacency_to_columns(a, mode))
+    return z_x, columns_to_adjacency(z_cols, model.schema, mode)
 
 
 # -- ELU ----------------------------------------------------------------------
@@ -141,31 +147,28 @@ def test_feature_flow_zero_weights_is_identity():
     g = random_molgraph(model.schema, 5)
     p = augmented_normalized_adjacency(g.adjacency)
     x = np.random.default_rng(6).standard_normal((6, 5))
-    z, inputs = feature_flow_forward(model, x, p)
+    cols = adjacency_to_columns(np.zeros((6, 6, 4)), model.config.adjacency_mode)
+    z, _, layers = model.forward(x, p, cols)
     assert np.array_equal(z, x)
-    assert len(inputs) == len(model.feature_layers)
+    assert [block for block, _, _ in layers] == model.blocks()
 
 
 def test_adjacency_flow_zero_weights_is_identity():
     model = zero_weights(GrfModel(toy_config()))
     a = np.random.default_rng(7).standard_normal((6, 6, 4))
-    mode = model.config.adjacency_mode
-    z, _ = adjacency_flow_columns(model, adjacency_to_columns(a, mode))
-    assert np.allclose(columns_to_adjacency(z, model.schema, mode), a)
+    _, za = flow_latents(model, np.zeros((6, 5)), np.eye(6), a)
+    assert np.allclose(za, a)
 
 
 def test_flows_shape_preserving_and_finite_for_extreme_inputs():
     model = GrfModel(toy_config(seed=30))
-    mode = model.config.adjacency_mode
     g = random_molgraph(model.schema, 31)
     p = augmented_normalized_adjacency(g.adjacency)
     for scale in (1.0, 1e4, -1e4, 1e8):
         x = np.full((6, 5), scale)
-        z, _ = feature_flow_forward(model, x, p)
-        assert z.shape == x.shape and np.isfinite(z).all()
         a = np.full((6, 6, 4), scale)
-        za, _ = adjacency_flow_columns(model, adjacency_to_columns(a, mode))
-        za = columns_to_adjacency(za, model.schema, mode)
+        z, za = flow_latents(model, x, p, a)
+        assert z.shape == x.shape and np.isfinite(z).all()
         assert za.shape == a.shape and np.isfinite(za).all()
 
 
@@ -174,7 +177,7 @@ def test_every_entry_updated_by_dense_block():
     g = random_molgraph(model.schema, 8)
     p = augmented_normalized_adjacency(g.adjacency)
     x = np.random.default_rng(9).standard_normal((6, 5))
-    z, _ = feature_flow_forward(model, x, p)
+    z, _ = flow_latents(model, x, p, np.zeros((6, 6, 4)))
     assert np.all(z != x)
 
 
@@ -185,13 +188,59 @@ def test_feature_flow_equivariant_to_node_permutation():
     x = rng.standard_normal((6, 5))
     perm = rng.permutation(6)
 
+    a = np.zeros((6, 6, 4))
     p = augmented_normalized_adjacency(g.adjacency)
-    z, _ = feature_flow_forward(model, x, p)
+    z, _ = flow_latents(model, x, p, a)
 
     adj_perm = g.adjacency[np.ix_(perm, perm)]
     p_perm = augmented_normalized_adjacency(adj_perm)
-    z_perm, _ = feature_flow_forward(model, x[perm], p_perm)
+    z_perm, _ = flow_latents(model, x[perm], p_perm, a)
     assert np.allclose(z_perm, z[perm], atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [toy_config, qm9_table_config], ids=["toy", "qm9"])
+def test_batched_forward_matches_each_molecule(make):
+    """A (B, N, M) / (d, B*C) forward gives every molecule what its own
+    forward gives: latents, slopes and exact log-dets."""
+    from grf.likelihood import exact_logdet
+
+    model = GrfModel(make(seed=60, init_scale=0.9, gcn_blocks=2, gcn_layers=2, mlp_blocks=3,
+                          use_bias=True))
+    rng = np.random.default_rng(61)
+    for path, arr in model.named_parameters():
+        if ".b" in path:  # biases start at zero
+            arr[...] = 0.3 * rng.standard_normal(arr.shape)
+    mode, n, m = model.config.adjacency_mode, model.schema.n_max, model.schema.n_atom_types
+    graphs = [random_molgraph(model.schema, 62 + i) for i in range(3)]
+    deqs = [dequantize(g, 0.9, 65 + i) for i, g in enumerate(graphs)]
+    ps = np.stack([model.conditioning_operator(g.adjacency) for g in graphs])
+    xs = np.stack([deq.features_c for deq in deqs])
+    cols = [adjacency_to_columns(deq.adjacency_c, mode) for deq in deqs]
+    c = cols[0].shape[1]
+    z_x, z_cols, layers = model.forward(xs, ps, np.concatenate(cols, axis=1))
+    assert z_x.shape == (3, n, m) and len(layers) == len(model.blocks())
+    n_x = len(model.feature_layers)
+    for b in range(3):
+        one_x, one_cols, one_layers = model.forward(xs[b], ps[b], cols[b])
+        assert np.allclose(z_x[b], one_x, rtol=0, atol=1e-12)
+        assert np.allclose(z_cols[:, b * c:(b + 1) * c], one_cols, rtol=0, atol=1e-12)
+        for k, ((block, _, slopes), (_, _, one_slopes)) in enumerate(zip(layers, one_layers)):
+            if k < n_x:
+                mine = [s[b] for s in slopes]
+                ld, one_ld = (exact_logdet(block, mine, p=ps[b]),
+                              exact_logdet(block, one_slopes, p=ps[b]))
+            else:
+                mine = [s[:, :, b * c:(b + 1) * c] for s in slopes]
+                ld, one_ld = exact_logdet(block, mine), exact_logdet(block, one_slopes)
+            for s, one in zip(mine, one_slopes):
+                assert s.shape == one.shape
+                assert np.allclose(s, one, rtol=0, atol=1e-12)
+            assert ld == pytest.approx(one_ld, rel=0, abs=1e-12)
+    lats = model.encode(deqs, [g.adjacency for g in graphs])
+    for b, z in enumerate(lats):
+        assert np.allclose(z.z_features, z_x[b], rtol=0, atol=1e-12)
+        z_a = columns_to_adjacency(z_cols[:, b * c:(b + 1) * c], model.schema, mode)
+        assert np.allclose(z.z_adjacency, z_a, rtol=0, atol=1e-12)
 
 
 def test_adjacency_column_layouts_roundtrip():

@@ -57,8 +57,6 @@ def test_logdet_scalar_closed_form():
 
 
 def test_scalar_feature_flow_closed_form():
-    from grf.flow import feature_flow_forward
-
     cfg = ModelConfig(n_max=1, atom_symbols=(), gcn_blocks=1, gcn_layers=1,
                       mlp_blocks=1, mlp_layers=1, seed=40)
     model = GrfModel(cfg)
@@ -67,7 +65,8 @@ def test_scalar_feature_flow_closed_form():
     block.weights[0][...] = np.array([[w]])
     p = np.array([[1.0]])
     for x in (-1.5, -0.2, 0.8, 2.5):
-        z, _ = feature_flow_forward(model, np.array([[x]]), p)
+        cols = np.zeros(adjacency_slice_shape(model.schema, cfg.adjacency_mode))
+        z, _, ((_, _, slopes), _) = model.forward(np.array([[x]]), p, cols)
         pre = x * w
         expected = x + (pre if pre >= 0 else math.expm1(pre))
         assert z[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -78,7 +77,7 @@ def test_scalar_feature_flow_closed_form():
                                                   hutchinson_samples=1, rng_seed=0),
                             p=p)
         assert est == pytest.approx(exact_ld, abs=1e-6)
-        assert exact_logdet(block, np.array([[x]]), p=p) == pytest.approx(exact_ld, abs=1e-14)
+        assert exact_logdet(block, slopes, p=p) == pytest.approx(exact_ld, abs=1e-14)
 
 
 def test_scalar_adjacency_flow_closed_form():
@@ -93,7 +92,8 @@ def test_scalar_adjacency_flow_closed_form():
                             LogDetEstimatorConfig(series_terms=40,
                                                   hutchinson_samples=1, rng_seed=0))
         assert est == pytest.approx(exact_ld, abs=1e-6)
-        assert exact_logdet(block, np.array([[x]])) == pytest.approx(exact_ld, abs=1e-14)
+        _, slopes = block.forward(np.array([[x]]))
+        assert exact_logdet(block, slopes) == pytest.approx(exact_ld, abs=1e-14)
 
 
 def test_logdet_matches_exact_oracle_on_gcn_block():
@@ -172,17 +172,15 @@ def test_logdet_rejects_expansive_block():
 
 def test_probe_draws_have_unit_moments():
     rng = np.random.default_rng(12)
-    v = draw_probes((2000,), "rademacher", rng)
+    v = draw_probes((40, 50), 3, rng)
+    assert v.shape == (40, 3, 50)
     assert set(np.unique(v)) == {-1.0, 1.0}
-    g = draw_probes((200000,), "normal", rng)
-    assert abs(g.mean()) < 0.02 and abs(g.var() - 1.0) < 0.02
+    assert abs(v.mean()) < 0.05
 
 
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
         LogDetEstimatorConfig(series_terms=0)
-    with pytest.raises(ValueError):
-        LogDetEstimatorConfig(probe="uniform")
 
 
 # -- exact log-det ------------------------------------------------------------------
@@ -199,14 +197,14 @@ def test_exact_logdet_matches_finite_difference_oracle_on_adjacency_block(mode, 
             b[...] = 0.3 * rng.standard_normal(b.shape)
     x = rng.standard_normal(adjacency_slice_shape(model.schema, mode))
     oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x))[1]
-    assert exact_logdet(block, x) == pytest.approx(oracle, abs=1e-8)
+    assert exact_logdet(block, block.forward(x)[1]) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_exact_logdet_matches_finite_difference_oracle_on_gcn_block():
     block, p = random_feature_block(52, n=4, m_real=3, sigma=0.85)
     x = np.random.default_rng(53).standard_normal((4, block.weights[0].shape[0]))
     oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x, p=p))[1]
-    assert exact_logdet(block, x, p=p) == pytest.approx(oracle, abs=1e-8)
+    assert exact_logdet(block, block.forward(x, p)[1], p=p) == pytest.approx(oracle, abs=1e-8)
 
 
 # -- full log-likelihood -------------------------------------------------------------

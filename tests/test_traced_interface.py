@@ -9,6 +9,7 @@ from pathlib import Path
 
 import grf
 import grf.analysis
+import grf.training
 from grf.analysis import reconstruction_curve
 from grf.flow import GrfModel, toy_config
 from grf.inversion import InversionConfig, generate
@@ -53,3 +54,23 @@ def test_tracer_wraps_generate_reconstruct_and_eval(toy_graphs):
     metrics = tracing.layer_metrics(tracer, 1, 1)
     assert metrics["inversion.sample_iters_mean"] > 0
     assert metrics["inversion.reconstruct_iters_mean"] > 0
+
+
+def test_grad_nll_enters_each_block_series_once_whatever_the_batch(toy_graphs):
+    tracing = load_tracing()
+    model = GrfModel(toy_config(seed=44))
+    cfg = grf.training.TrainConfig(series_terms=3, hutchinson_samples=2, rng_seed=45)
+    n_blocks = len(model.blocks())
+    for batch_size in (2, 5):
+        tracer = tracing.Tracer()
+        with tracing.install(tracer, grf):
+            with tracer.region("bench.step", tracing.LOOP):
+                # through the module, where the tracer patched it
+                loss, _, stats = grf.training.grad_nll(model, toy_graphs[:batch_size], cfg)
+        assert math.isfinite(loss) and math.isfinite(stats["logdet_mean"])
+        spans = tracer.totals(tracing.LOOP)
+        assert spans["training.grad_nll"]["calls"] == 1
+        # one series per block over the whole batch, one jvp_many per term
+        assert spans["likelihood.series_from_probes"]["calls"] == n_blocks
+        assert spans["flow.jvp_many"]["calls"] == cfg.series_terms * n_blocks
+        assert spans["graphs.dequantize"]["calls"] == batch_size

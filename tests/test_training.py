@@ -98,59 +98,57 @@ def test_grad_deterministic_given_seed():
 
 
 def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
-    """Reference loss and gradients: one series per probe, summed in a Python loop.
+    """Reference loss and gradients: each sample through its own 2-D flow,
+    and one series per (sample, probe), summed in Python loops.
 
-    The same keyed probe streams as `grad_nll`, with the forward flow run
-    first and every block linearized again at its saved input.
+    Every block is linearized again at its saved input.  The probes are
+    `grad_nll`'s: one stack per block and step in the batch layout, of
+    which sample i and probe s take their slice.
     """
     from grf.autodiff import sum_all, value_of
     from grf.flow import adjacency_to_columns
     from grf.graphs import dequantize
-    from grf.likelihood import (TAG_ADJACENCY_PROBE, TAG_DEQUANT, TAG_FEATURE_PROBE,
-                                derive_rng, draw_probes, gaussian_logp_from_sumsq,
-                                logdet_series_from_probes)
+    from grf.likelihood import (TAG_DEQUANT, TAG_PROBE, derive_rng, draw_probes,
+                                gaussian_logp_from_sumsq, logdet_series_from_probes)
     from grf.training import wrap_parameters
 
     params = wrap_parameters(model)
     base, n_batch, s_probes = cfg.rng_seed, len(batch), cfg.hutchinson_samples
-    total_logdet, prior_sumsq, a_cols = 0.0, 0.0, []
+    n_x = len(model.feature_layers)
+    prior_sumsq, samples = 0.0, []
     for i, g in enumerate(batch):
         noise_seed = int(derive_rng(base, TAG_DEQUANT, epoch, step, i).integers(2 ** 31))
         deq = dequantize(g, model.config.noise_scale, noise_seed)
         p = model.conditioning_operator(g.adjacency)
-        z, inputs = deq.features_c, []
+        z = deq.features_c
+        cols = adjacency_to_columns(deq.adjacency_c, model.config.adjacency_mode)
+        inputs = []
         for block in model.feature_layers:
             inputs.append(z)
             z = z + block.apply(z, p, params=params)
-        prior_sumsq = prior_sumsq + sum_all(z * z)
-        for bi, block in enumerate(model.feature_layers):
-            _, slopes = block.forward(inputs[bi], p, params=params)
-            rng = derive_rng(base, TAG_FEATURE_PROBE, epoch, step, i, bi)
-            acc = 0.0
-            for _ in range(s_probes):
-                probe = draw_probes(value_of(inputs[bi]).shape, cfg.probe, rng)
-                acc = acc + logdet_series_from_probes(
-                    lambda u: block.jvp_many(u, p, slopes, params=params),
-                    probe[:, None, :], 1, cfg.series_terms)
-            total_logdet = total_logdet + acc / s_probes
-        a_cols.append(adjacency_to_columns(deq.adjacency_c, model.config.adjacency_mode))
-    cols = np.concatenate(a_cols, axis=1)
-    z, inputs = cols, []
-    for block in model.adjacency_layers:
-        inputs.append(z)
-        z = z + block.apply(z, params=params)
-    prior_sumsq = prior_sumsq + sum_all(z * z)
-    for bi, block in enumerate(model.adjacency_layers):
-        _, slopes = block.forward(inputs[bi], params=params)
+        for block in model.adjacency_layers:
+            inputs.append(cols)
+            cols = cols + block.apply(cols, params=params)
+        prior_sumsq = prior_sumsq + sum_all(z * z) + sum_all(cols * cols)
+        samples.append((p, inputs))
+    total_logdet = 0.0
+    for bi, block in enumerate(model.blocks()):
+        shape = value_of(samples[0][1][bi]).shape
+        batch_shape = (n_batch, *shape) if bi < n_x else (shape[0], n_batch * shape[1])
+        probes = draw_probes(batch_shape, s_probes, derive_rng(base, TAG_PROBE, epoch, step, bi))
         acc = 0.0
-        for s in range(s_probes):
-            probe = np.concatenate(
-                [draw_probes((cols.shape[0], a_cols[0].shape[1]), cfg.probe,
-                             derive_rng(base, TAG_ADJACENCY_PROBE, epoch, step, i, bi, s))
-                 for i in range(n_batch)], axis=1)
-            acc = acc + logdet_series_from_probes(
-                lambda u: block.jvp_many(u, slopes, params=params),
-                probe[:, None, :], 1, cfg.series_terms)
+        for i, (p, inputs) in enumerate(samples):
+            if bi < n_x:
+                _, slopes = block.forward(inputs[bi], p, params=params)
+                mine = probes[i]
+                jvp = lambda u: block.jvp_many(u, p, slopes, params=params)
+            else:
+                _, slopes = block.forward(inputs[bi], params=params)
+                mine = probes[:, :, i * shape[1]:(i + 1) * shape[1]]
+                jvp = lambda u: block.jvp_many(u, slopes, params=params)
+            for s in range(s_probes):
+                probe = mine[..., s:s + 1, :]
+                acc = acc + logdet_series_from_probes(jvp, probe, 1, cfg.series_terms)
         total_logdet = total_logdet + acc / s_probes
     prior = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
     loss = -(prior + total_logdet) / n_batch
@@ -279,15 +277,6 @@ def test_training_resume_bit_identical(tmp_path, toy_graphs):
     assert resumed_history == full_history[len(full_history) - len(resumed_history):]
 
 
-def test_train_budget_override():
-    model = tiny_model(seed=19, init_scale=0.85)
-    cfg = TrainConfig(epochs=1, batch_size=4, lipschitz_budget=0.5,
-                      series_terms=3, hutchinson_samples=1, rng_seed=20)
-    train(model, graphs_for(model.schema, ["CO", "CC"]), cfg)
-    for block in model.blocks():
-        assert block.certified_bound() <= 0.5 + 1e-6
-
-
 def test_history_csv_and_epoch_means(tmp_path):
     history = [{"epoch": 0, "step": 0, "nll": 2.0, "logdet_mean": 0.1, "prior_mean": -2.1},
                {"epoch": 0, "step": 1, "nll": 1.0, "logdet_mean": 0.2, "prior_mean": -1.2},
@@ -314,5 +303,6 @@ def test_adam_state_array_roundtrip():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(batch_size=0)
+    for field in ("batch_size", "epochs", "series_terms", "hutchinson_samples"):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 0})

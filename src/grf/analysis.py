@@ -50,7 +50,7 @@ def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
                            / deq.adjacency_c.size)
             feat_err.append(np.linalg.norm(rec.features_c - deq.features_c)
                             / deq.features_c.size)
-            a_hat = quantize_adjacency(rec.adjacency_c, no_bond_channel=model.schema.no_bond)
+            a_hat = quantize_adjacency(rec.adjacency_c)
             x_hat = quantize_features(rec.features_c)
             if np.array_equal(a_hat, g.adjacency) and np.array_equal(x_hat, g.features):
                 exact += 1

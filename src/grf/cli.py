@@ -59,12 +59,19 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_float(text: str) -> float:
+def _finite_float(text: str) -> float:
+    """argparse type: a float other than nan and +-inf."""
     try:
-        if math.isfinite(float(text)) and float(text) > 0.0:
+        if math.isfinite(float(text)):
             return float(text)
     except ValueError:
         pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    if _finite_float(text) > 0.0:
+        return float(text)
     raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
 
 
@@ -120,7 +127,7 @@ def build_parser() -> _Parser:
     p_grid.add_argument("--dataset", type=Path, required=True)
     p_grid.add_argument("--out", type=Path, required=True)
     p_grid.add_argument("--grid-size", type=_int_at_least(1), default=5)
-    p_grid.add_argument("--grid-step", type=float, default=0.5)
+    p_grid.add_argument("--grid-step", type=_finite_float, default=0.5)
     p_grid.add_argument("--count", type=_int_at_least(2), default=100,
                         help="molecules used to fit the principal plane")
     p_grid.add_argument("--iterations", type=_int_at_least(1), default=100)

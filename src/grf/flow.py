@@ -248,14 +248,17 @@ class GcnResidualBlock(_ResidualBlock):
         return h
 
     def forward(self, z, p, params=None):
-        """(apply(z, p), per-layer ELU slopes shaped (..., N, 1, M) for `jvp_many`)."""
-        return self._forward(z, lambda h, l: self._layer_pre(h, p, l, params))
+        """(apply(z, p), lin): the linearization `lin` is (p, per-layer ELU
+        slopes shaped (..., N, 1, M)), as `jvp_many` and `jacobians` take it."""
+        h, slopes = self._forward(z, lambda h, l: self._layer_pre(h, p, l, params))
+        return h, (p, slopes)
 
-    def jvp_many(self, u, p, slopes, params=None):
+    def jvp_many(self, u, lin, params=None):
         """Jacobian-vector products of a tangent stack u (..., N, S, M) at the
-        linearization captured in `slopes`: P @ U as (..., N, N) @ (..., N, S*M),
+        linearization `lin` = (p, slopes): P @ U as (..., N, N) @ (..., N, S*M),
         then @ W as one (...*N*S, M) @ (M, M) product, then the broadcast
         slopes."""
+        p, slopes = lin
         for l in range(self.depth):
             pu = (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
             u = dot(pu, self._weight(l, params))
@@ -264,6 +267,14 @@ class GcnResidualBlock(_ResidualBlock):
             # in-place ops, so on the tape `*=` records a new node.
             u *= slopes[l]
         return u
+
+    def jacobians(self, lin):
+        """The dense (1, NM, NM) Jacobian of one graph at `lin`, from one
+        `jvp_many` over the stack (N, S=N*M, M) of row-major unit matrices."""
+        n, _, m = lin[1][0].shape
+        basis = np.eye(n * m).reshape(n * m, n, m).transpose(1, 0, 2)
+        jac = self.jvp_many(np.ascontiguousarray(basis), lin)
+        return jac.transpose(0, 2, 1).reshape(1, n * m, n * m)  # [i, s] = J[i, s]
 
 
 class MlpResidualBlock(_ResidualBlock):
@@ -310,25 +321,35 @@ class MlpResidualBlock(_ResidualBlock):
         return h
 
     def forward(self, x, params=None):
-        """(apply(x), per-layer ELU slopes shaped (d, 1, C) for `jvp_many`)."""
+        """(apply(x), lin): the linearization `lin` is the per-layer ELU
+        slopes shaped (d, 1, C), as `jvp_many` and `jacobians` take it."""
         return self._forward(x, lambda h, l: self._layer_pre(h, l, params))
 
-    def jvp_many(self, u, slopes, params=None):
+    def jvp_many(self, u, lin, params=None):
         """Jacobian-vector products of a tangent stack u (d, S, C) at the
-        linearization captured in `slopes`: one (d, d) @ (d, S*C) product and
+        linearization `lin` (the slopes): one (d, d) @ (d, S*C) product and
         one broadcast slope multiply per layer."""
         for l in range(self.depth):
             u = self._matvec(l, u, params, dot)
-            u *= slopes[l]  # in place on arrays, as in GcnResidualBlock.jvp_many
+            u *= lin[l]  # in place on arrays, as in GcnResidualBlock.jvp_many
         return u
+
+    def jacobians(self, lin):
+        """Every column's (d, d) Jacobian at `lin`, stacked (C, d, d): the
+        block acts on each column separately, so one `jvp_many` over the
+        stack (d, S=d, C) with u[:, s, c] = e_s yields them all."""
+        d, _, c = lin[0].shape
+        basis = np.repeat(np.eye(d)[:, :, None], c, axis=2)
+        return self.jvp_many(basis, lin).transpose(2, 0, 1)  # [c, i, s] = J_c[i, s]
 
 
 # ---------------------------------------------------------------------------
-# Adjacency tensor <-> column layout
+# Adjacency slices
 # ---------------------------------------------------------------------------
 
 def adjacency_slice_shape(schema: GraphSchema, mode: str) -> tuple[int, int]:
-    """(slice dimension, number of slices) for the adjacency MLP layout."""
+    """(slice dimension d, number of slices C) for the adjacency MLP layout:
+    a slice is the whole tensor, one node's row or one pair's bond vector."""
     n, r = schema.n_max, schema.n_bond_types
     if mode == "flat":
         return n * n * r, 1
@@ -336,28 +357,6 @@ def adjacency_slice_shape(schema: GraphSchema, mode: str) -> tuple[int, int]:
         return n * r, n
     if mode == "pair":
         return r, n * n
-    raise ValueError(f"unknown adjacency mode {mode!r}")
-
-
-def adjacency_to_columns(a: np.ndarray, mode: str) -> np.ndarray:
-    n, _, r = a.shape
-    if mode == "flat":
-        return a.reshape(n * n * r, 1).copy()
-    if mode == "node":
-        return np.ascontiguousarray(a.reshape(n, n * r).T)
-    if mode == "pair":
-        return np.ascontiguousarray(a.reshape(n * n, r).T)
-    raise ValueError(f"unknown adjacency mode {mode!r}")
-
-
-def columns_to_adjacency(cols: np.ndarray, schema: GraphSchema, mode: str) -> np.ndarray:
-    n, r = schema.n_max, schema.n_bond_types
-    if mode == "flat":
-        return cols.reshape(n, n, r).copy()
-    if mode == "node":
-        return np.ascontiguousarray(cols.T).reshape(n, n, r)
-    if mode == "pair":
-        return np.ascontiguousarray(cols.T).reshape(n, n, r)
     raise ValueError(f"unknown adjacency mode {mode!r}")
 
 
@@ -380,7 +379,7 @@ class GrfModel:
                                   n_bond_types=config.n_bond_types)
         rng = np.random.default_rng(config.seed)
         m = self.schema.n_atom_types
-        d, _ = adjacency_slice_shape(self.schema, config.adjacency_mode)
+        self.slice_dim = d = adjacency_slice_shape(self.schema, config.adjacency_mode)[0]
 
         # Each drawn weight is followed by one unused draw, which once seeded
         # a power-iteration state; keeping it makes GrfModel(config) build
@@ -447,26 +446,44 @@ class GrfModel:
     def conditioning_operator(self, adjacency: np.ndarray):
         return augmented_normalized_adjacency(adjacency)
 
+    # -- adjacency layout ----------------------------------------------------------
+
+    def columns(self, a: np.ndarray) -> np.ndarray:
+        """Adjacency tensors (..., N, N, R) as the adjacency blocks' (d, B*C)
+        column matrix.  A slice is d consecutive row-major entries in every
+        mode, so one reshape serves all three; graph b owns columns b*C to
+        (b+1)*C."""
+        return np.ascontiguousarray(a.reshape(-1, self.slice_dim).T)
+
+    def adjacencies(self, cols: np.ndarray) -> np.ndarray:
+        """The (B, N, N, R) tensors of a (d, B*C) column matrix: the inverse
+        of `columns`, as a view of `cols`."""
+        s = self.schema
+        return cols.T.reshape(-1, s.n_max, s.n_max, s.n_bond_types)
+
     # -- the flow ----------------------------------------------------------------
 
-    def forward(self, x, p, cols, params=None):
+    def forward(self, x, p, a, params=None):
         """Both residual stacks, once, keeping what their log-dets need.
 
-        `x` is an (N, M) feature matrix with its (N, N) operator `p`, or a
-        (B, N, M) stack with a (B, N, N) one; `cols` is the adjacency in
-        its (d, C) column layout, or a batch's columns side by side.  On
-        plain arrays, or on tape tensors when `params` maps parameter paths
-        to them.  Returns (z_x, z_cols, layers), where `layers` lists
-        (block, input, slopes) per block in order, feature blocks first.
+        `x` is an (N, M) feature matrix with its (N, N) operator `p` and its
+        (N, N, R) adjacency `a`, or a (B, N, M) stack with (B, N, N) and
+        (B, N, N, R) ones.  On plain arrays, or on tape tensors when
+        `params` maps parameter paths to them.  Returns (z_x, z_cols,
+        layers): the adjacency latents stay in the `columns` layout, and
+        `layers` lists (block, input, lin) per block in order, feature
+        blocks first, with each block's linearization `lin` for its
+        `jvp_many` and `jacobians`.
         """
         layers = []
         for block in self.feature_layers:
-            y, slopes = block.forward(x, p, params=params)
-            layers.append((block, x, slopes))
+            y, lin = block.forward(x, p, params=params)
+            layers.append((block, x, lin))
             x = x + y
+        cols = self.columns(a)
         for block in self.adjacency_layers:
-            y, slopes = block.forward(cols, params=params)
-            layers.append((block, cols, slopes))
+            y, lin = block.forward(cols, params=params)
+            layers.append((block, cols, lin))
             cols = cols + y
         return x, cols, layers
 
@@ -475,19 +492,15 @@ class GrfModel:
         """Latent points of a batch of dequantized graphs, each conditioned
         on its discrete adjacency, in `forward`'s batch layout.  Only the
         latents are needed, so the blocks run slope-free `apply`."""
-        mode = self.config.adjacency_mode
         p = np.stack([self.conditioning_operator(a) for a in adjacencies])
         z_x = np.stack([deq.features_c for deq in deqs])
         for block in self.feature_layers:
             z_x = z_x + block.apply(z_x, p)
-        cols = np.stack([adjacency_to_columns(deq.adjacency_c, mode) for deq in deqs], axis=1)
-        z_cols = cols.reshape(cols.shape[0], -1)
+        z_cols = self.columns(np.stack([deq.adjacency_c for deq in deqs]))
         for block in self.adjacency_layers:
             z_cols = z_cols + block.apply(z_cols)
-        z_cols = z_cols.reshape(cols.shape)
-        return [LatentPoint(z_adjacency=columns_to_adjacency(z_cols[:, b], self.schema, mode),
-                            z_features=z_x[b])
-                for b in range(len(deqs))]
+        return [LatentPoint(z_adjacency=z_a, z_features=z_f)
+                for z_a, z_f in zip(self.adjacencies(z_cols), z_x)]
 
 
 def count_parameters(model: GrfModel) -> int:

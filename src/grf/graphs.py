@@ -173,18 +173,16 @@ def dequantize(g: MolGraph, c: float, rng_seed: int) -> DequantGraph:
     return DequantGraph(adjacency_c=a, features_c=x, noise_scale=c)
 
 
-def quantize_adjacency(a_cont: np.ndarray, no_bond_channel: int | None = None) -> np.ndarray:
+def quantize_adjacency(a_cont: np.ndarray) -> np.ndarray:
     """Argmax decode of a continuous adjacency tensor.
 
     The tensor is symmetrized by averaging the (i, j) and (j, i) channel
     vectors before the argmax; ties go to the lowest channel index.  Self
-    pairs are forced into the no-bond channel (by default the last one) so
+    pairs are forced into the no-bond channel (the last one) so
     the output always satisfies the discrete invariants.
     """
     a_cont = np.asarray(a_cont, dtype=np.float64)
-    n, _, r = a_cont.shape
-    if no_bond_channel is None:
-        no_bond_channel = r - 1
+    n = a_cont.shape[0]
     sym = 0.5 * (a_cont + a_cont.transpose(1, 0, 2))
     winners = np.argmax(sym, axis=2)  # np.argmax breaks ties toward index 0
     out = np.zeros_like(a_cont)
@@ -192,7 +190,7 @@ def quantize_adjacency(a_cont: np.ndarray, no_bond_channel: int | None = None) -
     out[ii, jj, winners] = 1.0
     diag = np.arange(n)
     out[diag, diag, :] = 0.0
-    out[diag, diag, no_bond_channel] = 1.0
+    out[diag, diag, -1] = 1.0
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import GrfModel, adjacency_to_columns, columns_to_adjacency
+from .flow import GrfModel
 from .graphs import (DequantGraph, LatentPoint, MolGraph, quantize_adjacency,
                      quantize_features)
 from .likelihood import sample_prior
@@ -76,40 +76,30 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
     return x
 
 
-def _apply_columns(block, x: np.ndarray) -> np.ndarray:
-    """An adjacency block on a (B, d, C) stack, run as one (d, B*C) matrix."""
-    batch, d, c = x.shape
-    out = block.apply(x.transpose(1, 0, 2).reshape(d, batch * c))
-    return out.reshape(d, batch, c).transpose(1, 0, 2)
-
-
 def invert_latents(model: GrfModel, latents: list[LatentPoint],
                    cfg: InversionConfig) -> list[DequantGraph]:
     """Two-step inverse of a batch of latent points: the adjacency stack
     first, then the feature stack given each argmax-decoded adjacency."""
     if not latents:
         return []
-    mode = model.config.adjacency_mode
-    cols = np.stack([adjacency_to_columns(z.z_adjacency, mode) for z in latents])
+    a = np.stack([z.z_adjacency for z in latents])
     for block in reversed(model.adjacency_layers):
-        cols = invert_residual_layer(lambda x: _apply_columns(block, x), cols, cfg)
-    a_cont = [columns_to_adjacency(c, model.schema, mode) for c in cols]
+        a = invert_residual_layer(
+            lambda t: model.adjacencies(block.apply(model.columns(t))), a, cfg)
 
-    p = np.stack([model.conditioning_operator(
-        quantize_adjacency(a, no_bond_channel=model.schema.no_bond)) for a in a_cont])
+    p = np.stack([model.conditioning_operator(quantize_adjacency(a_b)) for a_b in a])
     x = np.stack([z.z_features for z in latents])
     for block in reversed(model.feature_layers):
         x = invert_residual_layer(lambda t: block.apply(t, p), x, cfg)
-    return [DequantGraph(adjacency_c=a, features_c=f, noise_scale=model.config.noise_scale)
-            for a, f in zip(a_cont, x)]
+    return [DequantGraph(adjacency_c=a_b, features_c=f, noise_scale=model.config.noise_scale)
+            for a_b, f in zip(a, x)]
 
 
 def decode_latents(model: GrfModel, latents: list[LatentPoint],
                    cfg: InversionConfig) -> list[MolGraph]:
     """Invert and argmax-quantize a batch of latent points into molecules."""
     return [MolGraph(schema=model.schema,
-                     adjacency=quantize_adjacency(deq.adjacency_c,
-                                                  no_bond_channel=model.schema.no_bond),
+                     adjacency=quantize_adjacency(deq.adjacency_c),
                      features=quantize_features(deq.features_c))
             for deq in invert_latents(model, latents, cfg)]
 

@@ -5,13 +5,15 @@ standard-normal prior density of the latent point plus one log-det term
 per residual layer.
 
 Both eval and training run `GrfModel.forward` once, which returns each
-block's input and ELU slopes; the log-dets are taken from those slopes.
+block's input and linearization; the log-dets are taken from those, and
+the prior from the latents' sum of squares.  Neither needs to know how a
+block lays its data out.
 
 Eval (`full_logp`) computes each layer's log-det exactly.  Every block
 Jacobian is small or block-diagonal (one d x d block per adjacency
-column, one NM x NM matrix per graph-convolution layer), so one
-`jvp_many` over a basis tangent stack yields it densely and one batched
-`slogdet` finishes it, with no probes.
+column, one NM x NM matrix per graph-convolution layer), so the block's
+`jacobians` yields it densely and one batched `slogdet` finishes it,
+with no probes.
 
 Training keeps the stochastic estimate (`logdet_series_from_probes`):
 because every block is a contraction, each layer's log-det has a
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import sum_all, value_of
-from .flow import GrfModel, adjacency_to_columns, columns_to_adjacency
+from .flow import GrfModel
 from .graphs import DequantGraph, LatentPoint, MolGraph, dequantize
 from .linalg import NumericalError
 
@@ -79,7 +81,7 @@ class FlowTrace:
 def prior_logp(z: LatentPoint) -> float:
     """Sum of independent standard-normal log densities over all coordinates."""
     vec = z.to_vector()
-    return float(-0.5 * vec.size * LOG_2PI - 0.5 * (vec @ vec))
+    return float(gaussian_logp_from_sumsq(vec @ vec, vec.size))
 
 
 def gaussian_logp_from_sumsq(sum_sq, dim: int):
@@ -133,39 +135,24 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     _require_contractive(block.certified_bound(), block.prefix)
     seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
-    ops = () if p is None else (p,)
-    _, slopes = block.forward(x, *ops)
+    _, lin = block.forward(x, *(() if p is None else (p,)))
     probes = draw_probes(x.shape, s, derive_rng(seed, TAG_PROBE))
-    jvp = lambda u: block.jvp_many(u, *ops, slopes)
+    jvp = lambda u: block.jvp_many(u, lin)
     return float(value_of(logdet_series_from_probes(jvp, probes, s, cfg.series_terms)))
 
 
-def exact_logdet(block, slopes, p=None) -> float:
+def exact_logdet(block, lin) -> float:
     """Exact log det(I + J) of one residual layer at the linearization
-    `slopes` that its `forward` returned for one molecule.
+    `lin` that its `forward` returned for one molecule.
 
-    One `jvp_many` over a basis tangent stack gives the Jacobian densely.
-    An adjacency block (slopes (d, 1, C), no `p`) acts on each column
-    separately, so the stack is (d, S=d, C) with u[:, s, c] = e_s and the
-    result, as (C, d, d), holds every column's J_c for one batched
-    `slogdet`; the block's log-det is the sum over columns.  A
-    graph-convolution block (slopes (N, 1, M), `p` given) mixes every
-    entry, so the stack (N, S=N*M, M) holds the row-major unit matrices
-    and the result is the dense (NM, NM) Jacobian.  A contraction has
-    det(I + J) > 0, so any other sign, like a non-finite value, raises
-    `NumericalError`.
+    The block's `jacobians` gives J as a stack of dense blocks, (C, d, d)
+    for an adjacency block and (1, NM, NM) for a graph-convolution block;
+    one batched `slogdet` finishes it and the layer's log-det is the sum
+    over the stack.  A contraction has det(I + J) > 0, so any other sign,
+    like a non-finite value, raises `NumericalError`.
     """
     _require_contractive(block.certified_bound(), block.prefix)
-    if p is not None:
-        n, _, m = slopes[0].shape
-        basis = np.eye(n * m).reshape(n * m, n, m).transpose(1, 0, 2)
-        jac = block.jvp_many(np.ascontiguousarray(basis), p, slopes)
-        jac = jac.transpose(0, 2, 1).reshape(1, n * m, n * m)  # [i, s] = J[i, s]
-    else:
-        d, _, c = slopes[0].shape
-        basis = np.repeat(np.eye(d)[:, :, None], c, axis=2)
-        jac = block.jvp_many(basis, slopes).transpose(2, 0, 1)  # [c, i, s] = J_c[i, s]
-    jac = np.ascontiguousarray(jac)
+    jac = np.ascontiguousarray(block.jacobians(lin))
     diag = np.arange(jac.shape[1])
     jac[:, diag, diag] += 1.0
     sign, logabs = np.linalg.slogdet(jac)
@@ -181,20 +168,14 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
                            adjacency_discrete: np.ndarray) -> FlowTrace:
     """Change-of-variables log-likelihood of one already-dequantized graph,
     with every layer's exact log-det; nothing is drawn."""
-    mode = model.config.adjacency_mode
     p = model.conditioning_operator(adjacency_discrete)
-    z_x, z_cols, layers = model.forward(deq.features_c, p,
-                                        adjacency_to_columns(deq.adjacency_c, mode))
+    z_x, z_cols, layers = model.forward(deq.features_c, p, deq.adjacency_c)
+    logdets = [exact_logdet(block, lin) for block, _, lin in layers]
     n_x = len(model.feature_layers)
-    feature_logdets = [exact_logdet(block, slopes, p=p) for block, _, slopes in layers[:n_x]]
-    adjacency_logdets = [exact_logdet(block, slopes) for block, _, slopes in layers[n_x:]]
-
-    z = LatentPoint(z_adjacency=columns_to_adjacency(z_cols, model.schema, mode),
-                    z_features=z_x)
-    prior = prior_logp(z)
-    total = prior + sum(feature_logdets) + sum(adjacency_logdets)
-    return FlowTrace(feature_logdets=feature_logdets,
-                     adjacency_logdets=adjacency_logdets,
+    prior = float(gaussian_logp_from_sumsq(sum_all(z_x * z_x) + sum_all(z_cols * z_cols),
+                                           model.schema.latent_dim))
+    total = prior + sum(logdets[:n_x]) + sum(logdets[n_x:])
+    return FlowTrace(feature_logdets=logdets[:n_x], adjacency_logdets=logdets[n_x:],
                      prior_logp=prior, total_logp=total)
 
 

@@ -53,10 +53,8 @@ def exact_block_jacobian(block, x: np.ndarray, p=None, h: float = 1e-6) -> np.nd
         e[j] = h
         xp = (flat + e).reshape(x.shape)
         xm = (flat - e).reshape(x.shape)
-        if p is not None:
-            diff = block.apply(xp, p) - block.apply(xm, p)
-        else:
-            diff = block.apply(xp) - block.apply(xm)
+        ops = () if p is None else (p,)
+        diff = block.apply(xp, *ops) - block.apply(xm, *ops)
         jac[:, j] = diff.ravel() / (2.0 * h)
     return jac
 

@@ -9,8 +9,8 @@ the spectral budget, which keeps every block contractive throughout
 training.
 
 The minibatch runs as one batch: one `GrfModel.forward` on the tape over
-a (B, N, M) feature stack and the batch's adjacency columns side by side,
-then one log-det series per block over all probes and samples.
+the batch's (B, N, M) feature and (B, N, N, R) adjacency stacks, then one
+log-det series per block over all probes and samples.
 
 All randomness is keyed, so resuming from a checkpoint replays the exact
 same trajectory: shuffling by (seed, epoch), dequantization noise by
@@ -26,11 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, sum_all, value_of
-from .flow import GcnResidualBlock, GrfModel, adjacency_to_columns, save_checkpoint
+from .flow import GrfModel, save_checkpoint
 from .graphs import MolGraph, dequantize
 from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
                          gaussian_logp_from_sumsq, logdet_series_from_probes)
 from .linalg import NumericalError
+
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -38,9 +43,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     series_terms: int = 8
     hutchinson_samples: int = 4
     rng_seed: int = 0
@@ -52,6 +54,8 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "series_terms", "hutchinson_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
 
 @dataclass
@@ -78,26 +82,23 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
         raise ValueError("empty batch")
     params = wrap_parameters(model)
     n_batch = len(batch)
-    mode = model.config.adjacency_mode
     s_probes = cfg.hutchinson_samples
 
     deqs = [dequantize(g, model.config.noise_scale,
                        int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
             for i, g in enumerate(batch)]
     p = np.stack([model.conditioning_operator(g.adjacency) for g in batch])
-    z_x, z_cols, layers = model.forward(
-        np.stack([deq.features_c for deq in deqs]), p,
-        np.concatenate([adjacency_to_columns(deq.adjacency_c, mode) for deq in deqs], axis=1),
-        params=params)
+    z_x, z_cols, layers = model.forward(np.stack([deq.features_c for deq in deqs]), p,
+                                        np.stack([deq.adjacency_c for deq in deqs]),
+                                        params=params)
 
     # Each block's log-det is one series over every probe and sample at once.
     total_logdet = 0.0
     logdet_values: list[tuple[str, float]] = []
-    for bi, (block, x, slopes) in enumerate(layers):
+    for bi, (block, x, lin) in enumerate(layers):
         probes = draw_probes(value_of(x).shape, s_probes,
                              derive_rng(cfg.rng_seed, TAG_PROBE, epoch, step, bi))
-        ops = (p,) if isinstance(block, GcnResidualBlock) else ()
-        ld = logdet_series_from_probes(lambda u: block.jvp_many(u, *ops, slopes, params=params),
+        ld = logdet_series_from_probes(lambda u: block.jvp_many(u, lin, params=params),
                                        probes, s_probes, cfg.series_terms)
         total_logdet = total_logdet + ld
         logdet_values.append((block.prefix, float(value_of(ld))))
@@ -126,7 +127,7 @@ def adam_step(model: GrfModel, grads: dict, state: AdamState, cfg: TrainConfig) 
     """Bias-corrected Adam update followed by spectral re-projection."""
     state.step += 1
     t = state.step
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for path, arr in model.named_parameters():
         g = grads[path]
         if path not in state.m:
@@ -137,7 +138,7 @@ def adam_step(model: GrfModel, grads: dict, state: AdamState, cfg: TrainConfig) 
         v[...] = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        arr -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     model.project_to_budget()
     return state
 

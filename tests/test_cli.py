@@ -88,10 +88,20 @@ def test_bad_config_is_data_error(tmp_path):
     assert code == EXIT_DATA
 
 
-@pytest.mark.parametrize("field", ["series_terms", "hutchinson_samples", "epochs"])
-def test_train_config_below_one_is_data_error(field, tmp_path, capsys):
-    blob = {"model": TINY_CONFIG["model"], "train": {**TINY_CONFIG["train"], field: 0}}
-    cfg = tmp_path / "zero.json"
+@pytest.mark.parametrize("field, value", [
+    pytest.param("series_terms", 0, id="series_terms"),
+    pytest.param("hutchinson_samples", 0, id="hutchinson_samples"),
+    pytest.param("epochs", 0, id="epochs"),
+    pytest.param("checkpoint_every", -1, id="checkpoint_every-negative"),
+    pytest.param("beta1", 1.0, id="beta1-removed"),
+    pytest.param("beta2", 0.9, id="beta2-removed"),
+    pytest.param("adam_eps", 1e-8, id="adam_eps-removed"),
+])
+def test_train_config_below_one_is_data_error(field, value, tmp_path, capsys):
+    """A count below one, a negative checkpoint interval, or one of Adam's
+    settings (module constants, not options) is a bad config file."""
+    blob = {"model": TINY_CONFIG["model"], "train": {**TINY_CONFIG["train"], field: value}}
+    cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(blob), encoding="utf-8")
     code = main(["train", "--config", str(cfg), "--dataset",
                  str(DATA / "toy_train.smi"), "--out", str(tmp_path / "o")])
@@ -188,6 +198,10 @@ def test_sample_rejects_bad_temperature(trained_dir, tmp_path, capsys):
                  id="latent-grid-count-one"),
     pytest.param(["latent-grid", "--dataset", "d.smi", "--grid-size", "0"], "--grid-size",
                  id="latent-grid-size-zero"),
+    pytest.param(["latent-grid", "--dataset", "d.smi", "--grid-step", "nan"], "--grid-step",
+                 id="latent-grid-step-nan"),
+    pytest.param(["latent-grid", "--dataset", "d.smi", "--grid-step", "inf"], "--grid-step",
+                 id="latent-grid-step-inf"),
 ])
 def test_malformed_flag_is_usage_error(argv, flag, tmp_path, capsys):
     # argparse rejects the value before the (absent) checkpoint is opened

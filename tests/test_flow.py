@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from grf.autodiff import elu
-from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_to_columns,
-                      columns_to_adjacency, count_parameters, load_checkpoint,
-                      qm9_table_config, save_checkpoint, toy_config)
+from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_slice_shape,
+                      count_parameters, load_checkpoint, qm9_table_config, save_checkpoint,
+                      toy_config)
 from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
 from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
@@ -29,9 +29,8 @@ def zero_weights(model):
 
 def flow_latents(model, x, p, a):
     """`model.forward` on one feature matrix and one adjacency tensor."""
-    mode = model.config.adjacency_mode
-    z_x, z_cols, _ = model.forward(x, p, adjacency_to_columns(a, mode))
-    return z_x, columns_to_adjacency(z_cols, model.schema, mode)
+    z_x, z_cols, _ = model.forward(x, p, a)
+    return z_x, model.adjacencies(z_cols)[0]
 
 
 # -- ELU ----------------------------------------------------------------------
@@ -85,10 +84,10 @@ def test_gcn_jvp_matches_finite_difference_jacobian():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((3, 3))
     jac = exact_block_jacobian(block, x, p=p)
-    _, slopes = block.forward(x, p)
+    _, lin = block.forward(x, p)
     for _ in range(5):
         v = rng.standard_normal((3, 3))
-        jv = block.jvp_many(v[:, None, :], p, slopes)[:, 0, :]
+        jv = block.jvp_many(v[:, None, :], lin)[:, 0, :]
         assert np.allclose(jv.ravel(), jac @ v.ravel(), atol=1e-6)
 
 
@@ -96,11 +95,11 @@ def test_gcn_jvp_many_agrees_with_single():
     block, p = random_feature_block(13, n=4, m_real=3, sigma=0.8)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((4, 4))
-    _, slopes = block.forward(x, p)
+    _, lin = block.forward(x, p)
     probes = rng.standard_normal((4, 6, 4))
-    batch = block.jvp_many(probes, p, slopes)
+    batch = block.jvp_many(probes, lin)
     for s in range(6):
-        single = block.jvp_many(probes[:, s:s + 1, :], p, slopes)
+        single = block.jvp_many(probes[:, s:s + 1, :], lin)
         assert np.allclose(batch[:, s, :], single[:, 0, :], atol=1e-12)
 
 
@@ -115,12 +114,12 @@ def test_tape_and_numpy_jvp_many_agree_for_both_blocks():
     cases = [(gcn, rng.standard_normal((6, 5)), rng.standard_normal((6, 3, 5)), (p,)),
              (mlp, rng.standard_normal((24, 6)), rng.standard_normal((24, 3, 6)), ())]
     for block, x, probes, op in cases:
-        _, slopes = block.forward(x, *op)
-        plain = block.jvp_many(probes, *op, slopes)
+        _, lin = block.forward(x, *op)
+        plain = block.jvp_many(probes, lin)
         params = {path: Tensor(arr, requires_grad=True)
                   for path, arr in block.named_parameters()}
-        _, tape_slopes = block.forward(Tensor(x), *op, params=params)
-        tape = block.jvp_many(Tensor(probes), *op, tape_slopes, params=params)
+        _, tape_lin = block.forward(Tensor(x), *op, params=params)
+        tape = block.jvp_many(Tensor(probes), tape_lin, params=params)
         assert isinstance(tape, Tensor) and tape.requires_grad
         assert np.allclose(tape.data, plain, rtol=1e-14, atol=1e-14)
 
@@ -147,8 +146,7 @@ def test_feature_flow_zero_weights_is_identity():
     g = random_molgraph(model.schema, 5)
     p = augmented_normalized_adjacency(g.adjacency)
     x = np.random.default_rng(6).standard_normal((6, 5))
-    cols = adjacency_to_columns(np.zeros((6, 6, 4)), model.config.adjacency_mode)
-    z, _, layers = model.forward(x, p, cols)
+    z, _, layers = model.forward(x, p, np.zeros((6, 6, 4)))
     assert np.array_equal(z, x)
     assert [block for block, _, _ in layers] == model.blocks()
 
@@ -200,8 +198,8 @@ def test_feature_flow_equivariant_to_node_permutation():
 
 @pytest.mark.parametrize("make", [toy_config, qm9_table_config], ids=["toy", "qm9"])
 def test_batched_forward_matches_each_molecule(make):
-    """A (B, N, M) / (d, B*C) forward gives every molecule what its own
-    forward gives: latents, slopes and exact log-dets."""
+    """A (B, N, M) / (B, N, N, R) forward gives every molecule what its own
+    forward gives: latents, linearizations and exact log-dets."""
     from grf.likelihood import exact_logdet
 
     model = GrfModel(make(seed=60, init_scale=0.9, gcn_blocks=2, gcn_layers=2, mlp_blocks=3,
@@ -210,48 +208,79 @@ def test_batched_forward_matches_each_molecule(make):
     for path, arr in model.named_parameters():
         if ".b" in path:  # biases start at zero
             arr[...] = 0.3 * rng.standard_normal(arr.shape)
-    mode, n, m = model.config.adjacency_mode, model.schema.n_max, model.schema.n_atom_types
+    n, m = model.schema.n_max, model.schema.n_atom_types
     graphs = [random_molgraph(model.schema, 62 + i) for i in range(3)]
     deqs = [dequantize(g, 0.9, 65 + i) for i, g in enumerate(graphs)]
     ps = np.stack([model.conditioning_operator(g.adjacency) for g in graphs])
     xs = np.stack([deq.features_c for deq in deqs])
-    cols = [adjacency_to_columns(deq.adjacency_c, mode) for deq in deqs]
-    c = cols[0].shape[1]
-    z_x, z_cols, layers = model.forward(xs, ps, np.concatenate(cols, axis=1))
+    a_s = np.stack([deq.adjacency_c for deq in deqs])
+    c = model.columns(a_s[0]).shape[1]
+    z_x, z_cols, layers = model.forward(xs, ps, a_s)
     assert z_x.shape == (3, n, m) and len(layers) == len(model.blocks())
     n_x = len(model.feature_layers)
     for b in range(3):
-        one_x, one_cols, one_layers = model.forward(xs[b], ps[b], cols[b])
+        one_x, one_cols, one_layers = model.forward(xs[b], ps[b], a_s[b])
         assert np.allclose(z_x[b], one_x, rtol=0, atol=1e-12)
         assert np.allclose(z_cols[:, b * c:(b + 1) * c], one_cols, rtol=0, atol=1e-12)
-        for k, ((block, _, slopes), (_, _, one_slopes)) in enumerate(zip(layers, one_layers)):
+        for k, ((block, _, lin), (_, _, one_lin)) in enumerate(zip(layers, one_layers)):
             if k < n_x:
-                mine = [s[b] for s in slopes]
-                ld, one_ld = (exact_logdet(block, mine, p=ps[b]),
-                              exact_logdet(block, one_slopes, p=ps[b]))
+                p, slopes = lin
+                assert np.array_equal(p[b], one_lin[0])
+                mine, one_slopes = [s[b] for s in slopes], one_lin[1]
+                ld = exact_logdet(block, (p[b], mine))
             else:
-                mine = [s[:, :, b * c:(b + 1) * c] for s in slopes]
-                ld, one_ld = exact_logdet(block, mine), exact_logdet(block, one_slopes)
+                mine, one_slopes = [s[:, :, b * c:(b + 1) * c] for s in lin], one_lin
+                ld = exact_logdet(block, mine)
             for s, one in zip(mine, one_slopes):
                 assert s.shape == one.shape
                 assert np.allclose(s, one, rtol=0, atol=1e-12)
-            assert ld == pytest.approx(one_ld, rel=0, abs=1e-12)
+            assert ld == pytest.approx(exact_logdet(block, one_lin), rel=0, abs=1e-12)
     lats = model.encode(deqs, [g.adjacency for g in graphs])
+    z_a = model.adjacencies(z_cols)
     for b, z in enumerate(lats):
         assert np.allclose(z.z_features, z_x[b], rtol=0, atol=1e-12)
-        z_a = columns_to_adjacency(z_cols[:, b * c:(b + 1) * c], model.schema, mode)
-        assert np.allclose(z.z_adjacency, z_a, rtol=0, atol=1e-12)
+        assert np.allclose(z.z_adjacency, z_a[b], rtol=0, atol=1e-12)
+
+
+def per_mode_columns(a, mode):
+    """The (d, C) column layout of one (N, N, R) tensor, written out per mode."""
+    n, _, r = a.shape
+    return {"flat": a.reshape(n * n * r, 1),
+            "node": a.reshape(n, n * r).T,
+            "pair": a.reshape(n * n, r).T}[mode]
+
+
+def per_mode_adjacency(cols, n, r, mode):
+    """The inverse of `per_mode_columns`, written out per mode."""
+    return {"flat": cols.reshape(n, n, r),
+            "node": cols.T.reshape(n, n, r),
+            "pair": cols.T.reshape(n, n, r)}[mode]
 
 
 def test_adjacency_column_layouts_roundtrip():
+    """One reshape serves every mode: `columns` and `adjacencies` agree bit
+    for bit with the per-mode formulas, on one tensor and on a batch whose
+    graphs sit side by side, round-trip, and `adjacencies` is a view."""
     schema_shapes = {"flat": (144, 1), "node": (24, 6), "pair": (4, 36)}
-    a = np.random.default_rng(13).standard_normal((6, 6, 4))
-    for mode, (d, cols) in schema_shapes.items():
-        c = adjacency_to_columns(a, mode)
-        assert c.shape == (d, cols)
+    batch = np.random.default_rng(13).standard_normal((3, 6, 6, 4))
+    for mode, (d, c) in schema_shapes.items():
         model = GrfModel(toy_config(adjacency_mode=mode))
-        back = columns_to_adjacency(c, model.schema, mode)
-        assert np.array_equal(back, a)
+        assert adjacency_slice_shape(model.schema, mode) == (d, c)
+        for a in batch:
+            cols = model.columns(a)
+            assert cols.shape == (d, c)
+            assert np.array_equal(cols, per_mode_columns(a, mode))
+            assert np.array_equal(model.adjacencies(cols), a[None])
+            assert np.array_equal(model.adjacencies(cols)[0], per_mode_adjacency(cols, 6, 4, mode))
+        cols = model.columns(batch)
+        assert np.array_equal(cols, np.concatenate([per_mode_columns(a, mode) for a in batch],
+                                                   axis=1))
+        back = model.adjacencies(cols)
+        for b in range(3):
+            own = per_mode_adjacency(cols[:, b * c:(b + 1) * c], 6, 4, mode)
+            assert np.array_equal(back[b], own)
+        assert np.array_equal(back, batch)
+        assert np.shares_memory(back, cols)
 
 
 # -- budgets and counting ------------------------------------------------------------

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from grf import inversion
 from grf.analysis import reconstruction_curve
 from grf.autodiff import elu
-from grf.flow import (GrfModel, MlpResidualBlock, adjacency_to_columns, qm9_table_config,
-                      toy_config)
+from grf.flow import GrfModel, MlpResidualBlock, qm9_table_config, toy_config
 from grf.graphs import dequantize, quantize_adjacency, quantize_features, random_molgraph
 from grf.inversion import (InversionConfig, decode_latents, decode_molecule, generate,
                            invert_flow, invert_latents, invert_residual_layer)
@@ -257,13 +255,12 @@ def assert_stops_alone_and_in_batch(apply_for, y, cfg):
 
 
 def test_each_sample_stops_at_its_own_iteration_in_adjacency_stack(budget_model):
-    block = budget_model.adjacency_layers[-1]
-    mode = budget_model.config.adjacency_mode
-    latents = prior_latents(budget_model, len(SCALES), seed=25)
-    y = np.stack([adjacency_to_columns(s * z.z_adjacency, mode)
-                  for s, z in zip(SCALES, latents)])
+    model, block = budget_model, budget_model.adjacency_layers[-1]
+    latents = prior_latents(model, len(SCALES), seed=25)
+    y = np.stack([s * z.z_adjacency for s, z in zip(SCALES, latents)])
     assert_stops_alone_and_in_batch(
-        lambda rows: lambda x: inversion._apply_columns(block, x), y, InversionConfig())
+        lambda rows: lambda a: model.adjacencies(block.apply(model.columns(a))), y,
+        InversionConfig())
 
 
 def test_each_sample_stops_at_its_own_iteration_in_feature_stack(budget_model):

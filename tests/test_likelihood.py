@@ -65,8 +65,8 @@ def test_scalar_feature_flow_closed_form():
     block.weights[0][...] = np.array([[w]])
     p = np.array([[1.0]])
     for x in (-1.5, -0.2, 0.8, 2.5):
-        cols = np.zeros(adjacency_slice_shape(model.schema, cfg.adjacency_mode))
-        z, _, ((_, _, slopes), _) = model.forward(np.array([[x]]), p, cols)
+        a = np.zeros((1, 1, model.schema.n_bond_types))
+        z, _, ((_, _, lin), _) = model.forward(np.array([[x]]), p, a)
         pre = x * w
         expected = x + (pre if pre >= 0 else math.expm1(pre))
         assert z[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -77,7 +77,7 @@ def test_scalar_feature_flow_closed_form():
                                                   hutchinson_samples=1, rng_seed=0),
                             p=p)
         assert est == pytest.approx(exact_ld, abs=1e-6)
-        assert exact_logdet(block, slopes, p=p) == pytest.approx(exact_ld, abs=1e-14)
+        assert exact_logdet(block, lin) == pytest.approx(exact_ld, abs=1e-14)
 
 
 def test_scalar_adjacency_flow_closed_form():
@@ -92,8 +92,8 @@ def test_scalar_adjacency_flow_closed_form():
                             LogDetEstimatorConfig(series_terms=40,
                                                   hutchinson_samples=1, rng_seed=0))
         assert est == pytest.approx(exact_ld, abs=1e-6)
-        _, slopes = block.forward(np.array([[x]]))
-        assert exact_logdet(block, slopes) == pytest.approx(exact_ld, abs=1e-14)
+        _, lin = block.forward(np.array([[x]]))
+        assert exact_logdet(block, lin) == pytest.approx(exact_ld, abs=1e-14)
 
 
 def test_logdet_matches_exact_oracle_on_gcn_block():
@@ -204,7 +204,7 @@ def test_exact_logdet_matches_finite_difference_oracle_on_gcn_block():
     block, p = random_feature_block(52, n=4, m_real=3, sigma=0.85)
     x = np.random.default_rng(53).standard_normal((4, block.weights[0].shape[0]))
     oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x, p=p))[1]
-    assert exact_logdet(block, block.forward(x, p)[1], p=p) == pytest.approx(oracle, abs=1e-8)
+    assert exact_logdet(block, block.forward(x, p)[1]) == pytest.approx(oracle, abs=1e-8)
 
 
 # -- full log-likelihood -------------------------------------------------------------

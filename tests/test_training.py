@@ -4,7 +4,7 @@ import pytest
 from grf.flow import GrfModel, ModelConfig, qm9_table_config, toy_config
 from grf.graphs import pad_graph
 from grf.chem import parse_smiles
-from grf.training import (AdamState, TrainConfig, adam_state_arrays,
+from grf.training import (ADAM_EPS, AdamState, TrainConfig, adam_state_arrays,
                           adam_state_from_arrays, adam_step, epoch_mean_nll,
                           grad_nll, train, write_history_csv)
 
@@ -106,7 +106,6 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
     which sample i and probe s take their slice.
     """
     from grf.autodiff import sum_all, value_of
-    from grf.flow import adjacency_to_columns
     from grf.graphs import dequantize
     from grf.likelihood import (TAG_DEQUANT, TAG_PROBE, derive_rng, draw_probes,
                                 gaussian_logp_from_sumsq, logdet_series_from_probes)
@@ -121,7 +120,7 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
         deq = dequantize(g, model.config.noise_scale, noise_seed)
         p = model.conditioning_operator(g.adjacency)
         z = deq.features_c
-        cols = adjacency_to_columns(deq.adjacency_c, model.config.adjacency_mode)
+        cols = model.columns(deq.adjacency_c)
         inputs = []
         for block in model.feature_layers:
             inputs.append(z)
@@ -139,13 +138,12 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
         acc = 0.0
         for i, (p, inputs) in enumerate(samples):
             if bi < n_x:
-                _, slopes = block.forward(inputs[bi], p, params=params)
+                _, lin = block.forward(inputs[bi], p, params=params)
                 mine = probes[i]
-                jvp = lambda u: block.jvp_many(u, p, slopes, params=params)
             else:
-                _, slopes = block.forward(inputs[bi], params=params)
+                _, lin = block.forward(inputs[bi], params=params)
                 mine = probes[:, :, i * shape[1]:(i + 1) * shape[1]]
-                jvp = lambda u: block.jvp_many(u, slopes, params=params)
+            jvp = lambda u: block.jvp_many(u, lin, params=params)
             for s in range(s_probes):
                 probe = mine[..., s:s + 1, :]
                 acc = acc + logdet_series_from_probes(jvp, probe, 1, cfg.series_terms)
@@ -215,7 +213,7 @@ def test_adam_first_step_closed_form():
     adam_step(model, grads, AdamState(), cfg)
     # bias-corrected first step is -lr * g / (|g| + eps), here -lr
     arr_now = dict(model.named_parameters())[path0]
-    expected = before - cfg.learning_rate / (1.0 + cfg.adam_eps)
+    expected = before - cfg.learning_rate / (1.0 + ADAM_EPS)
     # projection may rescale; undo is impossible, so check the pre-projection
     # step on a weight whose norm stays within budget
     assert np.allclose(arr_now, expected, atol=1e-6) or \
@@ -306,3 +304,9 @@ def test_train_config_validation():
     for field in ("batch_size", "epochs", "series_terms", "hutchinson_samples"):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: 0})
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        TrainConfig(checkpoint_every=-1)
+    TrainConfig(checkpoint_every=0)  # 0 disables checkpoints
+    for field in ("beta1", "beta2", "adam_eps"):  # Adam's settings are constants
+        with pytest.raises(TypeError, match=field):
+            TrainConfig(**{field: 0.5})

@@ -37,8 +37,8 @@ def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
         if n_it == 0:
             # zero iterations: the latents themselves are the guess, so the
             # error is the whole forward-chain displacement
-            recs = [DequantGraph(adjacency_c=z.z_adjacency, features_c=z.z_features,
-                                 noise_scale=model.config.noise_scale) for z in lats]
+            recs = [DequantGraph(adjacency_c=z.z_adjacency, features_c=z.z_features)
+                    for z in lats]
         else:
             recs = invert_latents(model, lats,
                                   InversionConfig(iterations=n_it, early_stop_tol=0.0))

@@ -28,9 +28,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+    # Stretched axes are summed with einsum: on a small tangent stack
+    # (..., rows, S, width) numpy's sum over the probe axis S is ~2.5x slower.
+    dims = "abcdefghijklmnopqrstuvwxyz"[:grad.ndim]
+    kept = "".join(c for c, n, m in zip(dims, shape, grad.shape) if n != 1 or m == 1)
+    if kept != dims:
+        grad = np.einsum(f"{dims}->{kept}", grad)
     return grad.reshape(shape)
 
 

@@ -154,12 +154,15 @@ def _parse_train_config(path) -> tuple[ModelConfig, TrainConfig]:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
-        model_section = dict(blob.get("model", {}))
-        if "atom_symbols" in model_section:
-            model_section["atom_symbols"] = tuple(model_section["atom_symbols"])
+        if not isinstance(blob, dict):
+            raise ValueError("the file must hold a JSON object")
+        model_section, train_section = blob.get("model", {}), blob.get("train", {})
+        for name, section in (("model", model_section), ("train", train_section)):
+            if not isinstance(section, dict):
+                raise ValueError(f"the {name!r} section must be a JSON object")
         if model_section:
             model_cfg = ModelConfig(**model_section)
-        train_cfg = TrainConfig(**blob.get("train", {}))
+        train_cfg = TrainConfig(**train_section)
     return model_cfg, train_cfg
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import io
 import json
-import operator
+import math
+import numbers
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -31,7 +32,7 @@ from .linalg import NumericalError, operator_norm_power  # noqa: F401
 
 ADJACENCY_MODES = ("flat", "node", "pair")
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass
@@ -69,8 +70,20 @@ class ModelConfig:
             raise ValueError("lipschitz_budget must lie in (0, 1)")
         if not 0.0 < self.noise_scale < 1.0:
             raise ValueError("noise_scale must lie in (0, 1)")
-        if min(self.gcn_blocks, self.gcn_layers, self.mlp_blocks, self.mlp_layers) < 1:
-            raise ValueError("block and layer counts must be at least 1")
+        if not 0.0 < self.init_scale < math.inf:
+            raise ValueError("init_scale must be a positive finite number")
+        require_integers(self, 1, "n_max", "n_bond_types", "gcn_blocks", "gcn_layers",
+                         "mlp_blocks", "mlp_layers")
+        require_integers(self, 0, "adjacency_rank")
+
+
+def require_integers(config, low: int, *names: str) -> None:
+    """ValueError unless every named field of `config` is an integer >= `low`
+    (a bool is not one)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -171,8 +184,19 @@ def _add_bias(pre, b, path: str, params):
 # ---------------------------------------------------------------------------
 
 class _ResidualBlock:
-    """What both kinds of block share: named weights and biases, the
-    per-layer share of the Lipschitz budget, and the forward pass."""
+    """One residual branch f(x) = h_L of x + f(x), the layers
+    h <- elu(mix(h) @ W_l + b_l) acting along the last axis of a
+    (..., rows, width) input, with W_l (width, width) dense or rank-r.
+
+    A graph-convolution block mixes the rows with the conditioning
+    operator P, mix(h) = P @ h; an adjacency block has no mix (P is None),
+    so every row is mapped on its own.  The per-layer weight norms bound
+    the Lipschitz constant of f, and ELU's is 1.
+
+    Tangent stacks insert a probe axis before the last: (..., rows, S,
+    width) holds S tangents of each input.  A linearization `lin` is
+    (P, per-layer ELU slopes shaped (..., rows, 1, width)).
+    """
 
     def __init__(self, prefix: str, weights: list, biases: list, budget: float):
         self.prefix = prefix
@@ -200,73 +224,76 @@ class _ResidualBlock:
     def project(self) -> None:
         _clamp(self.weights, self.per_weight_bound())
 
-    def _forward(self, x, layer_pre):
-        """(h, slopes) of the layers h <- elu(layer_pre(h, l)) from `x`.
-
-        Each slope is elu' of a pre-activation reshaped to (..., rows, 1,
-        cols): the tangent-stack layout of `jvp_many`, with a probe axis to
-        broadcast over.
-        """
-        h, slopes = x, []
-        for l in range(self.depth):
-            pre = layer_pre(h, l)
-            slopes.append(elu_prime(pre).reshape(*pre.shape[:-1], 1, pre.shape[-1]))
-            h = elu(pre)
-        return h, slopes
-
-
-class GcnResidualBlock(_ResidualBlock):
-    """Graph-convolution residual block phi(P . z . W), stacked `depth` times.
-
-    P is the normalized adjacency operator of the conditioning graph (norm
-    at most 1), W (M, M) is spectrally bounded, and phi is ELU with unit
-    Lipschitz constant, so the whole block is a contraction whenever the
-    per-layer weight norms multiply to less than 1.
-
-    Inputs are an (N, M) feature matrix with its (N, N) P, or a (B, N, M)
-    stack of them with a (B, N, N) stack of P.  Tangent stacks insert a
-    probe axis before the last: (..., N, S, M) holds S probes of each
-    feature matrix.
-    """
-
     def certified_bound(self) -> float:
         """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
         return float(np.prod(_sigmas(self.weights)))
 
-    def _weight(self, l, params):
-        return params[f"{self.prefix}.w{l}"] if params else self.weights[l]
+    def _times_weight(self, h, l, params):
+        """h @ W_l as one 2-D product over all leading axes, with W_l looked
+        up by path in `params` when given.  Inversion calls this without
+        `params` on every fixed-point iteration, so that case builds no
+        path strings."""
+        w = self.weights[l]
+        if params:
+            path = f"{self.prefix}.w{l}"
+            w = (FactoredWeight(u=params[f"{path}.u"], vt=params[f"{path}.vt"])
+                 if isinstance(w, FactoredWeight) else params[path])
+        if isinstance(w, FactoredWeight):
+            return dot(dot(h, w.u), w.vt)
+        return dot(h, w)
 
     def _layer_pre(self, h, p, l, params):
-        pre = p @ h @ self._weight(l, params)
+        pre = self._times_weight(h if p is None else p @ h, l, params)
         b = self.biases[l]
         return pre if b is None else _add_bias(pre, b, f"{self.prefix}.b{l}", params)
 
-    def apply(self, z, p, params=None):
-        h = z
+    def apply(self, x, p=None, params=None):
+        h = x
         for l in range(self.depth):
             h = elu(self._layer_pre(h, p, l, params))
         return h
 
-    def forward(self, z, p, params=None):
-        """(apply(z, p), lin): the linearization `lin` is (p, per-layer ELU
-        slopes shaped (..., N, 1, M)), as `jvp_many` and `jacobians` take it."""
-        h, slopes = self._forward(z, lambda h, l: self._layer_pre(h, p, l, params))
+    def forward(self, x, p=None, params=None):
+        """(apply(x, p), lin), with the linearization `lin` = (p, slopes)
+        that `jvp_many` and `jacobians` take."""
+        h, slopes = x, []
+        for l in range(self.depth):
+            pre = self._layer_pre(h, p, l, params)
+            slopes.append(elu_prime(pre).reshape(*pre.shape[:-1], 1, pre.shape[-1]))
+            h = elu(pre)
         return h, (p, slopes)
 
     def jvp_many(self, u, lin, params=None):
-        """Jacobian-vector products of a tangent stack u (..., N, S, M) at the
-        linearization `lin` = (p, slopes): P @ U as (..., N, N) @ (..., N, S*M),
-        then @ W as one (...*N*S, M) @ (M, M) product, then the broadcast
+        """Jacobian-vector products of a tangent stack u (..., rows, S, width)
+        at `lin`: per layer, P @ U as (..., rows, rows) @ (..., rows, S*width)
+        when there is a P, then @ W_l as one 2-D product, then the broadcast
         slopes."""
         p, slopes = lin
         for l in range(self.depth):
-            pu = (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
-            u = dot(pu, self._weight(l, params))
+            if p is not None:
+                u = (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
+            u = self._times_weight(u, l, params)
             # In place on an array: the product is a fresh temporary, and
             # reusing it saves an allocation per layer.  A Tensor has no
             # in-place ops, so on the tape `*=` records a new node.
             u *= slopes[l]
         return u
+
+
+# The benchmark tracer patches `apply`, `jvp_many` and `certified_bound` in
+# each block class's own namespace, so both classes name them.
+
+class GcnResidualBlock(_ResidualBlock):
+    """Graph-convolution residual block phi(P . z . W), stacked `depth` times.
+
+    Inputs are an (N, M) feature matrix with its (N, N) normalized
+    adjacency operator P (norm at most 1), or a (B, N, M) stack of them
+    with a (B, N, N) stack of P.
+    """
+
+    apply = _ResidualBlock.apply
+    jvp_many = _ResidualBlock.jvp_many
+    certified_bound = _ResidualBlock.certified_bound
 
     def jacobians(self, lin):
         """The dense (1, NM, NM) Jacobian of one graph at `lin`, from one
@@ -278,69 +305,24 @@ class GcnResidualBlock(_ResidualBlock):
 
 
 class MlpResidualBlock(_ResidualBlock):
-    """Dense residual block on column vectors: phi(W_k ... phi(W_1 x)).
+    """Adjacency residual block phi(... phi(x W_1) ... W_k) on the rows of
+    a (..., C, d) stack of adjacency slices, each mapped on its own.
 
-    The activation follows every linear map (so a depth-1 block is
-    phi(W x), mirroring the graph-convolution block).  Each W is dense
-    (d, d) or a rank-r FactoredWeight.  Operating column-wise means one
-    call handles every slice of the adjacency tensor (and any batch of
-    samples) at once.  Tangent stacks have shape (d, S, C): S probes of
-    the (d, C) column matrix, probe-major, i.e. the (d, S*C) column layout
-    viewed in 3-D.
+    Each W is dense (d, d) or a rank-r FactoredWeight.
     """
 
-    def certified_bound(self) -> float:
-        """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
-        return float(np.prod(_sigmas(self.weights)))
-
-    def _matvec(self, l, x, params, prod=operator.matmul):
-        """prod(W_l, x), with W_l looked up by path in `params` when given.
-
-        `prod` is `@` for a 2-D x and `dot` for a tangent stack.  Inversion
-        calls this without `params` on every fixed-point iteration, so that
-        case builds no path strings and skips the dispatch.
-        """
-        w = self.weights[l]
-        if params:
-            path = f"{self.prefix}.w{l}"
-            w = (FactoredWeight(u=params[f"{path}.u"], vt=params[f"{path}.vt"])
-                 if isinstance(w, FactoredWeight) else params[path])
-        if isinstance(w, FactoredWeight):
-            return prod(w.u, prod(w.vt, x))
-        return prod(w, x)
-
-    def _layer_pre(self, h, l, params):
-        pre = self._matvec(l, h, params)
-        b = self.biases[l]
-        return pre if b is None else _add_bias(pre, b, f"{self.prefix}.b{l}", params)
-
-    def apply(self, x, params=None):
-        h = x
-        for l in range(self.depth):
-            h = elu(self._layer_pre(h, l, params))
-        return h
-
-    def forward(self, x, params=None):
-        """(apply(x), lin): the linearization `lin` is the per-layer ELU
-        slopes shaped (d, 1, C), as `jvp_many` and `jacobians` take it."""
-        return self._forward(x, lambda h, l: self._layer_pre(h, l, params))
-
-    def jvp_many(self, u, lin, params=None):
-        """Jacobian-vector products of a tangent stack u (d, S, C) at the
-        linearization `lin` (the slopes): one (d, d) @ (d, S*C) product and
-        one broadcast slope multiply per layer."""
-        for l in range(self.depth):
-            u = self._matvec(l, u, params, dot)
-            u *= lin[l]  # in place on arrays, as in GcnResidualBlock.jvp_many
-        return u
+    apply = _ResidualBlock.apply
+    jvp_many = _ResidualBlock.jvp_many
+    certified_bound = _ResidualBlock.certified_bound
 
     def jacobians(self, lin):
-        """Every column's (d, d) Jacobian at `lin`, stacked (C, d, d): the
-        block acts on each column separately, so one `jvp_many` over the
-        stack (d, S=d, C) with u[:, s, c] = e_s yields them all."""
-        d, _, c = lin[0].shape
-        basis = np.repeat(np.eye(d)[:, :, None], c, axis=2)
-        return self.jvp_many(basis, lin).transpose(2, 0, 1)  # [c, i, s] = J_c[i, s]
+        """Every slice's (d, d) Jacobian at `lin`, stacked (C, d, d) (for a
+        batch, every graph's slices in order): one `jvp_many` over the stack
+        (..., C, S=d, d) with u[..., c, s, :] = e_s yields them all."""
+        *rows, _, d = lin[1][0].shape
+        basis = np.broadcast_to(np.eye(d), (*rows, d, d))
+        jac = self.jvp_many(basis, lin).swapaxes(-1, -2)  # [c, i, s] = J_c[i, s]
+        return jac.reshape(-1, d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +365,10 @@ class GrfModel:
 
         # Each drawn weight is followed by one unused draw, which once seeded
         # a power-iteration state; keeping it makes GrfModel(config) build
-        # the same dense weights as earlier versions.
-        def weight(path, dim, rank, target):
+        # the same weights as earlier versions.  Those drew the adjacency
+        # weights for x -> W @ x on column slices; `flip` stores them
+        # transposed for the row form h @ W, so the map is the same.
+        def weight(path, dim, rank, target, flip):
             if stored is not None:
                 if rank > 0:
                     return FactoredWeight(u=stored(f"{path}.u", (dim, rank)),
@@ -395,6 +379,10 @@ class GrfModel:
                  if rank > 0 else rng.standard_normal((dim, dim)))
             w = _scaled_to(w, target)
             rng.integers(2 ** 31)
+            if flip:
+                w = (FactoredWeight(u=np.ascontiguousarray(w.vt.T),
+                                    vt=np.ascontiguousarray(w.u.T))
+                     if rank > 0 else np.ascontiguousarray(w.T))
             return w
 
         def bias(path, shape):
@@ -402,20 +390,19 @@ class GrfModel:
                 return None
             return np.zeros(shape) if stored is None else stored(path, shape)
 
-        def layers(prefix, dim, rank, depth, bias_shape):
+        def layers(prefix, dim, rank, depth, flip=False):
             target = config.init_scale ** (1.0 / depth)
-            return ([weight(f"{prefix}.w{l}", dim, rank, target) for l in range(depth)],
-                    [bias(f"{prefix}.b{l}", bias_shape) for l in range(depth)])
+            return ([weight(f"{prefix}.w{l}", dim, rank, target, flip) for l in range(depth)],
+                    [bias(f"{prefix}.b{l}", (1, dim)) for l in range(depth)])
 
         self.feature_layers: list[GcnResidualBlock] = [
-            GcnResidualBlock(f"feature.{b}",
-                             *layers(f"feature.{b}", m, 0, config.gcn_layers, (1, m)),
+            GcnResidualBlock(f"feature.{b}", *layers(f"feature.{b}", m, 0, config.gcn_layers),
                              budget=config.lipschitz_budget)
             for b in range(config.gcn_blocks)]
         self.adjacency_layers: list[MlpResidualBlock] = [
             MlpResidualBlock(f"adjacency.{b}",
                              *layers(f"adjacency.{b}", d, config.adjacency_rank,
-                                     config.mlp_layers, (d, 1)),
+                                     config.mlp_layers, flip=True),
                              budget=config.lipschitz_budget)
             for b in range(config.mlp_blocks)]
 
@@ -446,21 +433,6 @@ class GrfModel:
     def conditioning_operator(self, adjacency: np.ndarray):
         return augmented_normalized_adjacency(adjacency)
 
-    # -- adjacency layout ----------------------------------------------------------
-
-    def columns(self, a: np.ndarray) -> np.ndarray:
-        """Adjacency tensors (..., N, N, R) as the adjacency blocks' (d, B*C)
-        column matrix.  A slice is d consecutive row-major entries in every
-        mode, so one reshape serves all three; graph b owns columns b*C to
-        (b+1)*C."""
-        return np.ascontiguousarray(a.reshape(-1, self.slice_dim).T)
-
-    def adjacencies(self, cols: np.ndarray) -> np.ndarray:
-        """The (B, N, N, R) tensors of a (d, B*C) column matrix: the inverse
-        of `columns`, as a view of `cols`."""
-        s = self.schema
-        return cols.T.reshape(-1, s.n_max, s.n_max, s.n_bond_types)
-
     # -- the flow ----------------------------------------------------------------
 
     def forward(self, x, p, a, params=None):
@@ -468,39 +440,45 @@ class GrfModel:
 
         `x` is an (N, M) feature matrix with its (N, N) operator `p` and its
         (N, N, R) adjacency `a`, or a (B, N, M) stack with (B, N, N) and
-        (B, N, N, R) ones.  On plain arrays, or on tape tensors when
-        `params` maps parameter paths to them.  Returns (z_x, z_cols,
-        layers): the adjacency latents stay in the `columns` layout, and
-        `layers` lists (block, input, lin) per block in order, feature
-        blocks first, with each block's linearization `lin` for its
-        `jvp_many` and `jacobians`.
+        (B, N, N, R) ones.  The adjacency blocks act on the (..., C, d) view
+        of `a`: a slice is d consecutive row-major entries in every mode.
+        On plain arrays, or on tape tensors when `params` maps parameter
+        paths to them.  Returns (z_x, z_a, layers), the latents in the
+        inputs' shapes and, per block in order (feature blocks first),
+        (block, input, lin) with the linearization `lin` that the block's
+        `jvp_many` and `jacobians` take.
         """
         layers = []
-        for block in self.feature_layers:
-            y, lin = block.forward(x, p, params=params)
-            layers.append((block, x, lin))
-            x = x + y
-        cols = self.columns(a)
-        for block in self.adjacency_layers:
-            y, lin = block.forward(cols, params=params)
-            layers.append((block, cols, lin))
-            cols = cols + y
-        return x, cols, layers
+
+        def branch(block, h, p):
+            y, lin = block.forward(h, p, params=params)
+            layers.append((block, h, lin))
+            return y
+
+        return (*self._stacks(x, p, a, branch), layers)
 
     def encode(self, deqs: list[DequantGraph],
                adjacencies: list[np.ndarray]) -> list[LatentPoint]:
         """Latent points of a batch of dequantized graphs, each conditioned
-        on its discrete adjacency, in `forward`'s batch layout.  Only the
-        latents are needed, so the blocks run slope-free `apply`."""
+        on its discrete adjacency, as `forward` computes them.  Only the
+        latents are needed, so the blocks run slope-free `apply` and no
+        layer input is kept."""
         p = np.stack([self.conditioning_operator(a) for a in adjacencies])
-        z_x = np.stack([deq.features_c for deq in deqs])
+        z_x, z_a = self._stacks(np.stack([deq.features_c for deq in deqs]), p,
+                                np.stack([deq.adjacency_c for deq in deqs]),
+                                lambda block, h, p: block.apply(h, p))
+        return [LatentPoint(z_adjacency=za, z_features=zx) for za, zx in zip(z_a, z_x)]
+
+    def _stacks(self, x, p, a, branch):
+        """(z_x, z_a): x + branch(block, x, p) through each feature block,
+        then h + branch(block, h, None) through each adjacency block on the
+        (..., C, d) view h of `a`, returned in `a`'s shape."""
         for block in self.feature_layers:
-            z_x = z_x + block.apply(z_x, p)
-        z_cols = self.columns(np.stack([deq.adjacency_c for deq in deqs]))
+            x = x + branch(block, x, p)
+        h = a.reshape(*a.shape[:-3], -1, self.slice_dim)
         for block in self.adjacency_layers:
-            z_cols = z_cols + block.apply(z_cols)
-        return [LatentPoint(z_adjacency=z_a, z_features=z_f)
-                for z_a, z_f in zip(self.adjacencies(z_cols), z_x)]
+            h = h + branch(block, h, None)
+        return x, h.reshape(a.shape)
 
 
 def count_parameters(model: GrfModel) -> int:
@@ -540,8 +518,11 @@ def save_checkpoint(path, model: GrfModel, extra_arrays: dict | None = None,
 def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
     """Rebuild a model (bit exact) plus any extra arrays/metadata.
 
-    Reads format versions 1 to 3; the power-iteration states (`sn::`
-    arrays) that versions 1 and 2 stored are ignored.  A file that is not
+    Reads format versions 1 to 4.  Versions 1 to 3 stored the adjacency
+    parameters for the column form x -> W @ x, so they are transposed on
+    load (a rank-r weight's factors also swap places: u <- vt.T, vt <-
+    u.T); the power-iteration states (`sn::` arrays) that versions 1 and 2
+    stored are ignored.  A file that is not
     a checkpoint, or lacks an array the model needs or holds it at the
     wrong shape, raises `CheckpointError`.
     """
@@ -568,14 +549,24 @@ def _checkpoint_array(data, key: str, shape: tuple[int, ...] | None = None) -> n
 
 def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
     meta = json.loads(bytes(_checkpoint_array(data, "__meta__")).decode())
-    if meta.get("format_version") not in (1, 2, CHECKPOINT_VERSION):
-        raise CheckpointError(f"unsupported format version {meta.get('format_version')!r}")
+    version = meta.get("format_version")
+    if version not in (1, 2, 3, CHECKPOINT_VERSION):
+        raise CheckpointError(f"unsupported format version {version!r}")
     cfg_dict = dict(meta["config"])
     if cfg_dict.pop("relational_gcn", False):
         raise CheckpointError("relational_gcn models are no longer supported")
     cfg_dict["atom_symbols"] = tuple(cfg_dict["atom_symbols"])
-    model = GrfModel(ModelConfig(**cfg_dict), stored=lambda name, shape: np.asarray(
-        _checkpoint_array(data, f"param::{name}", shape), dtype=np.float64))
+
+    def stored(name, shape):
+        if version == CHECKPOINT_VERSION or not name.startswith("adjacency."):
+            return np.asarray(_checkpoint_array(data, f"param::{name}", shape),
+                              dtype=np.float64)
+        head, _, leaf = name.rpartition(".")
+        leaf = {"u": "vt", "vt": "u"}.get(leaf, leaf)
+        arr = _checkpoint_array(data, f"param::{head}.{leaf}", shape[::-1])
+        return np.ascontiguousarray(np.asarray(arr, dtype=np.float64).T)
+
+    model = GrfModel(ModelConfig(**cfg_dict), stored=stored)
     extra_arrays = {key[len("extra::"):]: data[key].copy()
                     for key in data.files if key.startswith("extra::")}
     return model, extra_arrays, meta["extra"]

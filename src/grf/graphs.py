@@ -136,7 +136,6 @@ class DequantGraph:
 
     adjacency_c: np.ndarray
     features_c: np.ndarray
-    noise_scale: float
 
 
 @dataclass
@@ -170,7 +169,7 @@ def dequantize(g: MolGraph, c: float, rng_seed: int) -> DequantGraph:
     rng = np.random.default_rng(rng_seed)
     a = g.adjacency + c * rng.random(g.adjacency.shape)
     x = g.features + c * rng.random(g.features.shape)
-    return DequantGraph(adjacency_c=a, features_c=x, noise_scale=c)
+    return DequantGraph(adjacency_c=a, features_c=x)
 
 
 def quantize_adjacency(a_cont: np.ndarray) -> np.ndarray:

@@ -82,17 +82,17 @@ def invert_latents(model: GrfModel, latents: list[LatentPoint],
     first, then the feature stack given each argmax-decoded adjacency."""
     if not latents:
         return []
-    a = np.stack([z.z_adjacency for z in latents])
+    z_a = np.stack([z.z_adjacency for z in latents])
+    h = z_a.reshape(len(latents), -1, model.slice_dim)  # the blocks' (B, C, d) view
     for block in reversed(model.adjacency_layers):
-        a = invert_residual_layer(
-            lambda t: model.adjacencies(block.apply(model.columns(t))), a, cfg)
+        h = invert_residual_layer(block.apply, h, cfg)
+    a = h.reshape(z_a.shape)
 
     p = np.stack([model.conditioning_operator(quantize_adjacency(a_b)) for a_b in a])
     x = np.stack([z.z_features for z in latents])
     for block in reversed(model.feature_layers):
         x = invert_residual_layer(lambda t: block.apply(t, p), x, cfg)
-    return [DequantGraph(adjacency_c=a_b, features_c=f, noise_scale=model.config.noise_scale)
-            for a_b, f in zip(a, x)]
+    return [DequantGraph(adjacency_c=a_b, features_c=f) for a_b, f in zip(a, x)]
 
 
 def decode_latents(model: GrfModel, latents: list[LatentPoint],

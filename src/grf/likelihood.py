@@ -11,7 +11,7 @@ block lays its data out.
 
 Eval (`full_logp`) computes each layer's log-det exactly.  Every block
 Jacobian is small or block-diagonal (one d x d block per adjacency
-column, one NM x NM matrix per graph-convolution layer), so the block's
+slice, one NM x NM matrix per graph-convolution layer), so the block's
 `jacobians` yields it densely and one batched `slogdet` finishes it,
 with no probes.
 
@@ -126,7 +126,7 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     """Stochastic log-det of one residual layer, linearized at input `x`.
 
     Feature blocks need the conditioning operator `p`; adjacency blocks
-    take `x` in their column layout (d, C).  The probes have training's
+    take `x` as their (C, d) stack of slices.  The probes have training's
     layout and come from one keyed stream, so the value is deterministic
     given the seed.  Training optimizes this series;
     `selfcheck.check_logdet_oracle` checks it block by block against the
@@ -135,7 +135,7 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     _require_contractive(block.certified_bound(), block.prefix)
     seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
-    _, lin = block.forward(x, *(() if p is None else (p,)))
+    _, lin = block.forward(x, p)
     probes = draw_probes(x.shape, s, derive_rng(seed, TAG_PROBE))
     jvp = lambda u: block.jvp_many(u, lin)
     return float(value_of(logdet_series_from_probes(jvp, probes, s, cfg.series_terms)))
@@ -169,10 +169,10 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
     """Change-of-variables log-likelihood of one already-dequantized graph,
     with every layer's exact log-det; nothing is drawn."""
     p = model.conditioning_operator(adjacency_discrete)
-    z_x, z_cols, layers = model.forward(deq.features_c, p, deq.adjacency_c)
+    z_x, z_a, layers = model.forward(deq.features_c, p, deq.adjacency_c)
     logdets = [exact_logdet(block, lin) for block, _, lin in layers]
     n_x = len(model.feature_layers)
-    prior = float(gaussian_logp_from_sumsq(sum_all(z_x * z_x) + sum_all(z_cols * z_cols),
+    prior = float(gaussian_logp_from_sumsq(sum_all(z_x * z_x) + sum_all(z_a * z_a),
                                            model.schema.latent_dim))
     total = prior + sum(logdets[:n_x]) + sum(logdets[n_x:])
     return FlowTrace(feature_logdets=logdets[:n_x], adjacency_logdets=logdets[n_x:],

@@ -53,8 +53,7 @@ def exact_block_jacobian(block, x: np.ndarray, p=None, h: float = 1e-6) -> np.nd
         e[j] = h
         xp = (flat + e).reshape(x.shape)
         xm = (flat - e).reshape(x.shape)
-        ops = () if p is None else (p,)
-        diff = block.apply(xp, *ops) - block.apply(xm, *ops)
+        diff = block.apply(xp, p) - block.apply(xm, p)
         jac[:, j] = diff.ravel() / (2.0 * h)
     return jac
 

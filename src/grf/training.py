@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, sum_all, value_of
-from .flow import GrfModel, save_checkpoint
+from .flow import GrfModel, require_integers, save_checkpoint
 from .graphs import MolGraph, dequantize
 from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
                          gaussian_logp_from_sumsq, logdet_series_from_probes)
@@ -49,13 +49,10 @@ class TrainConfig:
     checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        for name in ("batch_size", "epochs", "series_terms", "hutchinson_samples"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be a positive finite number")
+        require_integers(self, 1, "batch_size", "epochs", "series_terms", "hutchinson_samples")
+        require_integers(self, 0, "checkpoint_every")
 
 
 @dataclass
@@ -88,9 +85,9 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
                        int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
             for i, g in enumerate(batch)]
     p = np.stack([model.conditioning_operator(g.adjacency) for g in batch])
-    z_x, z_cols, layers = model.forward(np.stack([deq.features_c for deq in deqs]), p,
-                                        np.stack([deq.adjacency_c for deq in deqs]),
-                                        params=params)
+    z_x, z_a, layers = model.forward(np.stack([deq.features_c for deq in deqs]), p,
+                                     np.stack([deq.adjacency_c for deq in deqs]),
+                                     params=params)
 
     # Each block's log-det is one series over every probe and sample at once.
     total_logdet = 0.0
@@ -102,7 +99,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
                                        probes, s_probes, cfg.series_terms)
         total_logdet = total_logdet + ld
         logdet_values.append((block.prefix, float(value_of(ld))))
-    prior_sumsq = sum_all(z_x * z_x) + sum_all(z_cols * z_cols)
+    prior_sumsq = sum_all(z_x * z_x) + sum_all(z_a * z_a)
 
     dim_total = n_batch * model.schema.latent_dim
     prior_total = gaussian_logp_from_sumsq(prior_sumsq, dim_total)

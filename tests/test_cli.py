@@ -111,6 +111,35 @@ def test_train_config_below_one_is_data_error(field, value, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def with_setting(section, field, value):
+    """TINY_CONFIG with one field of one section replaced."""
+    blob = dict(TINY_CONFIG)
+    blob[section] = {**TINY_CONFIG[section], field: value}
+    return blob
+
+
+@pytest.mark.parametrize("blob", [
+    pytest.param(with_setting("model", "init_scale", -0.5), id="init_scale-negative"),
+    pytest.param(with_setting("model", "init_scale", float("nan")), id="init_scale-nan"),
+    pytest.param(with_setting("train", "learning_rate", float("nan")), id="learning_rate-nan"),
+    pytest.param(with_setting("train", "batch_size", 1.5), id="batch_size-fraction"),
+    pytest.param(with_setting("model", "gcn_layers", 2.5), id="gcn_layers-fraction"),
+    pytest.param(with_setting("model", "adjacency_rank", -1), id="adjacency_rank-negative"),
+    pytest.param([], id="top-level-list"),
+    pytest.param({"model": []}, id="model-section-list"),
+])
+def test_malformed_config_value_is_data_error(blob, tmp_path, capsys):
+    """A value of the wrong kind, a non-finite or out-of-range number, or a
+    file or section that is not a JSON object exits 2 before training."""
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(blob), encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--dataset",
+                 str(DATA / "toy_train.smi"), "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    assert "bad config file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_reconstruct_outputs(trained_dir, tmp_path):
     code = main(["reconstruct", "--ckpt", str(trained_dir / "run" / "model.npz"),
                  "--dataset", str(DATA / "toy_train.smi"), "--out", str(tmp_path / "r"),

@@ -29,8 +29,8 @@ def zero_weights(model):
 
 def flow_latents(model, x, p, a):
     """`model.forward` on one feature matrix and one adjacency tensor."""
-    z_x, z_cols, _ = model.forward(x, p, a)
-    return z_x, model.adjacencies(z_cols)[0]
+    z_x, z_a, _ = model.forward(x, p, a)
+    return z_x, z_a
 
 
 # -- ELU ----------------------------------------------------------------------
@@ -111,14 +111,14 @@ def test_tape_and_numpy_jvp_many_agree_for_both_blocks():
     g = random_molgraph(model.schema, 51)
     p = model.conditioning_operator(g.adjacency)
     gcn, mlp = model.feature_layers[0], model.adjacency_layers[0]
-    cases = [(gcn, rng.standard_normal((6, 5)), rng.standard_normal((6, 3, 5)), (p,)),
-             (mlp, rng.standard_normal((24, 6)), rng.standard_normal((24, 3, 6)), ())]
+    cases = [(gcn, rng.standard_normal((6, 5)), rng.standard_normal((6, 3, 5)), p),
+             (mlp, rng.standard_normal((6, 24)), rng.standard_normal((6, 3, 24)), None)]
     for block, x, probes, op in cases:
-        _, lin = block.forward(x, *op)
+        _, lin = block.forward(x, op)
         plain = block.jvp_many(probes, lin)
         params = {path: Tensor(arr, requires_grad=True)
                   for path, arr in block.named_parameters()}
-        _, tape_lin = block.forward(Tensor(x), *op, params=params)
+        _, tape_lin = block.forward(Tensor(x), op, params=params)
         tape = block.jvp_many(Tensor(probes), tape_lin, params=params)
         assert isinstance(tape, Tensor) and tape.requires_grad
         assert np.allclose(tape.data, plain, rtol=1e-14, atol=1e-14)
@@ -130,13 +130,13 @@ def test_mlp_jvp_many_matches_dense_jacobian_per_probe():
     model = GrfModel(toy_config(seed=52, mlp_layers=3))
     block = model.adjacency_layers[0]
     rng = np.random.default_rng(53)
-    x = rng.standard_normal((24, 1))
+    x = rng.standard_normal((1, 24))
     jac = exact_block_jacobian(block, x)
-    _, slopes = block.forward(x)
-    probes = rng.standard_normal((24, 4, 1))
-    out = block.jvp_many(probes, slopes)
+    _, lin = block.forward(x)
+    probes = rng.standard_normal((1, 4, 24))
+    out = block.jvp_many(probes, lin)
     for s in range(4):
-        assert np.allclose(out[:, s, 0], jac @ probes[:, s, 0], atol=1e-6)
+        assert np.allclose(out[0, s], jac @ probes[0, s], atol=1e-6)
 
 
 # -- flows ------------------------------------------------------------------------
@@ -214,73 +214,57 @@ def test_batched_forward_matches_each_molecule(make):
     ps = np.stack([model.conditioning_operator(g.adjacency) for g in graphs])
     xs = np.stack([deq.features_c for deq in deqs])
     a_s = np.stack([deq.adjacency_c for deq in deqs])
-    c = model.columns(a_s[0]).shape[1]
-    z_x, z_cols, layers = model.forward(xs, ps, a_s)
-    assert z_x.shape == (3, n, m) and len(layers) == len(model.blocks())
-    n_x = len(model.feature_layers)
+    z_x, z_a, layers = model.forward(xs, ps, a_s)
+    assert z_x.shape == (3, n, m) and z_a.shape == a_s.shape
+    assert len(layers) == len(model.blocks())
     for b in range(3):
-        one_x, one_cols, one_layers = model.forward(xs[b], ps[b], a_s[b])
+        one_x, one_a, one_layers = model.forward(xs[b], ps[b], a_s[b])
         assert np.allclose(z_x[b], one_x, rtol=0, atol=1e-12)
-        assert np.allclose(z_cols[:, b * c:(b + 1) * c], one_cols, rtol=0, atol=1e-12)
-        for k, ((block, _, lin), (_, _, one_lin)) in enumerate(zip(layers, one_layers)):
-            if k < n_x:
-                p, slopes = lin
-                assert np.array_equal(p[b], one_lin[0])
-                mine, one_slopes = [s[b] for s in slopes], one_lin[1]
-                ld = exact_logdet(block, (p[b], mine))
-            else:
-                mine, one_slopes = [s[:, :, b * c:(b + 1) * c] for s in lin], one_lin
-                ld = exact_logdet(block, mine)
+        assert np.allclose(z_a[b], one_a, rtol=0, atol=1e-12)
+        for (block, _, (p, slopes)), (_, _, one_lin) in zip(layers, one_layers):
+            one_p, one_slopes = one_lin
+            assert (p is None and one_p is None) or np.array_equal(p[b], one_p)
+            mine = [s[b] for s in slopes]
             for s, one in zip(mine, one_slopes):
                 assert s.shape == one.shape
                 assert np.allclose(s, one, rtol=0, atol=1e-12)
+            ld = exact_logdet(block, (None if p is None else p[b], mine))
             assert ld == pytest.approx(exact_logdet(block, one_lin), rel=0, abs=1e-12)
     lats = model.encode(deqs, [g.adjacency for g in graphs])
-    z_a = model.adjacencies(z_cols)
     for b, z in enumerate(lats):
         assert np.allclose(z.z_features, z_x[b], rtol=0, atol=1e-12)
         assert np.allclose(z.z_adjacency, z_a[b], rtol=0, atol=1e-12)
 
 
-def per_mode_columns(a, mode):
-    """The (d, C) column layout of one (N, N, R) tensor, written out per mode."""
+def per_mode_slices(a, mode):
+    """The (C, d) slices of one (N, N, R) tensor, written out per mode: the
+    whole tensor, each node's row, or each pair's bond vector."""
     n, _, r = a.shape
-    return {"flat": a.reshape(n * n * r, 1),
-            "node": a.reshape(n, n * r).T,
-            "pair": a.reshape(n * n, r).T}[mode]
+    return {"flat": [a.ravel()],
+            "node": [a[i].ravel() for i in range(n)],
+            "pair": [a[i, j] for i in range(n) for j in range(n)]}[mode]
 
 
-def per_mode_adjacency(cols, n, r, mode):
-    """The inverse of `per_mode_columns`, written out per mode."""
-    return {"flat": cols.reshape(n, n, r),
-            "node": cols.T.reshape(n, n, r),
-            "pair": cols.T.reshape(n, n, r)}[mode]
-
-
-def test_adjacency_column_layouts_roundtrip():
-    """One reshape serves every mode: `columns` and `adjacencies` agree bit
-    for bit with the per-mode formulas, on one tensor and on a batch whose
-    graphs sit side by side, round-trip, and `adjacencies` is a view."""
+def test_adjacency_blocks_act_on_a_view_of_per_mode_slices():
+    """In every mode the first adjacency block's input is a (B, C, d) view
+    of the adjacency batch whose rows are the mode's slices, and each block
+    maps every slice on its own."""
     schema_shapes = {"flat": (144, 1), "node": (24, 6), "pair": (4, 36)}
-    batch = np.random.default_rng(13).standard_normal((3, 6, 6, 4))
+    rng = np.random.default_rng(13)
+    batch = rng.standard_normal((3, 6, 6, 4))
+    x = rng.standard_normal((3, 6, 5))
     for mode, (d, c) in schema_shapes.items():
         model = GrfModel(toy_config(adjacency_mode=mode))
         assert adjacency_slice_shape(model.schema, mode) == (d, c)
-        for a in batch:
-            cols = model.columns(a)
-            assert cols.shape == (d, c)
-            assert np.array_equal(cols, per_mode_columns(a, mode))
-            assert np.array_equal(model.adjacencies(cols), a[None])
-            assert np.array_equal(model.adjacencies(cols)[0], per_mode_adjacency(cols, 6, 4, mode))
-        cols = model.columns(batch)
-        assert np.array_equal(cols, np.concatenate([per_mode_columns(a, mode) for a in batch],
-                                                   axis=1))
-        back = model.adjacencies(cols)
+        p = np.broadcast_to(np.eye(6), (3, 6, 6))
+        _, _, layers = model.forward(x, p, batch)
+        block, h, _ = layers[len(model.feature_layers)]
+        assert h.shape == (3, c, d) and np.shares_memory(h, batch)
         for b in range(3):
-            own = per_mode_adjacency(cols[:, b * c:(b + 1) * c], 6, 4, mode)
-            assert np.array_equal(back[b], own)
-        assert np.array_equal(back, batch)
-        assert np.shares_memory(back, cols)
+            assert np.array_equal(h[b], np.stack(per_mode_slices(batch[b], mode)))
+        out = block.apply(h)
+        for k in range(c):
+            assert np.allclose(block.apply(h[:, k:k + 1]), out[:, k:k + 1], rtol=0, atol=1e-12)
 
 
 # -- budgets and counting ------------------------------------------------------------
@@ -333,8 +317,8 @@ def test_factored_forward_matches_dense_product():
     model = GrfModel(cfg)
     block = model.adjacency_layers[0]
     w = block.weights[0]
-    x = np.random.default_rng(20).standard_normal((24, 3))
-    assert np.allclose(block.apply(x), elu((w.u @ w.vt) @ x))
+    x = np.random.default_rng(20).standard_normal((3, 24))
+    assert np.allclose(block.apply(x), elu(x @ (w.u @ w.vt)))
 
 
 def test_mlp_block_single_layer_scalar_form():
@@ -378,9 +362,11 @@ def test_checkpoint_preserves_forward(tmp_path):
 
 
 def write_old_version(src, dst, version, model, relational=False):
-    """Rewrite a format-3 checkpoint in an older format: `sn::` power-iteration
-    states for every rank-r weight (format 2) or every weight (format 1),
-    and in format 1 a `relational_gcn` config field."""
+    """Rewrite a current checkpoint in format 1, 2 or 3: adjacency parameters
+    for the column form x -> W @ x, i.e. each dense weight and bias
+    transposed and each rank-r weight u @ vt stored as (vt.T, u.T); `sn::`
+    power-iteration states for every rank-r weight (format 2) or every weight
+    (format 1); and in format 1 a `relational_gcn` config field."""
     import json
 
     with np.load(src) as data:
@@ -390,6 +376,15 @@ def write_old_version(src, dst, version, model, relational=False):
     if version == 1:
         meta["config"]["relational_gcn"] = relational
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    for block in model.adjacency_layers:
+        for idx, (w, b) in enumerate(zip(block.weights, block.biases)):
+            path = f"param::{block.prefix}.w{idx}"
+            if isinstance(w, FactoredWeight):
+                arrays[f"{path}.u"], arrays[f"{path}.vt"] = w.vt.T, w.u.T
+            else:
+                arrays[path] = w.T
+            if b is not None:
+                arrays[f"param::{block.prefix}.b{idx}"] = b.T
     for block in model.blocks():
         for idx, w in enumerate(block.weights):
             if version == 1 or isinstance(w, FactoredWeight):
@@ -400,15 +395,34 @@ def write_old_version(src, dst, version, model, relational=False):
     np.savez(dst, **arrays)
 
 
-def assert_same_parameters(model, loaded):
+def biased_model(**overrides):
+    """A toy model whose biases are nonzero, so a transposed bias shows."""
+    model = GrfModel(toy_config(use_bias=True, **overrides))
+    rng = np.random.default_rng(overrides["seed"])
+    for path, arr in model.named_parameters():
+        if ".b" in path:
+            arr[...] = 0.3 * rng.standard_normal(arr.shape)
+    return model
+
+
+def assert_same_model(model, loaded):
+    """Same parameters, and the same latents and log-likelihood."""
+    from grf.likelihood import full_logp
+
     for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
         assert n1 == n2 and np.array_equal(a1, a2)
+    g = random_molgraph(model.schema, 28)
+    deq = dequantize(g, 0.9, 29)
+    (z1,), (z2,) = (m.encode([deq], [g.adjacency]) for m in (model, loaded))
+    assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
+    assert np.array_equal(z1.z_features, z2.z_features)
+    assert full_logp(loaded, g, rng_seed=30).total_logp == full_logp(model, g, rng_seed=30).total_logp
 
 
-def test_checkpoint_version_3_writes_no_spectral_states(tmp_path):
+def test_checkpoint_version_4_writes_no_spectral_states(tmp_path):
     from grf.flow import CHECKPOINT_VERSION
 
-    assert CHECKPOINT_VERSION == 3
+    assert CHECKPOINT_VERSION == 4
     for tag, cfg in (("dense", toy_config(seed=25)),
                      ("rank", toy_config(seed=25, adjacency_rank=2))):
         save_checkpoint(tmp_path / f"{tag}.npz", GrfModel(cfg))
@@ -416,25 +430,36 @@ def test_checkpoint_version_3_writes_no_spectral_states(tmp_path):
             assert not [k for k in data.files if k.startswith("sn::")]
 
 
+@pytest.mark.parametrize("rank", [0, 2], ids=["dense", "rank2"])
+def test_checkpoint_version_3_column_orientation_still_loads(rank, tmp_path):
+    model = biased_model(seed=31, adjacency_rank=rank)
+    save_checkpoint(tmp_path / "v4.npz", model)
+    write_old_version(tmp_path / "v4.npz", tmp_path / "v3.npz", 3, model)
+    with np.load(tmp_path / "v3.npz") as data:
+        assert data["param::adjacency.0.b0"].shape == (24, 1)
+    loaded, _, _ = load_checkpoint(tmp_path / "v3.npz")
+    assert_same_model(model, loaded)
+
+
 def test_checkpoint_version_2_with_spectral_states_still_loads(tmp_path):
-    model = GrfModel(toy_config(seed=27, adjacency_rank=2))
-    save_checkpoint(tmp_path / "v3.npz", model)
-    write_old_version(tmp_path / "v3.npz", tmp_path / "v2.npz", 2, model)
+    model = biased_model(seed=27, adjacency_rank=2)
+    save_checkpoint(tmp_path / "v4.npz", model)
+    write_old_version(tmp_path / "v4.npz", tmp_path / "v2.npz", 2, model)
     with np.load(tmp_path / "v2.npz") as data:
         assert any(k.startswith("sn::adjacency.") for k in data.files)
     loaded, _, _ = load_checkpoint(tmp_path / "v2.npz")
-    assert_same_parameters(model, loaded)
+    assert_same_model(model, loaded)
 
 
 def test_checkpoint_version_1_still_loads(tmp_path):
     from grf.flow import CheckpointError
 
-    model = GrfModel(toy_config(seed=26, adjacency_rank=2))
-    save_checkpoint(tmp_path / "v3.npz", model)
-    write_old_version(tmp_path / "v3.npz", tmp_path / "v1.npz", 1, model)
+    model = biased_model(seed=26, adjacency_rank=2)
+    save_checkpoint(tmp_path / "v4.npz", model)
+    write_old_version(tmp_path / "v4.npz", tmp_path / "v1.npz", 1, model)
     loaded, _, _ = load_checkpoint(tmp_path / "v1.npz")
-    assert_same_parameters(model, loaded)
-    write_old_version(tmp_path / "v3.npz", tmp_path / "rel.npz", 1, model, relational=True)
+    assert_same_model(model, loaded)
+    write_old_version(tmp_path / "v4.npz", tmp_path / "rel.npz", 1, model, relational=True)
     with pytest.raises(CheckpointError, match="relational_gcn"):
         load_checkpoint(tmp_path / "rel.npz")
 

@@ -257,10 +257,9 @@ def assert_stops_alone_and_in_batch(apply_for, y, cfg):
 def test_each_sample_stops_at_its_own_iteration_in_adjacency_stack(budget_model):
     model, block = budget_model, budget_model.adjacency_layers[-1]
     latents = prior_latents(model, len(SCALES), seed=25)
-    y = np.stack([s * z.z_adjacency for s, z in zip(SCALES, latents)])
-    assert_stops_alone_and_in_batch(
-        lambda rows: lambda a: model.adjacencies(block.apply(model.columns(a))), y,
-        InversionConfig())
+    y = np.stack([s * z.z_adjacency.reshape(-1, model.slice_dim)
+                  for s, z in zip(SCALES, latents)])
+    assert_stops_alone_and_in_batch(lambda rows: block.apply, y, InversionConfig())
 
 
 def test_each_sample_stops_at_its_own_iteration_in_feature_stack(budget_model):

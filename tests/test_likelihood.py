@@ -195,7 +195,8 @@ def test_exact_logdet_matches_finite_difference_oracle_on_adjacency_block(mode, 
     for b in block.biases:
         if b is not None:
             b[...] = 0.3 * rng.standard_normal(b.shape)
-    x = rng.standard_normal(adjacency_slice_shape(model.schema, mode))
+    d, c = adjacency_slice_shape(model.schema, mode)
+    x = rng.standard_normal((c, d))
     oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x))[1]
     assert exact_logdet(block, block.forward(x)[1]) == pytest.approx(oracle, abs=1e-8)
 
@@ -266,7 +267,7 @@ def test_full_logp_matches_composed_jacobian_oracle():
     def encode_vec(vec):
         a = vec[:8].reshape(2, 2, 2)
         x = vec[8:].reshape(2, 2)
-        (z,) = model.encode([type(deq)(adjacency_c=a, features_c=x, noise_scale=0.9)],
+        (z,) = model.encode([type(deq)(adjacency_c=a, features_c=x)],
                             [g.adjacency])
         return z.to_vector()
 
@@ -291,8 +292,7 @@ def test_full_logp_permutation_consistent_in_pair_mode():
 
     deq = dequantize(g, 0.9, 26)
     deq_perm = type(deq)(adjacency_c=deq.adjacency_c[np.ix_(perm, perm)],
-                         features_c=deq.features_c[perm],
-                         noise_scale=deq.noise_scale)
+                         features_c=deq.features_c[perm])
     g_perm = type(g)(schema=g.schema,
                      adjacency=g.adjacency[np.ix_(perm, perm)],
                      features=g.features[perm])

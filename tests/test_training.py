@@ -120,29 +120,24 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
         deq = dequantize(g, model.config.noise_scale, noise_seed)
         p = model.conditioning_operator(g.adjacency)
         z = deq.features_c
-        cols = model.columns(deq.adjacency_c)
+        h = deq.adjacency_c.reshape(-1, model.slice_dim)
         inputs = []
         for block in model.feature_layers:
             inputs.append(z)
             z = z + block.apply(z, p, params=params)
         for block in model.adjacency_layers:
-            inputs.append(cols)
-            cols = cols + block.apply(cols, params=params)
-        prior_sumsq = prior_sumsq + sum_all(z * z) + sum_all(cols * cols)
+            inputs.append(h)
+            h = h + block.apply(h, params=params)
+        prior_sumsq = prior_sumsq + sum_all(z * z) + sum_all(h * h)
         samples.append((p, inputs))
     total_logdet = 0.0
     for bi, block in enumerate(model.blocks()):
-        shape = value_of(samples[0][1][bi]).shape
-        batch_shape = (n_batch, *shape) if bi < n_x else (shape[0], n_batch * shape[1])
-        probes = draw_probes(batch_shape, s_probes, derive_rng(base, TAG_PROBE, epoch, step, bi))
+        shape = (n_batch, *value_of(samples[0][1][bi]).shape)
+        probes = draw_probes(shape, s_probes, derive_rng(base, TAG_PROBE, epoch, step, bi))
         acc = 0.0
         for i, (p, inputs) in enumerate(samples):
-            if bi < n_x:
-                _, lin = block.forward(inputs[bi], p, params=params)
-                mine = probes[i]
-            else:
-                _, lin = block.forward(inputs[bi], params=params)
-                mine = probes[:, :, i * shape[1]:(i + 1) * shape[1]]
+            _, lin = block.forward(inputs[bi], p if bi < n_x else None, params=params)
+            mine = probes[i]
             jvp = lambda u: block.jvp_many(u, lin, params=params)
             for s in range(s_probes):
                 probe = mine[..., s:s + 1, :]

@@ -7,8 +7,7 @@ from .flow import (GrfModel, ModelConfig, count_parameters, load_checkpoint,
 from .graphs import (DequantGraph, GraphSchema, LatentPoint, MolGraph, RawGraph,
                      augmented_normalized_adjacency, dequantize, pad_graph,
                      quantize_adjacency, quantize_features, unpad_graph)
-from .inversion import (InversionConfig, decode_latents, decode_molecule, generate, invert_flow,
-                        invert_latents)
+from .inversion import InversionConfig, decode_latents, generate, invert_latents
 from .likelihood import (FlowTrace, LogDetEstimatorConfig, full_logp, prior_logp,
                          sample_prior)
 from .training import AdamState, TrainConfig, adam_step, grad_nll, train
@@ -20,8 +19,8 @@ __all__ = [
     "GrfModel", "InversionConfig", "LatentPoint", "LogDetEstimatorConfig",
     "MetricsReport", "ModelConfig", "MolGraph", "RawGraph", "SmilesError",
     "TrainConfig", "adam_step", "augmented_normalized_adjacency", "check_validity",
-    "compute_metrics", "count_parameters", "decode_latents", "decode_molecule",
-    "dequantize", "full_logp", "generate", "grad_nll", "invert_flow", "invert_latents",
+    "compute_metrics", "count_parameters", "decode_latents",
+    "dequantize", "full_logp", "generate", "grad_nll", "invert_latents",
     "load_checkpoint",
     "pad_graph", "parse_smiles", "prior_logp", "qm9_table_config",
     "quantize_adjacency", "quantize_features", "sample_prior", "save_checkpoint",

@@ -85,8 +85,7 @@ def principal_axes(latents: np.ndarray) -> np.ndarray:
 
 def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
                 step: float = 0.5, rng_seed: int = 0, encode_count: int = 100,
-                inversion: InversionConfig | None = None,
-                valences=None) -> list[dict]:
+                inversion: InversionConfig | None = None) -> list[dict]:
     """Decode a grid on the dominant latent plane around a query molecule.
 
     Fits the top two principal directions of encoded dataset latents (an
@@ -119,7 +118,7 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
                                   for _, _, a, b in cells], inversion)
     records = []
     for (gi, gj, a, b), mol in zip(cells, mols):
-        valid = check_validity(mol, valences)
+        valid = check_validity(mol)
         records.append({"gx": gi, "gy": gj, "offset_1": a, "offset_2": b,
                         "valid": bool(valid),
                         "smiles": write_smiles(mol) if valid else None})

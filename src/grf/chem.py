@@ -267,26 +267,22 @@ class MetricsReport:
     validity: float
     novelty: float
     uniqueness: float
-    reconstruction: float
     sample_count: int
     valid_count: int
 
     def to_dict(self) -> dict:
         return {"validity": self.validity, "novelty": self.novelty,
-                "uniqueness": self.uniqueness, "reconstruction": self.reconstruction,
-                "sample_count": self.sample_count, "valid_count": self.valid_count}
+                "uniqueness": self.uniqueness, "sample_count": self.sample_count,
+                "valid_count": self.valid_count}
 
 
 def compute_metrics(generated: list[MolGraph], training_set: set[str],
-                    table: ValenceTable | None = None,
-                    reconstructed_ok: int = 0,
-                    reconstruction_attempts: int = 0) -> MetricsReport:
+                    table: ValenceTable | None = None) -> MetricsReport:
     """Validity over all samples; novelty/uniqueness over the valid ones.
 
     Molecule identity uses this module's deterministic SMILES strings.
     With zero valid samples, novelty and uniqueness are reported as 0 and
-    `valid_count` carries the flag.  Reconstruction is the fraction of
-    successful encode-decode round trips, passed in by the caller.
+    `valid_count` carries the flag.
     """
     if not generated:
         raise ValueError("empty generated list")
@@ -300,10 +296,7 @@ def compute_metrics(generated: list[MolGraph], training_set: set[str],
     else:
         novelty = 0.0
         uniqueness = 0.0
-    reconstruction = (reconstructed_ok / reconstruction_attempts
-                      if reconstruction_attempts else 0.0)
     return MetricsReport(validity=validity, novelty=novelty, uniqueness=uniqueness,
-                         reconstruction=reconstruction,
                          sample_count=len(generated), valid_count=n_valid)
 
 

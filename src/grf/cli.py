@@ -92,7 +92,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", type=Path, help="JSON with 'model' and 'train' sections")
     p_train.add_argument("--dataset", type=Path, required=True)
     p_train.add_argument("--out", type=Path, required=True)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p_sample = sub.add_parser("sample", help="generate molecules from a checkpoint")
     p_sample.add_argument("--ckpt", type=Path, required=True)
@@ -156,6 +156,10 @@ def _parse_train_config(path) -> tuple[ModelConfig, TrainConfig]:
             blob = json.load(fh)
         if not isinstance(blob, dict):
             raise ValueError("the file must hold a JSON object")
+        unknown = sorted(set(blob) - {"model", "train"})
+        if unknown:
+            raise ValueError(f"unknown top-level key(s) {unknown}; "
+                             "expected 'model' and 'train'")
         model_section, train_section = blob.get("model", {}), blob.get("train", {})
         for name, section in (("model", model_section), ("train", train_section)):
             if not isinstance(section, dict):

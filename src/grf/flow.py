@@ -30,8 +30,6 @@ from .graphs import DequantGraph, GraphSchema, LatentPoint, augmented_normalized
 # grf.flow.operator_norm_power by name, so the import keeps that lookup alive.
 from .linalg import NumericalError, operator_norm_power  # noqa: F401
 
-ADJACENCY_MODES = ("flat", "node", "pair")
-
 CHECKPOINT_VERSION = 4
 
 
@@ -39,12 +37,11 @@ CHECKPOINT_VERSION = 4
 class ModelConfig:
     """Architecture and numerics of one flow model.
 
-    `adjacency_mode` picks the granularity of the adjacency MLP: "flat"
-    runs one dense MLP over the whole flattened tensor, "node" shares one
-    MLP across the per-node row slices (parameter count scales with N^2
-    instead of N^4), and "pair" shares one tiny MLP across the per-pair
-    bond vectors (fully permutation-consistent).  `adjacency_rank` > 0
-    factors each adjacency weight into a rank-r product.
+    Every adjacency block shares one MLP across the node rows of the
+    adjacency tensor: a slice is one node's bonds, d = n_max * n_bond_types
+    entries, so the parameter count scales with N^2 rather than N^4.
+    `adjacency_rank` > 0 factors each adjacency weight into a rank-r
+    product.
     """
 
     n_max: int = 9
@@ -54,7 +51,6 @@ class ModelConfig:
     gcn_layers: int = 1
     mlp_blocks: int = 4
     mlp_layers: int = 2
-    adjacency_mode: str = "flat"
     adjacency_rank: int = 0
     use_bias: bool = False
     lipschitz_budget: float = 0.9
@@ -64,8 +60,6 @@ class ModelConfig:
 
     def __post_init__(self):
         self.atom_symbols = tuple(self.atom_symbols)
-        if self.adjacency_mode not in ADJACENCY_MODES:
-            raise ValueError(f"adjacency_mode must be one of {ADJACENCY_MODES}")
         if not 0.0 < self.lipschitz_budget < 1.0:
             raise ValueError("lipschitz_budget must lie in (0, 1)")
         if not 0.0 < self.noise_scale < 1.0:
@@ -87,17 +81,15 @@ def require_integers(config, low: int, *names: str) -> None:
 
 
 def toy_config(**overrides) -> ModelConfig:
-    """Desk-scale profile: small molecules, shallow stacks, shared rows."""
-    base = dict(n_max=6, gcn_blocks=1, gcn_layers=1, mlp_blocks=4, mlp_layers=2,
-                adjacency_mode="node", seed=0)
+    """Desk-scale profile: small molecules, shallow stacks."""
+    base = dict(n_max=6, gcn_blocks=1, gcn_layers=1, mlp_blocks=4, mlp_layers=2, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
 
 
 def qm9_table_config(**overrides) -> ModelConfig:
-    """The published QM9 shape: 1x1 GCN, 32x25 MLP, shared node rows."""
-    base = dict(n_max=9, gcn_blocks=1, gcn_layers=1, mlp_blocks=32, mlp_layers=25,
-                adjacency_mode="node", seed=0)
+    """The published QM9 shape: 1x1 GCN, 32x25 MLP."""
+    base = dict(n_max=9, gcn_blocks=1, gcn_layers=1, mlp_blocks=32, mlp_layers=25, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -175,10 +167,6 @@ def _weight_entries(path: str, w) -> list[tuple[str, np.ndarray]]:
     return [(path, w)]
 
 
-def _add_bias(pre, b, path: str, params):
-    return pre + (params[path] if params and path in params else b)
-
-
 # ---------------------------------------------------------------------------
 # Residual blocks
 # ---------------------------------------------------------------------------
@@ -228,42 +216,35 @@ class _ResidualBlock:
         """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
         return float(np.prod(_sigmas(self.weights)))
 
-    def _times_weight(self, h, l, params):
-        """h @ W_l as one 2-D product over all leading axes, with W_l looked
-        up by path in `params` when given.  Inversion calls this without
-        `params` on every fixed-point iteration, so that case builds no
-        path strings."""
+    def _times_weight(self, h, l):
+        """h @ W_l as one 2-D product over all leading axes."""
         w = self.weights[l]
-        if params:
-            path = f"{self.prefix}.w{l}"
-            w = (FactoredWeight(u=params[f"{path}.u"], vt=params[f"{path}.vt"])
-                 if isinstance(w, FactoredWeight) else params[path])
         if isinstance(w, FactoredWeight):
             return dot(dot(h, w.u), w.vt)
         return dot(h, w)
 
-    def _layer_pre(self, h, p, l, params):
-        pre = self._times_weight(h if p is None else p @ h, l, params)
+    def _layer_pre(self, h, p, l):
+        pre = self._times_weight(h if p is None else p @ h, l)
         b = self.biases[l]
-        return pre if b is None else _add_bias(pre, b, f"{self.prefix}.b{l}", params)
+        return pre if b is None else pre + b
 
-    def apply(self, x, p=None, params=None):
+    def apply(self, x, p=None):
         h = x
         for l in range(self.depth):
-            h = elu(self._layer_pre(h, p, l, params))
+            h = elu(self._layer_pre(h, p, l))
         return h
 
-    def forward(self, x, p=None, params=None):
+    def forward(self, x, p=None):
         """(apply(x, p), lin), with the linearization `lin` = (p, slopes)
         that `jvp_many` and `jacobians` take."""
         h, slopes = x, []
         for l in range(self.depth):
-            pre = self._layer_pre(h, p, l, params)
+            pre = self._layer_pre(h, p, l)
             slopes.append(elu_prime(pre).reshape(*pre.shape[:-1], 1, pre.shape[-1]))
             h = elu(pre)
         return h, (p, slopes)
 
-    def jvp_many(self, u, lin, params=None):
+    def jvp_many(self, u, lin):
         """Jacobian-vector products of a tangent stack u (..., rows, S, width)
         at `lin`: per layer, P @ U as (..., rows, rows) @ (..., rows, S*width)
         when there is a P, then @ W_l as one 2-D product, then the broadcast
@@ -272,7 +253,7 @@ class _ResidualBlock:
         for l in range(self.depth):
             if p is not None:
                 u = (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
-            u = self._times_weight(u, l, params)
+            u = self._times_weight(u, l)
             # In place on an array: the product is a fresh temporary, and
             # reusing it saves an allocation per layer.  A Tensor has no
             # in-place ops, so on the tape `*=` records a new node.
@@ -326,23 +307,6 @@ class MlpResidualBlock(_ResidualBlock):
 
 
 # ---------------------------------------------------------------------------
-# Adjacency slices
-# ---------------------------------------------------------------------------
-
-def adjacency_slice_shape(schema: GraphSchema, mode: str) -> tuple[int, int]:
-    """(slice dimension d, number of slices C) for the adjacency MLP layout:
-    a slice is the whole tensor, one node's row or one pair's bond vector."""
-    n, r = schema.n_max, schema.n_bond_types
-    if mode == "flat":
-        return n * n * r, 1
-    if mode == "node":
-        return n * r, n
-    if mode == "pair":
-        return r, n * n
-    raise ValueError(f"unknown adjacency mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
 # Model
 # ---------------------------------------------------------------------------
 
@@ -352,16 +316,20 @@ class GrfModel:
     def __init__(self, config: ModelConfig, stored=None):
         """Random weights projected to the budget, or the stored ones.
 
-        `stored(name, shape)` returns the array of one named parameter (as
-        a checkpoint holds it); given it, the blocks take those arrays as
-        they are, with no random draw and no projection.
+        `stored(name, shape)` returns one named parameter, as
+        `named_parameters` names it; given it, the blocks take what it
+        returns as it is, with no random draw and no projection.
+        `load_checkpoint` passes the arrays of a file, and training passes
+        tape leaves over a model's own arrays, which builds a taped twin
+        of that model.
         """
         self.config = config
         self.schema = GraphSchema(n_max=config.n_max, atom_symbols=config.atom_symbols,
                                   n_bond_types=config.n_bond_types)
         rng = np.random.default_rng(config.seed)
         m = self.schema.n_atom_types
-        self.slice_dim = d = adjacency_slice_shape(self.schema, config.adjacency_mode)[0]
+        # an adjacency slice is one node's row of the (N, N, R) tensor
+        self.slice_dim = d = config.n_max * config.n_bond_types
 
         # Each drawn weight is followed by one unused draw, which once seeded
         # a power-iteration state; keeping it makes GrfModel(config) build
@@ -435,15 +403,14 @@ class GrfModel:
 
     # -- the flow ----------------------------------------------------------------
 
-    def forward(self, x, p, a, params=None):
+    def forward(self, x, p, a):
         """Both residual stacks, once, keeping what their log-dets need.
 
         `x` is an (N, M) feature matrix with its (N, N) operator `p` and its
         (N, N, R) adjacency `a`, or a (B, N, M) stack with (B, N, N) and
         (B, N, N, R) ones.  The adjacency blocks act on the (..., C, d) view
-        of `a`: a slice is d consecutive row-major entries in every mode.
-        On plain arrays, or on tape tensors when `params` maps parameter
-        paths to them.  Returns (z_x, z_a, layers), the latents in the
+        of `a`, whose rows are the N node rows.  On plain arrays, or on tape
+        tensors when the model holds tape leaves.  Returns (z_x, z_a, layers), the latents in the
         inputs' shapes and, per block in order (feature blocks first),
         (block, input, lin) with the linearization `lin` that the block's
         `jvp_many` and `jacobians` take.
@@ -451,7 +418,7 @@ class GrfModel:
         layers = []
 
         def branch(block, h, p):
-            y, lin = block.forward(h, p, params=params)
+            y, lin = block.forward(h, p)
             layers.append((block, h, lin))
             return y
 
@@ -494,20 +461,16 @@ class CheckpointError(ValueError):
     """A checkpoint file that cannot be read back into a model."""
 
 
-def save_checkpoint(path, model: GrfModel, extra_arrays: dict | None = None,
-                    extra_meta: dict | None = None) -> None:
-    """Versioned npz container: config, weights, extras.
+def save_checkpoint(path, model: GrfModel) -> None:
+    """Versioned npz container: the config and the weights.
 
     Round trips are bit exact: arrays are stored as raw float64.
     """
-    arrays: dict[str, np.ndarray] = {}
-    for name, arr in model.named_parameters():
-        arrays[f"param::{name}"] = arr
-    for key, arr in (extra_arrays or {}).items():
-        arrays[f"extra::{key}"] = np.asarray(arr)
+    arrays = {f"param::{name}": arr for name, arr in model.named_parameters()}
+    # format 4's layout keeps its "extra" section, which is left empty
     meta = {"format_version": CHECKPOINT_VERSION,
             "config": asdict(model.config),
-            "extra": extra_meta or {}}
+            "extra": {}}
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
              **arrays)
@@ -516,15 +479,18 @@ def save_checkpoint(path, model: GrfModel, extra_arrays: dict | None = None,
 
 
 def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
-    """Rebuild a model (bit exact) plus any extra arrays/metadata.
+    """Rebuild a model (bit exact) plus the file's extra arrays and metadata.
 
-    Reads format versions 1 to 4.  Versions 1 to 3 stored the adjacency
-    parameters for the column form x -> W @ x, so they are transposed on
-    load (a rank-r weight's factors also swap places: u <- vt.T, vt <-
-    u.T); the power-iteration states (`sn::` arrays) that versions 1 and 2
-    stored are ignored.  A file that is not
-    a checkpoint, or lacks an array the model needs or holds it at the
-    wrong shape, raises `CheckpointError`.
+    Only files from earlier versions hold extras (the Adam state and next
+    epoch of a periodic checkpoint); no caller reads them.  Reads format
+    versions 1 to 4.  Versions 1 to 3 stored the adjacency parameters for
+    the column form x -> W @ x, so they are transposed on load (a rank-r
+    weight's factors also swap places: u <- vt.T, vt <- u.T); the
+    power-iteration states (`sn::` arrays) that versions 1 and 2 stored
+    are ignored.  Their configs may name an adjacency mode, which must be
+    "node", the only layout left.  A file that is not a checkpoint, holds a model of a
+    layout no longer supported, or lacks an array the model needs or
+    holds it at the wrong shape, raises `CheckpointError`.
     """
     try:
         data = np.load(path)
@@ -555,6 +521,9 @@ def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
     cfg_dict = dict(meta["config"])
     if cfg_dict.pop("relational_gcn", False):
         raise CheckpointError("relational_gcn models are no longer supported")
+    mode = cfg_dict.pop("adjacency_mode", "node")
+    if mode != "node":
+        raise CheckpointError(f"adjacency_mode {mode!r} models are no longer supported")
     cfg_dict["atom_symbols"] = tuple(cfg_dict["atom_symbols"])
 
     def stored(name, shape):

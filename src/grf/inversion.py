@@ -104,16 +104,6 @@ def decode_latents(model: GrfModel, latents: list[LatentPoint],
             for deq in invert_latents(model, latents, cfg)]
 
 
-def invert_flow(model: GrfModel, z: LatentPoint, cfg: InversionConfig) -> DequantGraph:
-    """Two-step inverse of one latent point (a batch of one)."""
-    return invert_latents(model, [z], cfg)[0]
-
-
-def decode_molecule(model: GrfModel, z: LatentPoint, cfg: InversionConfig) -> MolGraph:
-    """Invert and argmax-quantize one latent point (a batch of one)."""
-    return decode_latents(model, [z], cfg)[0]
-
-
 def generate(model: GrfModel, count: int, t_x: float, t_a: float,
              cfg: InversionConfig, rng_seed: int) -> list[MolGraph]:
     """Sample latents at the given temperatures and decode them as one batch.

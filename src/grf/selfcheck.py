@@ -197,7 +197,7 @@ def check_logdet_oracle(n_blocks: int = 10, n_seeds: int = 256, seed: int = 0,
 def check_inversion_convergence(n_inputs: int = 20, seed: int = 0) -> CheckResult:
     """Reconstruction error decays geometrically and is tiny by 30 iterations."""
     cfg = ModelConfig(n_max=9, gcn_blocks=1, gcn_layers=1, mlp_blocks=4, mlp_layers=2,
-                      adjacency_mode="node", init_scale=0.9, seed=seed)
+                      init_scale=0.9, seed=seed)
     model = GrfModel(cfg)
     graphs = [random_molgraph(model.schema, seed + 613 * i) for i in range(n_inputs)]
     rows = reconstruction_curve(model, graphs, [1, 5, 10, 20, 30], rng_seed=seed)

@@ -12,8 +12,8 @@ The minibatch runs as one batch: one `GrfModel.forward` on the tape over
 the batch's (B, N, M) feature and (B, N, N, R) adjacency stacks, then one
 log-det series per block over all probes and samples.
 
-All randomness is keyed, so resuming from a checkpoint replays the exact
-same trajectory: shuffling by (seed, epoch), dequantization noise by
+All randomness is keyed, so a fixed seed replays the exact same
+trajectory: shuffling by (seed, epoch), dequantization noise by
 (seed, epoch, step, sample), and each block's probe stack by
 (seed, epoch, step, block), one stream per block and step.
 """
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class TrainConfig:
     series_terms: int = 8
     hutchinson_samples: int = 4
     rng_seed: int = 0
-    checkpoint_every: int = 0  # epochs between checkpoints; 0 disables
+    checkpoint_every: int = 0  # epochs between model-only checkpoints; 0 disables
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < math.inf:
@@ -62,22 +63,27 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def wrap_parameters(model: GrfModel) -> dict[str, Tensor]:
-    return {path: Tensor(arr, requires_grad=True)
-            for path, arr in model.named_parameters()}
+def taped_twin(model: GrfModel) -> tuple[GrfModel, dict[str, Tensor]]:
+    """The same model on the tape: (twin, leaves), where `leaves` maps each
+    parameter path to a gradient-tracking Tensor over the model's own
+    array, and the twin's blocks hold those leaves as their weights."""
+    leaves = {path: Tensor(arr, requires_grad=True)
+              for path, arr in model.named_parameters()}
+    return GrfModel(model.config, stored=lambda name, shape: leaves[name]), leaves
 
 
 def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
              epoch: int = 0, step: int = 0):
     """Loss and parameter gradients for one minibatch.
 
-    Returns (loss, grads, stats) where grads maps parameter paths to
-    arrays and stats carries the per-sample mean prior and log-det terms
+    The forward pass and every log-det series run on the model's taped
+    twin, so the gradients reach its leaves.  Returns (loss, grads,
+    stats) where grads maps parameter paths to arrays and stats carries the per-sample mean prior and log-det terms
     for the loss history.
     """
     if not batch:
         raise ValueError("empty batch")
-    params = wrap_parameters(model)
+    twin, leaves = taped_twin(model)
     n_batch = len(batch)
     s_probes = cfg.hutchinson_samples
 
@@ -85,9 +91,8 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
                        int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
             for i, g in enumerate(batch)]
     p = np.stack([model.conditioning_operator(g.adjacency) for g in batch])
-    z_x, z_a, layers = model.forward(np.stack([deq.features_c for deq in deqs]), p,
-                                     np.stack([deq.adjacency_c for deq in deqs]),
-                                     params=params)
+    z_x, z_a, layers = twin.forward(np.stack([deq.features_c for deq in deqs]), p,
+                                    np.stack([deq.adjacency_c for deq in deqs]))
 
     # Each block's log-det is one series over every probe and sample at once.
     total_logdet = 0.0
@@ -95,7 +100,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     for bi, (block, x, lin) in enumerate(layers):
         probes = draw_probes(value_of(x).shape, s_probes,
                              derive_rng(cfg.rng_seed, TAG_PROBE, epoch, step, bi))
-        ld = logdet_series_from_probes(lambda u: block.jvp_many(u, lin, params=params),
+        ld = logdet_series_from_probes(lambda u: block.jvp_many(u, lin),
                                        probes, s_probes, cfg.series_terms)
         total_logdet = total_logdet + ld
         logdet_values.append((block.prefix, float(value_of(ld))))
@@ -113,7 +118,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
 
     loss.backward()
     grads = {path: (t.grad if t.grad is not None else np.zeros_like(t.data))
-             for path, t in params.items()}
+             for path, t in leaves.items()}
     stats = {"nll": loss_value,
              "logdet_mean": float(value_of(total_logdet)) / n_batch,
              "prior_mean": float(value_of(prior_total)) / n_batch}
@@ -140,54 +145,28 @@ def adam_step(model: GrfModel, grads: dict, state: AdamState, cfg: TrainConfig) 
     return state
 
 
-def adam_state_arrays(state: AdamState) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {"adam_step": np.array([state.step], dtype=np.int64)}
-    for path, arr in state.m.items():
-        out[f"adam_m::{path}"] = arr
-    for path, arr in state.v.items():
-        out[f"adam_v::{path}"] = arr
-    return out
+def train(model: GrfModel, dataset: list[MolGraph], cfg: TrainConfig, out_dir=None):
+    """Epochs of shuffled minibatches from a fresh Adam state; returns the
+    loss history.
 
-
-def adam_state_from_arrays(arrays: dict) -> AdamState:
-    state = AdamState(step=int(arrays["adam_step"][0]))
-    for key, arr in arrays.items():
-        if key.startswith("adam_m::"):
-            state.m[key[len("adam_m::"):]] = arr.copy()
-        elif key.startswith("adam_v::"):
-            state.v[key[len("adam_v::"):]] = arr.copy()
-    return state
-
-
-def train(model: GrfModel, dataset: list[MolGraph], cfg: TrainConfig,
-          out_dir=None, start_epoch: int = 0, adam_state: AdamState | None = None,
-          log_fn=None):
-    """Epochs of shuffled minibatches; returns the loss history.
-
-    Checkpoints (when enabled) bundle the Adam state and the next epoch
-    index, so `train(..., start_epoch=k, adam_state=...)` resumes the
-    identical trajectory.
+    With `out_dir` and `cfg.checkpoint_every` > 0, every that many epochs
+    the model (its config and weights, not the Adam state) is saved as
+    `checkpoint_epochNNNN.npz`, NNNN the number of epochs done.
     """
     if not dataset:
         raise ValueError("empty dataset")
-    state = adam_state if adam_state is not None else AdamState()
+    state = AdamState()
     history: list[dict] = []
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(cfg.epochs):
         perm = derive_rng(cfg.rng_seed, TAG_SHUFFLE, epoch).permutation(len(dataset))
         for step, lo in enumerate(range(0, len(dataset), cfg.batch_size)):
             batch = [dataset[j] for j in perm[lo:lo + cfg.batch_size]]
             loss, grads, stats = grad_nll(model, batch, cfg, epoch=epoch, step=step)
             adam_step(model, grads, state, cfg)
             history.append({"epoch": epoch, "step": step, **stats})
-            if log_fn is not None:
-                log_fn(history[-1])
         if out_dir is not None and cfg.checkpoint_every > 0 \
                 and (epoch + 1) % cfg.checkpoint_every == 0:
-            from pathlib import Path
-
-            path = Path(out_dir) / f"checkpoint_epoch{epoch + 1:04d}.npz"
-            save_checkpoint(path, model, extra_arrays=adam_state_arrays(state),
-                            extra_meta={"next_epoch": epoch + 1})
+            save_checkpoint(Path(out_dir) / f"checkpoint_epoch{epoch + 1:04d}.npz", model)
     return history
 
 

@@ -49,7 +49,7 @@ def report(criterion: str, detail: str) -> None:
 def test_criterion_1_inversion_convergence():
     start = time.time()
     model = GrfModel(ModelConfig(n_max=9, gcn_blocks=1, gcn_layers=1,
-                                 mlp_blocks=4, mlp_layers=2, adjacency_mode="node",
+                                 mlp_blocks=4, mlp_layers=2,
                                  lipschitz_budget=0.9, init_scale=0.9, seed=41))
     inputs = [random_molgraph(model.schema, 1000 + i) for i in range(100)]
     rows = reconstruction_curve(model, inputs, [1, 5, 10, 15, 20, 25, 30], rng_seed=42)
@@ -70,7 +70,7 @@ def test_criterion_2_reconstruction_rate(corpus_graphs):
     start = time.time()
     assert len(corpus_graphs) == 200
     model = GrfModel(ModelConfig(n_max=9, gcn_blocks=1, gcn_layers=1,
-                                 mlp_blocks=4, mlp_layers=2, adjacency_mode="node",
+                                 mlp_blocks=4, mlp_layers=2,
                                  init_scale=0.9, seed=43))
     rows = reconstruction_curve(model, corpus_graphs, [100], rng_seed=44)
     assert rows[0]["exact_rate"] == 1.0
@@ -117,7 +117,7 @@ def test_criterion_5_gradient_correctness(toy_graphs):
     start = time.time()
     model = GrfModel(ModelConfig(n_max=3, atom_symbols=("C", "O"), gcn_blocks=1,
                                  gcn_layers=1, mlp_blocks=2, mlp_layers=2,
-                                 adjacency_mode="node", use_bias=True, seed=49))
+                                 use_bias=True, seed=49))
     batch = [random_molgraph(model.schema, 2000 + i) for i in range(2)]
     cfg = TrainConfig(series_terms=5, hutchinson_samples=2, rng_seed=50)
     _, grads, _ = grad_nll(model, batch, cfg)
@@ -195,8 +195,7 @@ def test_criterion_7_parameter_scaling():
     full_counts = []
     rank1_counts = []
     for n in ns:
-        base = dict(n_max=n, gcn_blocks=1, gcn_layers=1, mlp_blocks=4, mlp_layers=2,
-                    adjacency_mode="node", seed=54)
+        base = dict(n_max=n, gcn_blocks=1, gcn_layers=1, mlp_blocks=4, mlp_layers=2, seed=54)
         full_counts.append(count_parameters(GrfModel(ModelConfig(**base))))
         rank1_counts.append(count_parameters(
             GrfModel(ModelConfig(**base, adjacency_rank=1))))
@@ -272,7 +271,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "model": {"n_max": 6, "atom_symbols": ["C", "N", "O", "F"],
-                  "mlp_blocks": 2, "mlp_layers": 2, "adjacency_mode": "node"},
+                  "mlp_blocks": 2, "mlp_layers": 2},
         "train": {"batch_size": 25, "epochs": 2, "series_terms": 4,
                   "hutchinson_samples": 2},
     }), encoding="utf-8")

@@ -195,13 +195,13 @@ def test_metrics_mixed_batch_against_recount():
     training = {write_smiles(parse_smiles("CCO"))}
     batch = [graph_of("CCO"), graph_of("CCN"), graph_of("CCN"),
              pad_graph(RawGraph(atoms=["C", "C"], bonds=[]), SCHEMA)]
-    report = compute_metrics(batch, training, reconstructed_ok=3,
-                             reconstruction_attempts=4)
+    report = compute_metrics(batch, training)
     strings = [write_smiles(g) for g in batch[:3]]
     assert report.validity == 3 / 4
     assert report.uniqueness == len(set(strings)) / 3
     assert report.novelty == sum(s not in training for s in strings) / 3
-    assert report.reconstruction == 3 / 4
+    assert set(report.to_dict()) == {"validity", "novelty", "uniqueness",
+                                     "sample_count", "valid_count"}
 
 
 def test_metrics_order_invariant():

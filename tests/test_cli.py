@@ -9,8 +9,7 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 
 TINY_CONFIG = {
     "model": {"n_max": 6, "atom_symbols": ["C", "N", "O", "F"],
-              "gcn_blocks": 1, "gcn_layers": 1, "mlp_blocks": 2, "mlp_layers": 2,
-              "adjacency_mode": "node"},
+              "gcn_blocks": 1, "gcn_layers": 1, "mlp_blocks": 2, "mlp_layers": 2},
     "train": {"batch_size": 25, "epochs": 2, "learning_rate": 1e-3,
               "series_terms": 4, "hutchinson_samples": 2},
 }
@@ -125,8 +124,11 @@ def with_setting(section, field, value):
     pytest.param(with_setting("train", "batch_size", 1.5), id="batch_size-fraction"),
     pytest.param(with_setting("model", "gcn_layers", 2.5), id="gcn_layers-fraction"),
     pytest.param(with_setting("model", "adjacency_rank", -1), id="adjacency_rank-negative"),
+    pytest.param(with_setting("model", "adjacency_mode", "node"), id="adjacency_mode-removed"),
     pytest.param([], id="top-level-list"),
     pytest.param({"model": []}, id="model-section-list"),
+    pytest.param({"modle": TINY_CONFIG["model"], "train": TINY_CONFIG["train"]},
+                 id="unknown-top-level-key"),
 ])
 def test_malformed_config_value_is_data_error(blob, tmp_path, capsys):
     """A value of the wrong kind, a non-finite or out-of-range number, or a
@@ -138,6 +140,17 @@ def test_malformed_config_value_is_data_error(blob, tmp_path, capsys):
     assert code == EXIT_DATA
     assert "bad config file" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_unknown_top_level_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"modle": {"n_max": 6}, "train": {"epochs": 1}}),
+                   encoding="utf-8")
+    code = main(["train", "--config", str(cfg), "--dataset",
+                 str(DATA / "toy_train.smi"), "--out", str(tmp_path / "o")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "bad config file" in err and "modle" in err
 
 
 def test_reconstruct_outputs(trained_dir, tmp_path):
@@ -240,6 +253,15 @@ def test_malformed_flag_is_usage_error(argv, flag, tmp_path, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+def test_train_negative_seed_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--dataset", str(DATA / "toy_train.smi"), "--out", str(tmp_path / "o"),
+              "--seed", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_reconstruct_accepts_zero_iterations(trained_dir, tmp_path):
     code = main(["reconstruct", "--ckpt", str(trained_dir / "run" / "model.npz"),
                  "--dataset", str(DATA / "toy_train.smi"), "--out", str(tmp_path / "r"),
@@ -293,3 +315,20 @@ def test_checkpoint_wrong_shape_is_data_error(trained_dir, tmp_path, capsys):
     assert main(_eval_args(ckpt, tmp_path)) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "param::feature.0.w0" in err and "(4, 4)" in err
+
+
+def test_checkpoint_of_a_retired_adjacency_mode_is_data_error(trained_dir, tmp_path, capsys):
+    import numpy as np
+
+    src = trained_dir / "run" / "model.npz"
+    with np.load(src) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    meta["config"]["adjacency_mode"] = "pair"  # as earlier versions stored it
+    ckpt = tmp_path / "pair.npz"
+    _rewrite_checkpoint(src, ckpt, replace={
+        "__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)})
+    code = main(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "s"), "--count", "2"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "'pair'" in err
+    assert not (tmp_path / "s").exists()

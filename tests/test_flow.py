@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grf.autodiff import elu
-from grf.flow import (FactoredWeight, GrfModel, ModelConfig, adjacency_slice_shape,
+from grf.flow import (CheckpointError, FactoredWeight, GrfModel, ModelConfig,
                       count_parameters, load_checkpoint, qm9_table_config, save_checkpoint,
                       toy_config)
 from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
@@ -105,21 +105,22 @@ def test_gcn_jvp_many_agrees_with_single():
 
 def test_tape_and_numpy_jvp_many_agree_for_both_blocks():
     from grf.autodiff import Tensor
+    from grf.training import taped_twin
 
     rng = np.random.default_rng(50)
     model = GrfModel(toy_config(seed=50, gcn_layers=2, use_bias=True))
+    twin, _ = taped_twin(model)
     g = random_molgraph(model.schema, 51)
     p = model.conditioning_operator(g.adjacency)
-    gcn, mlp = model.feature_layers[0], model.adjacency_layers[0]
-    cases = [(gcn, rng.standard_normal((6, 5)), rng.standard_normal((6, 3, 5)), p),
-             (mlp, rng.standard_normal((6, 24)), rng.standard_normal((6, 3, 24)), None)]
-    for block, x, probes, op in cases:
+    cases = [(model.feature_layers[0], twin.feature_layers[0],
+              rng.standard_normal((6, 5)), rng.standard_normal((6, 3, 5)), p),
+             (model.adjacency_layers[0], twin.adjacency_layers[0],
+              rng.standard_normal((6, 24)), rng.standard_normal((6, 3, 24)), None)]
+    for block, taped, x, probes, op in cases:
         _, lin = block.forward(x, op)
         plain = block.jvp_many(probes, lin)
-        params = {path: Tensor(arr, requires_grad=True)
-                  for path, arr in block.named_parameters()}
-        _, tape_lin = block.forward(Tensor(x), op, params=params)
-        tape = block.jvp_many(Tensor(probes), tape_lin, params=params)
+        _, tape_lin = taped.forward(Tensor(x), op)
+        tape = taped.jvp_many(Tensor(probes), tape_lin)
         assert isinstance(tape, Tensor) and tape.requires_grad
         assert np.allclose(tape.data, plain, rtol=1e-14, atol=1e-14)
 
@@ -236,35 +237,24 @@ def test_batched_forward_matches_each_molecule(make):
         assert np.allclose(z.z_adjacency, z_a[b], rtol=0, atol=1e-12)
 
 
-def per_mode_slices(a, mode):
-    """The (C, d) slices of one (N, N, R) tensor, written out per mode: the
-    whole tensor, each node's row, or each pair's bond vector."""
-    n, _, r = a.shape
-    return {"flat": [a.ravel()],
-            "node": [a[i].ravel() for i in range(n)],
-            "pair": [a[i, j] for i in range(n) for j in range(n)]}[mode]
-
-
-def test_adjacency_blocks_act_on_a_view_of_per_mode_slices():
-    """In every mode the first adjacency block's input is a (B, C, d) view
-    of the adjacency batch whose rows are the mode's slices, and each block
-    maps every slice on its own."""
-    schema_shapes = {"flat": (144, 1), "node": (24, 6), "pair": (4, 36)}
+def test_adjacency_blocks_act_on_a_view_of_node_rows():
+    """The first adjacency block's input is a (B, N, N * R) view of the
+    adjacency batch whose rows are the node rows, and each block maps
+    every row on its own."""
     rng = np.random.default_rng(13)
     batch = rng.standard_normal((3, 6, 6, 4))
     x = rng.standard_normal((3, 6, 5))
-    for mode, (d, c) in schema_shapes.items():
-        model = GrfModel(toy_config(adjacency_mode=mode))
-        assert adjacency_slice_shape(model.schema, mode) == (d, c)
-        p = np.broadcast_to(np.eye(6), (3, 6, 6))
-        _, _, layers = model.forward(x, p, batch)
-        block, h, _ = layers[len(model.feature_layers)]
-        assert h.shape == (3, c, d) and np.shares_memory(h, batch)
-        for b in range(3):
-            assert np.array_equal(h[b], np.stack(per_mode_slices(batch[b], mode)))
-        out = block.apply(h)
-        for k in range(c):
-            assert np.allclose(block.apply(h[:, k:k + 1]), out[:, k:k + 1], rtol=0, atol=1e-12)
+    model = GrfModel(toy_config())
+    assert model.slice_dim == 24
+    p = np.broadcast_to(np.eye(6), (3, 6, 6))
+    _, _, layers = model.forward(x, p, batch)
+    block, h, _ = layers[len(model.feature_layers)]
+    assert h.shape == (3, 6, 24) and np.shares_memory(h, batch)
+    for b in range(3):
+        assert np.array_equal(h[b], np.stack([batch[b, i].ravel() for i in range(6)]))
+    out = block.apply(h)
+    for k in range(6):
+        assert np.allclose(block.apply(h[:, k:k + 1]), out[:, k:k + 1], rtol=0, atol=1e-12)
 
 
 # -- budgets and counting ------------------------------------------------------------
@@ -288,8 +278,7 @@ def test_count_single_gcn_block():
 
 
 def test_count_rank1_factored_layer():
-    cfg = ModelConfig(n_max=5, atom_symbols=("C",), n_bond_types=2,
-                      adjacency_mode="node", adjacency_rank=1,
+    cfg = ModelConfig(n_max=5, atom_symbols=("C",), n_bond_types=2, adjacency_rank=1,
                       gcn_blocks=1, gcn_layers=1, mlp_blocks=1, mlp_layers=1, seed=0)
     model = GrfModel(cfg)  # slice dim = n_max * n_bond_types = 10
     adj_params = sum(arr.size for name, arr in model.named_parameters()
@@ -324,8 +313,7 @@ def test_factored_forward_matches_dense_product():
 def test_mlp_block_single_layer_scalar_form():
     # depth-1 adjacency block computes elu(w * x)
     cfg = ModelConfig(n_max=1, atom_symbols=("C",), n_bond_types=1,
-                      gcn_blocks=1, gcn_layers=1, mlp_blocks=1, mlp_layers=1,
-                      adjacency_mode="flat", seed=31)
+                      gcn_blocks=1, gcn_layers=1, mlp_blocks=1, mlp_layers=1, seed=31)
     model = GrfModel(cfg)
     block = model.adjacency_layers[0]
     block.weights[0][...] = np.array([[0.5]])
@@ -339,14 +327,12 @@ def test_mlp_block_single_layer_scalar_form():
 def test_checkpoint_bit_exact_roundtrip(tmp_path):
     model = GrfModel(toy_config(seed=21, use_bias=True, adjacency_rank=2))
     path = tmp_path / "model.npz"
-    save_checkpoint(path, model, extra_arrays={"counter": np.arange(3)},
-                    extra_meta={"note": "x"})
+    save_checkpoint(path, model)
     loaded, extra_arrays, extra_meta = load_checkpoint(path)
     for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
         assert n1 == n2
         assert np.array_equal(a1, a2)
-    assert np.array_equal(extra_arrays["counter"], np.arange(3))
-    assert extra_meta == {"note": "x"}
+    assert extra_arrays == {} and extra_meta == {}
 
 
 def test_checkpoint_preserves_forward(tmp_path):
@@ -359,6 +345,19 @@ def test_checkpoint_preserves_forward(tmp_path):
     (z2,) = loaded.encode([deq], [g.adjacency])
     assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
     assert np.array_equal(z1.z_features, z2.z_features)
+
+
+def with_stored_mode(src, dst, mode):
+    """Rewrite a checkpoint with `mode` as its config's adjacency mode, as
+    every file of earlier versions holds one."""
+    import json
+
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
+    meta["config"]["adjacency_mode"] = mode
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(dst, **arrays)
 
 
 def write_old_version(src, dst, version, model, relational=False):
@@ -419,6 +418,23 @@ def assert_same_model(model, loaded):
     assert full_logp(loaded, g, rng_seed=30).total_logp == full_logp(model, g, rng_seed=30).total_logp
 
 
+def test_checkpoint_with_stored_node_mode_loads(tmp_path):
+    model = biased_model(seed=32, adjacency_rank=2)
+    save_checkpoint(tmp_path / "v4.npz", model)
+    with_stored_mode(tmp_path / "v4.npz", tmp_path / "node.npz", "node")
+    loaded, _, _ = load_checkpoint(tmp_path / "node.npz")
+    assert loaded.config == model.config
+    assert_same_model(model, loaded)
+
+
+@pytest.mark.parametrize("mode", ["flat", "pair"])
+def test_checkpoint_with_retired_adjacency_mode_is_rejected(mode, tmp_path):
+    save_checkpoint(tmp_path / "v4.npz", GrfModel(toy_config(seed=33)))
+    with_stored_mode(tmp_path / "v4.npz", tmp_path / f"{mode}.npz", mode)
+    with pytest.raises(CheckpointError, match=f"adjacency_mode '{mode}'"):
+        load_checkpoint(tmp_path / f"{mode}.npz")
+
+
 def test_checkpoint_version_4_writes_no_spectral_states(tmp_path):
     from grf.flow import CHECKPOINT_VERSION
 
@@ -452,8 +468,6 @@ def test_checkpoint_version_2_with_spectral_states_still_loads(tmp_path):
 
 
 def test_checkpoint_version_1_still_loads(tmp_path):
-    from grf.flow import CheckpointError
-
     model = biased_model(seed=26, adjacency_rank=2)
     save_checkpoint(tmp_path / "v4.npz", model)
     write_old_version(tmp_path / "v4.npz", tmp_path / "v1.npz", 1, model)
@@ -465,8 +479,8 @@ def test_checkpoint_version_1_still_loads(tmp_path):
 
 
 def test_model_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(adjacency_mode="banana")
+    with pytest.raises(TypeError, match="adjacency_mode"):  # only node rows are left
+        ModelConfig(adjacency_mode="node")
     with pytest.raises(ValueError):
         ModelConfig(lipschitz_budget=1.0)
     with pytest.raises(ValueError):

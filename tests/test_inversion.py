@@ -5,8 +5,8 @@ from grf.analysis import reconstruction_curve
 from grf.autodiff import elu
 from grf.flow import GrfModel, MlpResidualBlock, qm9_table_config, toy_config
 from grf.graphs import dequantize, quantize_adjacency, quantize_features, random_molgraph
-from grf.inversion import (InversionConfig, decode_latents, decode_molecule, generate,
-                           invert_flow, invert_latents, invert_residual_layer)
+from grf.inversion import (InversionConfig, decode_latents, generate, invert_latents,
+                           invert_residual_layer)
 from grf.likelihood import TAG_DEQUANT, derive_rng, sample_prior
 from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
@@ -80,19 +80,18 @@ def test_invert_flow_zero_weights_passes_latents_through():
     for _, arr in model.named_parameters():
         arr[...] = 0.0
     z = sample_prior(model, 0.65, 0.69, rng_seed=7)
-    deq = invert_flow(model, z, InversionConfig(iterations=5))
+    (deq,) = invert_latents(model, [z], InversionConfig(iterations=5))
     assert np.allclose(deq.adjacency_c, z.z_adjacency)
     assert np.allclose(deq.features_c, z.z_features)
 
 
-@pytest.mark.parametrize("mode", ["flat", "node", "pair"])
-def test_encode_decode_roundtrip_modes(mode):
-    model = GrfModel(toy_config(adjacency_mode=mode, seed=8))
+def test_encode_decode_roundtrip():
+    model = GrfModel(toy_config(seed=8))
     for i in range(5):
         g = random_molgraph(model.schema, 100 + i)
         deq = dequantize(g, 0.9, 200 + i)
         (z,) = model.encode([deq], [g.adjacency])
-        rec = invert_flow(model, z, InversionConfig(iterations=100))
+        (rec,) = invert_latents(model, [z], InversionConfig(iterations=100))
         assert np.abs(rec.adjacency_c - deq.adjacency_c).max() < 1e-6
         assert np.abs(rec.features_c - deq.features_c).max() < 1e-6
         assert np.array_equal(quantize_adjacency(rec.adjacency_c), g.adjacency)
@@ -124,7 +123,7 @@ def test_reconstruction_zero_iterations_is_forward_displacement(toy_graphs):
 def test_decode_molecule_satisfies_invariants():
     model = GrfModel(toy_config(seed=11))
     z = sample_prior(model, 0.65, 0.69, rng_seed=12)
-    mol = decode_molecule(model, z, InversionConfig())
+    (mol,) = decode_latents(model, [z], InversionConfig())
     mol.validate()
 
 
@@ -134,7 +133,7 @@ def test_nan_latent_raises_instead_of_decoding(part):
     z = sample_prior(model, 0.65, 0.69, rng_seed=16)
     getattr(z, part)[0, 0] = np.nan
     with pytest.raises(NumericalError, match="not finite"):
-        decode_molecule(model, z, InversionConfig())
+        decode_latents(model, [z], InversionConfig())
 
 
 def test_generate_empty_and_deterministic():
@@ -184,11 +183,11 @@ def assert_close_inverses(deqs_a, deqs_b, tol=1e-12):
 def test_batched_decode_matches_each_latent_alone(budget_model):
     cfg = InversionConfig()
     latents = prior_latents(budget_model, 12, seed=22)
-    alone = [decode_molecule(budget_model, z, cfg) for z in latents]
+    alone = [decode_latents(budget_model, [z], cfg)[0] for z in latents]
     assert_same_molecules(generate(budget_model, 12, 0.65, 0.69, cfg, rng_seed=22), alone)
     assert_same_molecules(decode_latents(budget_model, latents, cfg), alone)
     assert_close_inverses(invert_latents(budget_model, latents, cfg),
-                          [invert_flow(budget_model, z, cfg) for z in latents])
+                          [invert_latents(budget_model, [z], cfg)[0] for z in latents])
 
 
 def test_batched_reconstruction_matches_each_molecule_alone(budget_model, toy_graphs,
@@ -201,7 +200,7 @@ def test_batched_reconstruction_matches_each_molecule_alone(budget_model, toy_gr
         deq = dequantize(g, budget_model.config.noise_scale,
                          int(derive_rng(23, TAG_DEQUANT, i).integers(2 ** 31)))
         (z,) = budget_model.encode([deq], [g.adjacency])
-        rec = invert_flow(budget_model, z, cfg)
+        (rec,) = invert_latents(budget_model, [z], cfg)
         adj.append(np.linalg.norm(rec.adjacency_c - deq.adjacency_c) / deq.adjacency_c.size)
         feat.append(np.linalg.norm(rec.features_c - deq.features_c) / deq.features_c.size)
         exact += (np.array_equal(quantize_adjacency(rec.adjacency_c), g.adjacency)

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grf.flow import (GrfModel, ModelConfig, MlpResidualBlock, adjacency_slice_shape,
-                      toy_config)
+from grf.flow import GrfModel, ModelConfig, MlpResidualBlock, toy_config
 from grf.graphs import LatentPoint, dequantize, random_molgraph
 from grf.likelihood import (FlowTrace, LogDetEstimatorConfig, draw_probes, exact_logdet,
                             full_logp, full_logp_from_dequant, logdet_series, prior_logp,
@@ -186,17 +185,15 @@ def test_estimator_config_validation():
 # -- exact log-det ------------------------------------------------------------------
 
 @pytest.mark.parametrize("rank", [0, 3], ids=["dense", "rank3-bias"])
-@pytest.mark.parametrize("mode", ["node", "pair", "flat"])
-def test_exact_logdet_matches_finite_difference_oracle_on_adjacency_block(mode, rank):
-    model = GrfModel(toy_config(adjacency_mode=mode, adjacency_rank=rank,
-                                use_bias=rank > 0, init_scale=0.9, seed=50))
+def test_exact_logdet_matches_finite_difference_oracle_on_adjacency_block(rank):
+    model = GrfModel(toy_config(adjacency_rank=rank, use_bias=rank > 0, init_scale=0.9,
+                                seed=50))
     block = model.adjacency_layers[0]
     rng = np.random.default_rng(51)
     for b in block.biases:
         if b is not None:
             b[...] = 0.3 * rng.standard_normal(b.shape)
-    d, c = adjacency_slice_shape(model.schema, mode)
-    x = rng.standard_normal((c, d))
+    x = rng.standard_normal((model.schema.n_max, model.slice_dim))
     oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x))[1]
     assert exact_logdet(block, block.forward(x)[1]) == pytest.approx(oracle, abs=1e-8)
 
@@ -258,7 +255,7 @@ def test_full_logp_rejects_block_at_unit_bound(stack):
 def test_full_logp_matches_composed_jacobian_oracle():
     cfg = ModelConfig(n_max=2, atom_symbols=("C",), n_bond_types=2,
                       gcn_blocks=1, gcn_layers=1, mlp_blocks=2, mlp_layers=2,
-                      adjacency_mode="flat", init_scale=0.6, seed=20)
+                      init_scale=0.6, seed=20)
     model = GrfModel(cfg)
     g = random_molgraph(model.schema, 21)
     deq = dequantize(g, 0.9, 22)
@@ -283,23 +280,6 @@ def test_full_logp_matches_composed_jacobian_oracle():
 
     total = full_logp_from_dequant(model, deq, g.adjacency).total_logp
     assert total == pytest.approx(oracle_total, rel=1e-8)
-
-
-def test_full_logp_permutation_consistent_in_pair_mode():
-    model = GrfModel(toy_config(adjacency_mode="pair", seed=23))
-    g = random_molgraph(model.schema, 24)
-    perm = np.random.default_rng(25).permutation(model.schema.n_max)
-
-    deq = dequantize(g, 0.9, 26)
-    deq_perm = type(deq)(adjacency_c=deq.adjacency_c[np.ix_(perm, perm)],
-                         features_c=deq.features_c[perm])
-    g_perm = type(g)(schema=g.schema,
-                     adjacency=g.adjacency[np.ix_(perm, perm)],
-                     features=g.features[perm])
-
-    t1 = full_logp_from_dequant(model, deq, g.adjacency)
-    t2 = full_logp_from_dequant(model, deq_perm, g_perm.adjacency)
-    assert abs(t1.total_logp - t2.total_logp) < 1e-10
 
 
 # -- prior sampling -------------------------------------------------------------------

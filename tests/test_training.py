@@ -4,8 +4,7 @@ import pytest
 from grf.flow import GrfModel, ModelConfig, qm9_table_config, toy_config
 from grf.graphs import pad_graph
 from grf.chem import parse_smiles
-from grf.training import (ADAM_EPS, AdamState, TrainConfig, adam_state_arrays,
-                          adam_state_from_arrays, adam_step, epoch_mean_nll,
+from grf.training import (ADAM_EPS, AdamState, TrainConfig, adam_step, epoch_mean_nll,
                           grad_nll, train, write_history_csv)
 
 
@@ -15,7 +14,7 @@ def graphs_for(schema, smiles_list):
 
 def tiny_model(**overrides):
     base = dict(n_max=3, atom_symbols=("C", "O"), gcn_blocks=1, gcn_layers=1,
-                mlp_blocks=2, mlp_layers=2, adjacency_mode="node", seed=0)
+                mlp_blocks=2, mlp_layers=2, seed=0)
     base.update(overrides)
     return GrfModel(ModelConfig(**base))
 
@@ -37,7 +36,7 @@ def fd_gradient(model, batch, cfg, path, index, h):
 def test_grad_scalar_toy_flow_matches_finite_differences():
     model = GrfModel(ModelConfig(n_max=1, atom_symbols=("C",), n_bond_types=2,
                                  gcn_blocks=1, gcn_layers=1, mlp_blocks=1,
-                                 mlp_layers=1, adjacency_mode="flat", seed=1))
+                                 mlp_layers=1, seed=1))
     batch = [pad_graph(parse_smiles("C"), model.schema)]
     cfg = TrainConfig(series_terms=6, hutchinson_samples=2, rng_seed=2)
     _, grads, _ = grad_nll(model, batch, cfg)
@@ -101,17 +100,18 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
     """Reference loss and gradients: each sample through its own 2-D flow,
     and one series per (sample, probe), summed in Python loops.
 
-    Every block is linearized again at its saved input.  The probes are
-    `grad_nll`'s: one stack per block and step in the batch layout, of
-    which sample i and probe s take their slice.
+    Every block of the model's taped twin is linearized again at its
+    saved input.  The probes are `grad_nll`'s: one stack per block and
+    step in the batch layout, of which sample i and probe s take their
+    slice.
     """
     from grf.autodiff import sum_all, value_of
     from grf.graphs import dequantize
     from grf.likelihood import (TAG_DEQUANT, TAG_PROBE, derive_rng, draw_probes,
                                 gaussian_logp_from_sumsq, logdet_series_from_probes)
-    from grf.training import wrap_parameters
+    from grf.training import taped_twin
 
-    params = wrap_parameters(model)
+    twin, leaves = taped_twin(model)
     base, n_batch, s_probes = cfg.rng_seed, len(batch), cfg.hutchinson_samples
     n_x = len(model.feature_layers)
     prior_sumsq, samples = 0.0, []
@@ -122,23 +122,23 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
         z = deq.features_c
         h = deq.adjacency_c.reshape(-1, model.slice_dim)
         inputs = []
-        for block in model.feature_layers:
+        for block in twin.feature_layers:
             inputs.append(z)
-            z = z + block.apply(z, p, params=params)
-        for block in model.adjacency_layers:
+            z = z + block.apply(z, p)
+        for block in twin.adjacency_layers:
             inputs.append(h)
-            h = h + block.apply(h, params=params)
+            h = h + block.apply(h)
         prior_sumsq = prior_sumsq + sum_all(z * z) + sum_all(h * h)
         samples.append((p, inputs))
     total_logdet = 0.0
-    for bi, block in enumerate(model.blocks()):
+    for bi, block in enumerate(twin.blocks()):
         shape = (n_batch, *value_of(samples[0][1][bi]).shape)
         probes = draw_probes(shape, s_probes, derive_rng(base, TAG_PROBE, epoch, step, bi))
         acc = 0.0
         for i, (p, inputs) in enumerate(samples):
-            _, lin = block.forward(inputs[bi], p if bi < n_x else None, params=params)
+            _, lin = block.forward(inputs[bi], p if bi < n_x else None)
             mine = probes[i]
-            jvp = lambda u: block.jvp_many(u, lin, params=params)
+            jvp = lambda u: block.jvp_many(u, lin)
             for s in range(s_probes):
                 probe = mine[..., s:s + 1, :]
                 acc = acc + logdet_series_from_probes(jvp, probe, 1, cfg.series_terms)
@@ -146,7 +146,7 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
     prior = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
     loss = -(prior + total_logdet) / n_batch
     loss.backward()
-    return float(value_of(loss)), {path: t.grad for path, t in params.items()}
+    return float(value_of(loss)), {path: t.grad for path, t in leaves.items()}
 
 
 @pytest.mark.parametrize("shape", ["toy", "qm9"])
@@ -250,24 +250,24 @@ def test_training_reproducible(toy_graphs):
     assert h1 == h2
 
 
-def test_training_resume_bit_identical(tmp_path, toy_graphs):
-    data = toy_graphs[:16]
-    cfg = TrainConfig(batch_size=8, epochs=4, rng_seed=17,
-                      series_terms=4, hutchinson_samples=2, checkpoint_every=2)
-    full_model = GrfModel(toy_config(seed=18))
-    full_history = train(full_model, data, cfg, out_dir=tmp_path)
+def test_periodic_checkpoints_hold_the_model_at_their_epoch(tmp_path, toy_graphs):
+    from dataclasses import replace
 
     from grf.flow import load_checkpoint
 
-    resumed, extra_arrays, extra_meta = load_checkpoint(
-        tmp_path / "checkpoint_epoch0002.npz")
-    state = adam_state_from_arrays(extra_arrays)
-    resumed_history = train(resumed, data, cfg, start_epoch=extra_meta["next_epoch"],
-                            adam_state=state)
-    for (p1, a1), (p2, a2) in zip(full_model.named_parameters(),
-                                  resumed.named_parameters()):
+    data = toy_graphs[:16]
+    cfg = TrainConfig(batch_size=8, epochs=4, rng_seed=17,
+                      series_terms=4, hutchinson_samples=2, checkpoint_every=2)
+    train(GrfModel(toy_config(seed=18)), data, cfg, out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "checkpoint_epoch0002.npz", "checkpoint_epoch0004.npz"]
+    # the same seed replays the same first two epochs
+    short = GrfModel(toy_config(seed=18))
+    train(short, data, replace(cfg, epochs=2, checkpoint_every=0))
+    saved, extra_arrays, extra_meta = load_checkpoint(tmp_path / "checkpoint_epoch0002.npz")
+    assert extra_arrays == {} and extra_meta == {}  # the model only, no Adam state
+    for (p1, a1), (p2, a2) in zip(short.named_parameters(), saved.named_parameters()):
         assert p1 == p2 and np.array_equal(a1, a2)
-    assert resumed_history == full_history[len(full_history) - len(resumed_history):]
 
 
 def test_history_csv_and_epoch_means(tmp_path):
@@ -281,16 +281,6 @@ def test_history_csv_and_epoch_means(tmp_path):
     assert len(lines) == 4
     means = epoch_mean_nll(history)
     assert means[0] == pytest.approx(1.5) and means[1] == pytest.approx(0.5)
-
-
-def test_adam_state_array_roundtrip():
-    state = AdamState(step=7)
-    state.m = {"a.w0": np.arange(4.0)}
-    state.v = {"a.w0": np.arange(4.0) ** 2}
-    back = adam_state_from_arrays(adam_state_arrays(state))
-    assert back.step == 7
-    assert np.array_equal(back.m["a.w0"], state.m["a.w0"])
-    assert np.array_equal(back.v["a.w0"], state.v["a.w0"])
 
 
 def test_train_config_validation():

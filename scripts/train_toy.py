@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Desk-scale end-to-end experiment.
 
-Trains the toy profile on the bundled 50-molecule set, then reproduces
-the three headline artifacts on the trained model: the reconstruction
-curve against fixed-point iterations, temperature-controlled sampling
-with quality metrics, and a latent-grid decode around a query molecule.
+Trains the toy profile (configs/toy.json) on the bundled 50-molecule set,
+then reproduces the three headline artifacts on the trained model: the
+reconstruction curve against fixed-point iterations, temperature-controlled
+sampling with quality metrics, and a latent-grid decode around a query
+molecule.  Every step is one `grf` subcommand writing into the output
+directory, so the artifacts are exactly what the CLI writes.
 
 Usage: python scripts/train_toy.py [out_dir] [--seed N] [--epochs N]
 """
@@ -14,14 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from grf import cli
 
-from grf.analysis import latent_grid, reconstruction_curve
-from grf.chem import compute_metrics, load_smiles_file, training_string_set
-from grf.flow import GrfModel, save_checkpoint, toy_config
-from grf.graphs import pad_graph
-from grf.inversion import InversionConfig, generate
-from grf.training import TrainConfig, epoch_mean_nll, train, write_history_csv
+REPO = Path(__file__).resolve().parent.parent
 
 
 def main(argv=None) -> int:
@@ -32,45 +29,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    raws = load_smiles_file(REPO / "data" / "toy_train.smi")
-    model = GrfModel(toy_config(seed=args.seed))
-    dataset = [pad_graph(r, model.schema) for r in raws]
+    config = json.loads((REPO / "configs" / "toy.json").read_text(encoding="utf-8"))
+    config["train"]["epochs"] = args.epochs
+    config_path = args.out / "config.json"
+    config_path.write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
 
-    cfg = TrainConfig(batch_size=25, learning_rate=1e-3, epochs=args.epochs,
-                      series_terms=8, hutchinson_samples=4, rng_seed=args.seed)
-    history = train(model, dataset, cfg)
-    write_history_csv(history, args.out / "loss_history.csv")
-    save_checkpoint(args.out / "model.npz", model)
-    means = epoch_mean_nll(history)
-    print(f"nll: epoch 0 = {means[0]:.2f}, epoch {args.epochs - 1} = "
-          f"{means[args.epochs - 1]:.2f}")
-
-    rows = reconstruction_curve(model, dataset, [1, 5, 10, 30, 100],
-                                rng_seed=args.seed)
-    with open(args.out / "reconstruction.csv", "w", encoding="utf-8") as fh:
-        fh.write("iterations,feature_l2,adjacency_l2,combined_l2,exact_rate\n")
-        for row in rows:
-            fh.write(f"{row['iterations']},{row['feature_l2']!r},"
-                     f"{row['adjacency_l2']!r},{row['combined_l2']!r},"
-                     f"{row['exact_rate']!r}\n")
-    print("reconstruction exact rate at n=100:", rows[-1]["exact_rate"])
-
-    molecules = generate(model, 500, 0.65, 0.69, InversionConfig(iterations=100),
-                         rng_seed=args.seed + 1)
-    report = compute_metrics(molecules, training_string_set(raws))
-    (args.out / "metrics.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    print(f"sampling: V={report.validity:.3f} N={report.novelty:.3f} "
-          f"U={report.uniqueness:.3f} over {report.sample_count} samples")
-
-    records = latent_grid(model, dataset, grid_size=5, step=0.4,
-                          rng_seed=args.seed + 2)
-    with open(args.out / "latent_grid.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-    print("latent grid:", sum(r["valid"] for r in records), "of",
-          len(records), "points decode to valid molecules")
+    out, ckpt = str(args.out), str(args.out / "model.npz")
+    data = str(REPO / "data" / "toy_train.smi")
+    steps = (
+        ["train", "--config", str(config_path), "--dataset", data, "--out", out,
+         "--seed", str(args.seed)],
+        ["reconstruct", "--ckpt", ckpt, "--dataset", data, "--out", out,
+         "--iterations", "1,5,10,30,100", "--seed", str(args.seed)],
+        ["sample", "--ckpt", ckpt, "--out", out, "--count", "500", "--dataset", data,
+         "--seed", str(args.seed + 1)],
+        ["latent-grid", "--ckpt", ckpt, "--dataset", data, "--out", out,
+         "--grid-step", "0.4", "--seed", str(args.seed + 2)],
+    )
+    for step in steps:
+        code = cli.main(step)
+        if code:
+            return code
     return 0
 
 

@@ -25,7 +25,7 @@ from .chem import (ChemError, SmilesError, check_validity, compute_metrics,
                    write_smiles)
 from .flow import (CheckpointError, GrfModel, ModelConfig, load_checkpoint,
                    save_checkpoint, toy_config)
-from .graphs import GraphError, GraphSchema, pad_graph, unpad_graph
+from .graphs import QM9_SCHEMA, GraphError, pad_graph, unpad_graph
 from .inversion import InversionConfig, generate
 from .likelihood import full_logp
 from .linalg import NumericalError
@@ -134,7 +134,7 @@ def build_parser() -> _Parser:
     p_grid.add_argument("--seed", type=int, default=0)
 
     p_check = sub.add_parser("selfcheck", help="run the numerical property suites")
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
     p_check.add_argument("--dataset", type=Path,
                          help="also check dataset molecules' adjacency spectra")
 
@@ -268,10 +268,7 @@ def _cmd_latent_grid(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    extra = None
-    if args.dataset:
-        schema = GraphSchema(n_max=9, atom_symbols=("C", "N", "O", "F"))
-        extra = _load_dataset(args.dataset, schema)
+    extra = _load_dataset(args.dataset, QM9_SCHEMA) if args.dataset else None
     results = run_selfcheck(seed=args.seed, extra_graphs=extra)
     print(format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERICAL

@@ -331,12 +331,7 @@ class GrfModel:
         # an adjacency slice is one node's row of the (N, N, R) tensor
         self.slice_dim = d = config.n_max * config.n_bond_types
 
-        # Each drawn weight is followed by one unused draw, which once seeded
-        # a power-iteration state; keeping it makes GrfModel(config) build
-        # the same weights as earlier versions.  Those drew the adjacency
-        # weights for x -> W @ x on column slices; `flip` stores them
-        # transposed for the row form h @ W, so the map is the same.
-        def weight(path, dim, rank, target, flip):
+        def weight(path, dim, rank, target):
             if stored is not None:
                 if rank > 0:
                     return FactoredWeight(u=stored(f"{path}.u", (dim, rank)),
@@ -345,22 +340,16 @@ class GrfModel:
             w = (FactoredWeight(u=rng.standard_normal((dim, rank)),
                                 vt=rng.standard_normal((rank, dim)))
                  if rank > 0 else rng.standard_normal((dim, dim)))
-            w = _scaled_to(w, target)
-            rng.integers(2 ** 31)
-            if flip:
-                w = (FactoredWeight(u=np.ascontiguousarray(w.vt.T),
-                                    vt=np.ascontiguousarray(w.u.T))
-                     if rank > 0 else np.ascontiguousarray(w.T))
-            return w
+            return _scaled_to(w, target)
 
         def bias(path, shape):
             if not config.use_bias:
                 return None
             return np.zeros(shape) if stored is None else stored(path, shape)
 
-        def layers(prefix, dim, rank, depth, flip=False):
+        def layers(prefix, dim, rank, depth):
             target = config.init_scale ** (1.0 / depth)
-            return ([weight(f"{prefix}.w{l}", dim, rank, target, flip) for l in range(depth)],
+            return ([weight(f"{prefix}.w{l}", dim, rank, target) for l in range(depth)],
                     [bias(f"{prefix}.b{l}", (1, dim)) for l in range(depth)])
 
         self.feature_layers: list[GcnResidualBlock] = [
@@ -370,7 +359,7 @@ class GrfModel:
         self.adjacency_layers: list[MlpResidualBlock] = [
             MlpResidualBlock(f"adjacency.{b}",
                              *layers(f"adjacency.{b}", d, config.adjacency_rank,
-                                     config.mlp_layers, flip=True),
+                                     config.mlp_layers),
                              budget=config.lipschitz_budget)
             for b in range(config.mlp_blocks)]
 
@@ -479,18 +468,14 @@ def save_checkpoint(path, model: GrfModel) -> None:
 
 
 def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
-    """Rebuild a model (bit exact) plus the file's extra arrays and metadata.
+    """Rebuild a model (bit exact) from a file that `save_checkpoint` wrote.
 
-    Only files from earlier versions hold extras (the Adam state and next
-    epoch of a periodic checkpoint); no caller reads them.  Reads format
-    versions 1 to 4.  Versions 1 to 3 stored the adjacency parameters for
-    the column form x -> W @ x, so they are transposed on load (a rank-r
-    weight's factors also swap places: u <- vt.T, vt <- u.T); the
-    power-iteration states (`sn::` arrays) that versions 1 and 2 stored
-    are ignored.  Their configs may name an adjacency mode, which must be
-    "node", the only layout left.  A file that is not a checkpoint, holds a model of a
-    layout no longer supported, or lacks an array the model needs or
-    holds it at the wrong shape, raises `CheckpointError`.
+    Returns (model, {}, {}): the two empty dicts stand for format 4's
+    extra arrays and metadata, which nothing writes any more.  Only format
+    version 4 is read.  A file that is not a checkpoint, has another
+    version, stores a config field `ModelConfig` does not have, or lacks
+    an array the model needs or holds it at the wrong shape, raises
+    `CheckpointError`.
     """
     try:
         data = np.load(path)
@@ -516,26 +501,13 @@ def _checkpoint_array(data, key: str, shape: tuple[int, ...] | None = None) -> n
 def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
     meta = json.loads(bytes(_checkpoint_array(data, "__meta__")).decode())
     version = meta.get("format_version")
-    if version not in (1, 2, 3, CHECKPOINT_VERSION):
-        raise CheckpointError(f"unsupported format version {version!r}")
-    cfg_dict = dict(meta["config"])
-    if cfg_dict.pop("relational_gcn", False):
-        raise CheckpointError("relational_gcn models are no longer supported")
-    mode = cfg_dict.pop("adjacency_mode", "node")
-    if mode != "node":
-        raise CheckpointError(f"adjacency_mode {mode!r} models are no longer supported")
-    cfg_dict["atom_symbols"] = tuple(cfg_dict["atom_symbols"])
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported format version {version!r}, "
+                              f"only version {CHECKPOINT_VERSION} is read")
+    # a stored field ModelConfig does not have raises a TypeError naming it
+    config = ModelConfig(**meta["config"])
 
     def stored(name, shape):
-        if version == CHECKPOINT_VERSION or not name.startswith("adjacency."):
-            return np.asarray(_checkpoint_array(data, f"param::{name}", shape),
-                              dtype=np.float64)
-        head, _, leaf = name.rpartition(".")
-        leaf = {"u": "vt", "vt": "u"}.get(leaf, leaf)
-        arr = _checkpoint_array(data, f"param::{head}.{leaf}", shape[::-1])
-        return np.ascontiguousarray(np.asarray(arr, dtype=np.float64).T)
+        return np.asarray(_checkpoint_array(data, f"param::{name}", shape), dtype=np.float64)
 
-    model = GrfModel(ModelConfig(**cfg_dict), stored=stored)
-    extra_arrays = {key[len("extra::"):]: data[key].copy()
-                    for key in data.files if key.startswith("extra::")}
-    return model, extra_arrays, meta["extra"]
+    return GrfModel(config, stored=stored), {}, {}

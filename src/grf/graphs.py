@@ -258,31 +258,19 @@ def pad_graph(raw: RawGraph, schema: GraphSchema) -> MolGraph:
     return g
 
 
-def random_molgraph(schema: GraphSchema, rng_seed, bond_prob: float = 0.4) -> MolGraph:
-    """Random discrete molecule tensor satisfying all invariants.
+def random_molgraph(schema: GraphSchema, rng_seed: int) -> MolGraph:
+    """Random discrete molecule tensor satisfying all invariants: 1 to
+    n_max atoms, each pair bonded with probability 0.4.
 
     Not chemically filtered; used by property suites and shape tests.
     """
-    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else np.random.default_rng(rng_seed))
-    n = schema.n_max
-    n_real = int(rng.integers(1, n + 1))
-    features = np.zeros((n, schema.n_atom_types))
-    for i in range(n):
-        col = int(rng.integers(0, schema.n_atom_types - 1)) if i < n_real \
-            else schema.virtual_atom
-        features[i, col] = 1.0
-    adjacency = np.zeros((n, n, schema.n_bond_types))
-    adjacency[:, :, schema.no_bond] = 1.0
-    for i in range(n_real):
-        for j in range(i + 1, n_real):
-            if rng.random() < bond_prob:
-                ch = int(rng.integers(0, schema.n_bond_types - 1))
-                adjacency[i, j, schema.no_bond] = adjacency[j, i, schema.no_bond] = 0.0
-                adjacency[i, j, ch] = adjacency[j, i, ch] = 1.0
-    g = MolGraph(schema=schema, adjacency=adjacency, features=features)
-    g.validate()
-    return g
+    rng = np.random.default_rng(rng_seed)
+    n_real = int(rng.integers(1, schema.n_max + 1))
+    atoms = [schema.atom_symbols[int(rng.integers(0, schema.n_atom_types - 1))]
+             for _ in range(n_real)]
+    bonds = [(i, j, int(rng.integers(0, schema.n_bond_types - 1)) + 1)
+             for i in range(n_real) for j in range(i + 1, n_real) if rng.random() < 0.4]
+    return pad_graph(RawGraph(atoms=atoms, bonds=bonds), schema)
 
 
 def unpad_graph(g: MolGraph) -> RawGraph:

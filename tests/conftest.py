@@ -3,12 +3,11 @@ from pathlib import Path
 import pytest
 
 from grf.chem import load_smiles_file
-from grf.graphs import GraphSchema, pad_graph
+from grf.graphs import QM9_SCHEMA, GraphSchema, pad_graph
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
 
-QM9_SCHEMA = GraphSchema(n_max=9, atom_symbols=("C", "N", "O", "F"))
 TOY_SCHEMA = GraphSchema(n_max=6, atom_symbols=("C", "N", "O", "F"))
 
 

@@ -262,6 +262,13 @@ def test_train_negative_seed_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_selfcheck_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", "--seed", "-1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --seed" in capsys.readouterr().err
+
+
 def test_reconstruct_accepts_zero_iterations(trained_dir, tmp_path):
     code = main(["reconstruct", "--ckpt", str(trained_dir / "run" / "model.npz"),
                  "--dataset", str(DATA / "toy_train.smi"), "--out", str(tmp_path / "r"),
@@ -317,18 +324,42 @@ def test_checkpoint_wrong_shape_is_data_error(trained_dir, tmp_path, capsys):
     assert err.startswith("data error:") and "param::feature.0.w0" in err and "(4, 4)" in err
 
 
-def test_checkpoint_of_a_retired_adjacency_mode_is_data_error(trained_dir, tmp_path, capsys):
+def _with_meta(src, dst, edit):
+    """Copy a checkpoint with its metadata changed by `edit(meta)`."""
     import numpy as np
 
-    src = trained_dir / "run" / "model.npz"
     with np.load(src) as data:
         meta = json.loads(bytes(data["__meta__"]).decode())
-    meta["config"]["adjacency_mode"] = "pair"  # as earlier versions stored it
-    ckpt = tmp_path / "pair.npz"
-    _rewrite_checkpoint(src, ckpt, replace={
+    edit(meta)
+    _rewrite_checkpoint(src, dst, replace={
         "__meta__": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)})
-    code = main(["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "s"), "--count", "2"])
-    assert code == EXIT_DATA
+
+
+def _sample_args(ckpt, tmp_path):
+    return ["sample", "--ckpt", str(ckpt), "--out", str(tmp_path / "s"), "--count", "2"]
+
+
+def test_checkpoint_of_another_format_version_is_data_error(trained_dir, tmp_path, capsys):
+    from grf.flow import CheckpointError, load_checkpoint
+
+    ckpt = tmp_path / "v3.npz"
+    _with_meta(trained_dir / "run" / "model.npz", ckpt,
+               lambda meta: meta.update(format_version=3))
+    with pytest.raises(CheckpointError, match="format version 3"):
+        load_checkpoint(ckpt)
+    assert main(_sample_args(ckpt, tmp_path)) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "'pair'" in err
+    assert err.startswith("data error:") and "format version 3" in err
     assert not (tmp_path / "s").exists()
+
+
+def test_checkpoint_of_a_retired_adjacency_mode_is_data_error(trained_dir, tmp_path, capsys):
+    # format-4 files written before the field was removed store "node"
+    for field, value in (("adjacency_mode", "node"), ("relational_gcn", False)):
+        ckpt = tmp_path / f"{field}.npz"
+        _with_meta(trained_dir / "run" / "model.npz", ckpt,
+                   lambda meta: meta["config"].update({field: value}))
+        assert main(_sample_args(ckpt, tmp_path)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"'{field}'" in err
+        assert not (tmp_path / "s").exists()

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from grf.autodiff import elu
-from grf.flow import (CheckpointError, FactoredWeight, GrfModel, ModelConfig,
-                      count_parameters, load_checkpoint, qm9_table_config, save_checkpoint,
-                      toy_config)
+from grf.flow import (FactoredWeight, GrfModel, ModelConfig, count_parameters, load_checkpoint,
+                      qm9_table_config, save_checkpoint, toy_config)
 from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
 from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
@@ -324,78 +323,8 @@ def test_mlp_block_single_layer_scalar_form():
 
 # -- checkpoints ----------------------------------------------------------------------
 
-def test_checkpoint_bit_exact_roundtrip(tmp_path):
-    model = GrfModel(toy_config(seed=21, use_bias=True, adjacency_rank=2))
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, model)
-    loaded, extra_arrays, extra_meta = load_checkpoint(path)
-    for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
-        assert n1 == n2
-        assert np.array_equal(a1, a2)
-    assert extra_arrays == {} and extra_meta == {}
-
-
-def test_checkpoint_preserves_forward(tmp_path):
-    model = GrfModel(toy_config(seed=22))
-    g = random_molgraph(model.schema, 23)
-    deq = dequantize(g, 0.9, 24)
-    (z1,) = model.encode([deq], [g.adjacency])
-    save_checkpoint(tmp_path / "m.npz", model)
-    loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
-    (z2,) = loaded.encode([deq], [g.adjacency])
-    assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
-    assert np.array_equal(z1.z_features, z2.z_features)
-
-
-def with_stored_mode(src, dst, mode):
-    """Rewrite a checkpoint with `mode` as its config's adjacency mode, as
-    every file of earlier versions holds one."""
-    import json
-
-    with np.load(src) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["config"]["adjacency_mode"] = mode
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(dst, **arrays)
-
-
-def write_old_version(src, dst, version, model, relational=False):
-    """Rewrite a current checkpoint in format 1, 2 or 3: adjacency parameters
-    for the column form x -> W @ x, i.e. each dense weight and bias
-    transposed and each rank-r weight u @ vt stored as (vt.T, u.T); `sn::`
-    power-iteration states for every rank-r weight (format 2) or every weight
-    (format 1); and in format 1 a `relational_gcn` config field."""
-    import json
-
-    with np.load(src) as data:
-        arrays = {k: data[k] for k in data.files}
-    meta = json.loads(bytes(arrays["__meta__"]).decode())
-    meta["format_version"] = version
-    if version == 1:
-        meta["config"]["relational_gcn"] = relational
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    for block in model.adjacency_layers:
-        for idx, (w, b) in enumerate(zip(block.weights, block.biases)):
-            path = f"param::{block.prefix}.w{idx}"
-            if isinstance(w, FactoredWeight):
-                arrays[f"{path}.u"], arrays[f"{path}.vt"] = w.vt.T, w.u.T
-            else:
-                arrays[path] = w.T
-            if b is not None:
-                arrays[f"param::{block.prefix}.b{idx}"] = b.T
-    for block in model.blocks():
-        for idx, w in enumerate(block.weights):
-            if version == 1 or isinstance(w, FactoredWeight):
-                d = w.vt.shape[1] if isinstance(w, FactoredWeight) else w.shape[0]
-                arrays[f"sn::{block.prefix}.{idx}::u"] = np.full(d, np.nan)
-                arrays[f"sn::{block.prefix}.{idx}::v"] = np.full(d, np.nan)
-                arrays[f"sn::{block.prefix}.{idx}::sigma"] = np.array([np.nan])
-    np.savez(dst, **arrays)
-
-
 def biased_model(**overrides):
-    """A toy model whose biases are nonzero, so a transposed bias shows."""
+    """A toy model whose biases are nonzero, so a bias lost on load shows."""
     model = GrfModel(toy_config(use_bias=True, **overrides))
     rng = np.random.default_rng(overrides["seed"])
     for path, arr in model.named_parameters():
@@ -418,21 +347,27 @@ def assert_same_model(model, loaded):
     assert full_logp(loaded, g, rng_seed=30).total_logp == full_logp(model, g, rng_seed=30).total_logp
 
 
-def test_checkpoint_with_stored_node_mode_loads(tmp_path):
-    model = biased_model(seed=32, adjacency_rank=2)
-    save_checkpoint(tmp_path / "v4.npz", model)
-    with_stored_mode(tmp_path / "v4.npz", tmp_path / "node.npz", "node")
-    loaded, _, _ = load_checkpoint(tmp_path / "node.npz")
-    assert loaded.config == model.config
-    assert_same_model(model, loaded)
+def test_checkpoint_bit_exact_roundtrip(tmp_path):
+    for rank in (0, 2):  # dense and rank-r weights, both with nonzero biases
+        model = biased_model(seed=21, adjacency_rank=rank)
+        path = tmp_path / f"rank{rank}.npz"
+        save_checkpoint(path, model)
+        loaded, extra_arrays, extra_meta = load_checkpoint(path)
+        assert loaded.config == model.config
+        assert_same_model(model, loaded)
+        assert extra_arrays == {} and extra_meta == {}
 
 
-@pytest.mark.parametrize("mode", ["flat", "pair"])
-def test_checkpoint_with_retired_adjacency_mode_is_rejected(mode, tmp_path):
-    save_checkpoint(tmp_path / "v4.npz", GrfModel(toy_config(seed=33)))
-    with_stored_mode(tmp_path / "v4.npz", tmp_path / f"{mode}.npz", mode)
-    with pytest.raises(CheckpointError, match=f"adjacency_mode '{mode}'"):
-        load_checkpoint(tmp_path / f"{mode}.npz")
+def test_checkpoint_preserves_forward(tmp_path):
+    model = GrfModel(toy_config(seed=22))
+    g = random_molgraph(model.schema, 23)
+    deq = dequantize(g, 0.9, 24)
+    (z1,) = model.encode([deq], [g.adjacency])
+    save_checkpoint(tmp_path / "m.npz", model)
+    loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
+    (z2,) = loaded.encode([deq], [g.adjacency])
+    assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
+    assert np.array_equal(z1.z_features, z2.z_features)
 
 
 def test_checkpoint_version_4_writes_no_spectral_states(tmp_path):
@@ -444,38 +379,6 @@ def test_checkpoint_version_4_writes_no_spectral_states(tmp_path):
         save_checkpoint(tmp_path / f"{tag}.npz", GrfModel(cfg))
         with np.load(tmp_path / f"{tag}.npz") as data:
             assert not [k for k in data.files if k.startswith("sn::")]
-
-
-@pytest.mark.parametrize("rank", [0, 2], ids=["dense", "rank2"])
-def test_checkpoint_version_3_column_orientation_still_loads(rank, tmp_path):
-    model = biased_model(seed=31, adjacency_rank=rank)
-    save_checkpoint(tmp_path / "v4.npz", model)
-    write_old_version(tmp_path / "v4.npz", tmp_path / "v3.npz", 3, model)
-    with np.load(tmp_path / "v3.npz") as data:
-        assert data["param::adjacency.0.b0"].shape == (24, 1)
-    loaded, _, _ = load_checkpoint(tmp_path / "v3.npz")
-    assert_same_model(model, loaded)
-
-
-def test_checkpoint_version_2_with_spectral_states_still_loads(tmp_path):
-    model = biased_model(seed=27, adjacency_rank=2)
-    save_checkpoint(tmp_path / "v4.npz", model)
-    write_old_version(tmp_path / "v4.npz", tmp_path / "v2.npz", 2, model)
-    with np.load(tmp_path / "v2.npz") as data:
-        assert any(k.startswith("sn::adjacency.") for k in data.files)
-    loaded, _, _ = load_checkpoint(tmp_path / "v2.npz")
-    assert_same_model(model, loaded)
-
-
-def test_checkpoint_version_1_still_loads(tmp_path):
-    model = biased_model(seed=26, adjacency_rank=2)
-    save_checkpoint(tmp_path / "v4.npz", model)
-    write_old_version(tmp_path / "v4.npz", tmp_path / "v1.npz", 1, model)
-    loaded, _, _ = load_checkpoint(tmp_path / "v1.npz")
-    assert_same_model(model, loaded)
-    write_old_version(tmp_path / "v4.npz", tmp_path / "rel.npz", 1, model, relational=True)
-    with pytest.raises(CheckpointError, match="relational_gcn"):
-        load_checkpoint(tmp_path / "rel.npz")
 
 
 def test_model_config_validation():

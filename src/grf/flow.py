@@ -398,11 +398,10 @@ class GrfModel:
         `x` is an (N, M) feature matrix with its (N, N) operator `p` and its
         (N, N, R) adjacency `a`, or a (B, N, M) stack with (B, N, N) and
         (B, N, N, R) ones.  The adjacency blocks act on the (..., C, d) view
-        of `a`, whose rows are the N node rows.  On plain arrays, or on tape
-        tensors when the model holds tape leaves.  Returns (z_x, z_a, layers), the latents in the
-        inputs' shapes and, per block in order (feature blocks first),
-        (block, input, lin) with the linearization `lin` that the block's
-        `jvp_many` and `jacobians` take.
+        of `a`, whose rows are the N node rows.  Returns (z_x, z_a, layers),
+        the latents in the inputs' shapes and, per block in order (feature
+        blocks first), (block, input, lin) with the linearization `lin` that
+        the block's `jvp_many` and `jacobians` take.
         """
         layers = []
 
@@ -411,7 +410,7 @@ class GrfModel:
             layers.append((block, h, lin))
             return y
 
-        return (*self._stacks(x, p, a, branch), layers)
+        return (*self.stacks(x, p, a, branch), layers)
 
     def encode(self, deqs: list[DequantGraph],
                adjacencies: list[np.ndarray]) -> list[LatentPoint]:
@@ -420,15 +419,16 @@ class GrfModel:
         latents are needed, so the blocks run slope-free `apply` and no
         layer input is kept."""
         p = np.stack([self.conditioning_operator(a) for a in adjacencies])
-        z_x, z_a = self._stacks(np.stack([deq.features_c for deq in deqs]), p,
-                                np.stack([deq.adjacency_c for deq in deqs]),
-                                lambda block, h, p: block.apply(h, p))
+        z_x, z_a = self.stacks(np.stack([deq.features_c for deq in deqs]), p,
+                               np.stack([deq.adjacency_c for deq in deqs]),
+                               lambda block, h, p: block.apply(h, p))
         return [LatentPoint(z_adjacency=za, z_features=zx) for za, zx in zip(z_a, z_x)]
 
-    def _stacks(self, x, p, a, branch):
+    def stacks(self, x, p, a, branch):
         """(z_x, z_a): x + branch(block, x, p) through each feature block,
         then h + branch(block, h, None) through each adjacency block on the
-        (..., C, d) view h of `a`, returned in `a`'s shape."""
+        (..., C, d) view h of `a`, returned in `a`'s shape.  `forward`,
+        `encode` and training's backward walk differ only in `branch`."""
         for block in self.feature_layers:
             x = x + branch(block, x, p)
         h = a.reshape(*a.shape[:-3], -1, self.slice_dim)
@@ -472,10 +472,10 @@ def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
 
     Returns (model, {}, {}): the two empty dicts stand for format 4's
     extra arrays and metadata, which nothing writes any more.  Only format
-    version 4 is read.  A file that is not a checkpoint, has another
-    version, stores a config field `ModelConfig` does not have, or lacks
-    an array the model needs or holds it at the wrong shape, raises
-    `CheckpointError`.
+    version 4 is read.  A file that is not a checkpoint, whose metadata is
+    not a JSON object, has another version, stores a config field
+    `ModelConfig` does not have, or lacks an array the model needs or holds
+    it at the wrong shape, raises `CheckpointError`.
     """
     try:
         data = np.load(path)
@@ -500,6 +500,8 @@ def _checkpoint_array(data, key: str, shape: tuple[int, ...] | None = None) -> n
 
 def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
     meta = json.loads(bytes(_checkpoint_array(data, "__meta__")).decode())
+    if not isinstance(meta, dict):
+        raise CheckpointError("metadata is not a JSON object")
     version = meta.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported format version {version!r}, "

@@ -1,16 +1,22 @@
 """Gradient computation, Adam, and the training loop.
 
-The loss is the mean negative log-likelihood over a minibatch.  Gradients
-come from reverse-mode differentiation of the full computation, including
-the Jacobian-vector products inside the stochastic log-det series (probe
-vectors are frozen per step, so the estimator is a smooth function of the
-parameters).  After every optimizer step all weights are re-projected to
-the spectral budget, which keeps every block contractive throughout
-training.
+The loss is the mean negative log-likelihood over a minibatch.  Its
+gradients come from reverse-mode differentiation of the whole loss,
+including the Jacobian-vector products inside the stochastic log-det
+series (probe vectors are frozen per step, so the estimator is a smooth
+function of the parameters).  After every optimizer step all weights are
+re-projected to the spectral budget, which keeps every block contractive
+throughout training.
 
-The minibatch runs as one batch: one `GrfModel.forward` on the tape over
-the batch's (B, N, M) feature and (B, N, N, R) adjacency stacks, then one
-log-det series per block over all probes and samples.
+The minibatch runs as one batch, and the backward pass is block-local:
+both stacks run once on plain arrays over the batch's (B, N, M) feature
+and (B, N, N, R) adjacency stacks, keeping only each block's input.  The
+blocks are then walked in reverse, and each one is rebuilt on a short
+tape of its own from its saved input: its forward pass and its log-det
+series over all probes and samples.  Backpropagating that tape turns the
+cotangent of the block's output into its weight gradients and the
+cotangent of its input.  Training memory is one block's tape plus the
+block inputs, whatever the depth.
 
 All randomness is keyed, so a fixed seed replays the exact same
 trajectory: shuffling by (seed, epoch), dequantization noise by
@@ -74,55 +80,89 @@ def taped_twin(model: GrfModel) -> tuple[GrfModel, dict[str, Tensor]]:
 
 def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
              epoch: int = 0, step: int = 0):
-    """Loss and parameter gradients for one minibatch.
+    """Loss and parameter gradients for one minibatch, by a block-local walk.
 
-    The forward pass and every log-det series run on the model's taped
-    twin, so the gradients reach its leaves.  Returns (loss, grads,
-    stats) where grads maps parameter paths to arrays and stats carries the per-sample mean prior and log-det terms
-    for the loss history.
+    The loss is -(prior + sum of log-dets) / B.  Its cotangents seed the
+    walk: z / B on each stack's latent z from the prior, and -1/B on each
+    block's log-det.  Going from the last block to the first, each block
+    of the model's taped twin runs again on its saved input; backpropagating
+    <x + f(x), g_out> - log-det / B adds the block's weight gradients to
+    the twin's leaves and gives the cotangent of the input, which is the
+    previous block's g_out.  Only one block's tape is alive at a time.
+
+    Returns (loss, grads, stats) where grads maps parameter paths to arrays
+    and stats carries the per-sample mean prior and log-det terms for the
+    loss history.  A non-finite loss raises `NumericalError` naming the
+    first block, in forward order, whose log-det is non-finite.
     """
     if not batch:
         raise ValueError("empty batch")
     twin, leaves = taped_twin(model)
     n_batch = len(batch)
-    s_probes = cfg.hutchinson_samples
 
     deqs = [dequantize(g, model.config.noise_scale,
                        int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
             for i, g in enumerate(batch)]
     p = np.stack([model.conditioning_operator(g.adjacency) for g in batch])
-    z_x, z_a, layers = twin.forward(np.stack([deq.features_c for deq in deqs]), p,
-                                    np.stack([deq.adjacency_c for deq in deqs]))
+    inputs = []
 
-    # Each block's log-det is one series over every probe and sample at once.
+    def keep_input(block, h, p):
+        inputs.append(h)
+        return block.apply(h, p)
+
+    z_x, z_a = model.stacks(np.stack([deq.features_c for deq in deqs]), p,
+                            np.stack([deq.adjacency_c for deq in deqs]), keep_input)
+
+    blocks = twin.blocks()
+    n_x = len(twin.feature_layers)
+    logdets = [0.0] * len(blocks)
+    # the adjacency stack first, from its latent back to the data, then the feature stack
+    for indices, p_stack, z in ((range(n_x, len(blocks)), None, z_a.reshape(inputs[-1].shape)),
+                                (range(n_x), p, z_x)):
+        g_out = z * (1.0 / n_batch)
+        for bi in reversed(indices):
+            probes = draw_probes(inputs[bi].shape, cfg.hutchinson_samples,
+                                 derive_rng(cfg.rng_seed, TAG_PROBE, epoch, step, bi))
+            logdets[bi], g_out = _block_backward(blocks[bi], inputs[bi], p_stack, g_out,
+                                                 probes, cfg, n_batch)
+
+    # The loss in forward block order, scaled by 1/B as the cotangents are.
+    # A plain left-to-right sum: builtin `sum` compensates on Python >= 3.12.
     total_logdet = 0.0
-    logdet_values: list[tuple[str, float]] = []
-    for bi, (block, x, lin) in enumerate(layers):
-        probes = draw_probes(value_of(x).shape, s_probes,
-                             derive_rng(cfg.rng_seed, TAG_PROBE, epoch, step, bi))
-        ld = logdet_series_from_probes(lambda u: block.jvp_many(u, lin),
-                                       probes, s_probes, cfg.series_terms)
+    for ld in logdets:
         total_logdet = total_logdet + ld
-        logdet_values.append((block.prefix, float(value_of(ld))))
     prior_sumsq = sum_all(z_x * z_x) + sum_all(z_a * z_a)
-
-    dim_total = n_batch * model.schema.latent_dim
-    prior_total = gaussian_logp_from_sumsq(prior_sumsq, dim_total)
-    loss = -(prior_total + total_logdet) / n_batch
-    loss_value = float(value_of(loss))
-    if not math.isfinite(loss_value):
-        offender = next((name for name, v in logdet_values if not math.isfinite(v)), None)
+    prior_total = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
+    loss = -(prior_total + total_logdet) * (1.0 / n_batch)
+    if not math.isfinite(loss):
+        offender = next((block.prefix for block, ld in zip(blocks, logdets)
+                         if not math.isfinite(ld)), None)
         detail = (f"first non-finite log-det from {offender}" if offender
                   else "prior term is non-finite")
         raise NumericalError(f"non-finite loss: {detail}")
 
-    loss.backward()
     grads = {path: (t.grad if t.grad is not None else np.zeros_like(t.data))
              for path, t in leaves.items()}
-    stats = {"nll": loss_value,
-             "logdet_mean": float(value_of(total_logdet)) / n_batch,
-             "prior_mean": float(value_of(prior_total)) / n_batch}
-    return loss_value, grads, stats
+    stats = {"nll": loss,
+             "logdet_mean": total_logdet / n_batch,
+             "prior_mean": prior_total / n_batch}
+    return loss, grads, stats
+
+
+def _block_backward(block, h, p, g_out, probes, cfg: TrainConfig, n_batch: int):
+    """One taped block's share of the loss: (its log-det, the cotangent of
+    its input `h`).
+
+    The block's forward pass and log-det series run on a tape rooted at
+    `h`; backpropagating <h + f(h), g_out> - log-det / B adds the block's
+    weight gradients to its leaves.  The tape is freed on return.
+    """
+    x = Tensor(h, requires_grad=True)
+    y, lin = block.forward(x, p)
+    ld = logdet_series_from_probes(lambda u: block.jvp_many(u, lin),
+                                   probes, cfg.hutchinson_samples, cfg.series_terms)
+    (sum_all((x + y) * g_out) - ld / n_batch).backward()
+    return float(value_of(ld)), x.grad
 
 
 def adam_step(model: GrfModel, grads: dict, state: AdamState, cfg: TrainConfig) -> AdamState:

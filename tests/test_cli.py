@@ -353,6 +353,23 @@ def test_checkpoint_of_another_format_version_is_data_error(trained_dir, tmp_pat
     assert not (tmp_path / "s").exists()
 
 
+def test_checkpoint_whose_metadata_is_not_an_object_is_data_error(trained_dir, tmp_path,
+                                                                 capsys):
+    import numpy as np
+
+    from grf.flow import CheckpointError, load_checkpoint
+
+    ckpt = tmp_path / "list_meta.npz"
+    _rewrite_checkpoint(trained_dir / "run" / "model.npz", ckpt, replace={
+        "__meta__": np.frombuffer(json.dumps([4]).encode(), dtype=np.uint8)})
+    with pytest.raises(CheckpointError, match="metadata is not a JSON object"):
+        load_checkpoint(ckpt)
+    assert main(_sample_args(ckpt, tmp_path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "metadata is not a JSON object" in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_checkpoint_of_a_retired_adjacency_mode_is_data_error(trained_dir, tmp_path, capsys):
     # format-4 files written before the field was removed store "node"
     for field, value in (("adjacency_mode", "node"), ("relational_gcn", False)):

@@ -149,10 +149,13 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
     return float(value_of(loss)), {path: t.grad for path, t in leaves.items()}
 
 
-@pytest.mark.parametrize("shape", ["toy", "qm9"])
+@pytest.mark.parametrize("shape", ["toy", "toy-rank2", "qm9"])
 def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus_graphs):
     if shape == "toy":
         model, batch = GrfModel(toy_config(seed=30, use_bias=True)), toy_graphs[:5]
+    elif shape == "toy-rank2":
+        model = GrfModel(toy_config(seed=30, adjacency_rank=2, use_bias=True))
+        batch = toy_graphs[:5]
     else:
         model, batch = GrfModel(qm9_table_config(seed=31, mlp_blocks=4)), corpus_graphs[:2]
     cfg = TrainConfig(series_terms=5, hutchinson_samples=3, rng_seed=32)
@@ -172,12 +175,36 @@ def test_grad_rejects_empty_batch():
 def test_grad_nonfinite_loss_names_offending_layer():
     from grf.linalg import NumericalError
 
-    model = tiny_model(seed=21)
-    model.adjacency_layers[1].weights[0][0, 0] = np.nan
-    batch = graphs_for(model.schema, ["CO"])
-    with pytest.raises(NumericalError) as exc:
-        grad_nll(model, batch, TrainConfig(series_terms=3, hutchinson_samples=1))
-    assert "adjacency.1" in str(exc.value) or "prior" in str(exc.value)
+    # every block after the offender in its stack also has a non-finite
+    # input; the message names the first one in forward order
+    for offender in ("adjacency.1", "feature.0"):
+        model = tiny_model(seed=21, mlp_blocks=3)
+        block = next(b for b in model.blocks() if b.prefix == offender)
+        block.weights[0][0, 0] = np.nan
+        batch = graphs_for(model.schema, ["CO"])
+        with pytest.raises(NumericalError) as exc:
+            grad_nll(model, batch, TrainConfig(series_terms=3, hutchinson_samples=1))
+        assert str(exc.value) == f"non-finite loss: first non-finite log-det from {offender}"
+
+
+def test_grad_memory_does_not_grow_with_depth(corpus_graphs):
+    import tracemalloc
+
+    # the saved block inputs and the gradients grow with depth, by a few
+    # MB here; a tape over every block would grow ~4x from 2 to 8 blocks
+
+    def traced_peak(mlp_blocks):
+        model = GrfModel(qm9_table_config(seed=33, mlp_blocks=mlp_blocks))
+        cfg = TrainConfig(rng_seed=34)
+        tracemalloc.start()
+        try:
+            grad_nll(model, corpus_graphs[:2], cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    shallow, deep = traced_peak(2), traced_peak(8)
+    assert deep <= 1.25 * shallow, (shallow, deep)
 
 
 # -- Adam -----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .flow import (CheckpointError, GrfModel, ModelConfig, load_checkpoint,
                    save_checkpoint, toy_config)
 from .graphs import QM9_SCHEMA, GraphError, pad_graph, unpad_graph
 from .inversion import InversionConfig, generate
-from .likelihood import full_logp
+from .likelihood import full_logp, require_contractive
 from .linalg import NumericalError
 from .selfcheck import format_report, run_selfcheck
 from .training import TrainConfig, train, write_history_csv
@@ -189,8 +189,18 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_contraction(path) -> GrfModel:
+    """The checkpoint's model, once every block certifies as a contraction:
+    a bound >= 1 raises `NumericalError` naming the first such block, before
+    any command writes its output."""
+    model, _, _ = load_checkpoint(path)
+    for block, bound in zip(model.blocks(), model.certified_block_bounds()):
+        require_contractive(bound, block.prefix)
+    return model
+
+
 def _cmd_sample(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = _load_contraction(args.ckpt)
     valences = load_valence_table(args.valence_table) if args.valence_table else None
     molecules = generate(model, args.count, args.tx, args.ta,
                          InversionConfig(iterations=args.iterations),
@@ -222,7 +232,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = _load_contraction(args.ckpt)
     graphs = _load_dataset(args.dataset, model.schema, cap=args.count)
     rows = reconstruction_curve(model, graphs, args.iterations, rng_seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -238,7 +248,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = _load_contraction(args.ckpt)
     graphs = _load_dataset(args.dataset, model.schema, cap=args.count)
     args.out.mkdir(parents=True, exist_ok=True)
     totals = []
@@ -253,7 +263,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_latent_grid(args) -> int:
-    model, _, _ = load_checkpoint(args.ckpt)
+    model = _load_contraction(args.ckpt)
     graphs = _load_dataset(args.dataset, model.schema)
     records = latent_grid(model, graphs, grid_size=args.grid_size, step=args.grid_step,
                           rng_seed=args.seed, encode_count=args.count,

@@ -9,8 +9,10 @@ invertible by fixed-point iteration, and the log-det power series
 convergent.
 
 Block code is written once against the autodiff dispatch helpers, so the
-same functions run on plain arrays (inference, inversion) and on tape
-tensors (training).
+same functions run on plain arrays and on tape tensors (the tests'
+gradient reference).  Training differentiates a block through its two
+hand-written reverse passes, `jvp_many_vjp` and `forward_vjp`, on plain
+arrays.
 """
 
 from __future__ import annotations
@@ -194,14 +196,20 @@ class _ResidualBlock:
         self.depth = len(weights)
 
     def weight_items(self):
-        items = []
-        for l, w in enumerate(self.weights):
-            items.extend(_weight_entries(f"{self.prefix}.w{l}", w))
-        return items
+        return self.named(self.weights, [None] * self.depth)
 
     def named_parameters(self):
-        items = list(self.weight_items())
-        for l, b in enumerate(self.biases):
+        return self.named(self.weights, self.biases)
+
+    def named(self, weights, biases):
+        """(path, array) pairs of per-layer `weights` and `biases` laid out
+        as this block's parameters (or as the gradients of them that
+        `jvp_many_vjp` and `forward_vjp` return): weights first, a rank-r
+        one as its two factors, then every bias that is not None."""
+        items = []
+        for l, w in enumerate(weights):
+            items.extend(_weight_entries(f"{self.prefix}.w{l}", w))
+        for l, b in enumerate(biases):
             if b is not None:
                 items.append((f"{self.prefix}.b{l}", b))
         return items
@@ -223,42 +231,142 @@ class _ResidualBlock:
             return dot(dot(h, w.u), w.vt)
         return dot(h, w)
 
-    def _layer_pre(self, h, p, l):
-        pre = self._times_weight(h if p is None else p @ h, l)
+    def _layer_pre(self, m, l):
+        """The pre-activation m @ W_l + b_l of the mixed input m = mix(h)."""
+        pre = self._times_weight(m, l)
         b = self.biases[l]
         return pre if b is None else pre + b
 
     def apply(self, x, p=None):
         h = x
         for l in range(self.depth):
-            h = elu(self._layer_pre(h, p, l))
+            h = elu(self._layer_pre(_mix(p, h), l))
         return h
 
-    def forward(self, x, p=None):
+    def forward(self, x, p=None, keep=None):
         """(apply(x, p), lin), with the linearization `lin` = (p, slopes)
-        that `jvp_many` and `jacobians` take."""
+        that `jvp_many` and `jacobians` take.  A list `keep` receives each
+        layer's (mix(h), pre-activation), which `forward_vjp` takes."""
         h, slopes = x, []
         for l in range(self.depth):
-            pre = self._layer_pre(h, p, l)
+            m = _mix(p, h)
+            pre = self._layer_pre(m, l)
+            if keep is not None:
+                keep.append((m, pre))
             slopes.append(elu_prime(pre).reshape(*pre.shape[:-1], 1, pre.shape[-1]))
             h = elu(pre)
         return h, (p, slopes)
 
-    def jvp_many(self, u, lin):
+    def jvp_many(self, u, lin, record=None):
         """Jacobian-vector products of a tangent stack u (..., rows, S, width)
         at `lin`: per layer, P @ U as (..., rows, rows) @ (..., rows, S*width)
         when there is a P, then @ W_l as one 2-D product, then the broadcast
-        slopes."""
+        slopes.  A list `record` receives each layer's (tangent into @ W_l,
+        product out of it), which `jvp_many_vjp` takes."""
         p, slopes = lin
         for l in range(self.depth):
             if p is not None:
                 u = (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
-            u = self._times_weight(u, l)
-            # In place on an array: the product is a fresh temporary, and
-            # reusing it saves an allocation per layer.  A Tensor has no
-            # in-place ops, so on the tape `*=` records a new node.
-            u *= slopes[l]
+            a = self._times_weight(u, l)
+            if record is not None:
+                record.append((u, a))
+                u = a * slopes[l]
+            else:
+                # In place on an array: the product is a fresh temporary, and
+                # reusing it saves an allocation per layer.  A Tensor has no
+                # in-place ops, so on the tape `*=` records a new node.
+                a *= slopes[l]
+                u = a
         return u
+
+    # -- reverse passes (plain arrays only) ----------------------------------
+    #
+    # Training differentiates one block's share of the loss, <x + f(x), g_out>
+    # plus sum_k seed_k <probes, u_k>, where u_k = J^k probes comes from k
+    # chained `jvp_many` calls.  The slopes carry the series' dependence on
+    # the input, so `jvp_many_vjp` hands their cotangents to `forward_vjp`.
+    # `jvp_many_vjp` starts the per-layer weight gradients, shaped as the
+    # weights (a FactoredWeight of two gradients for a rank-r weight), and
+    # `forward_vjp` adds its share to them.
+
+    def _weight_vjp(self, l, x, g, g_weights):
+        """Adds the W_l gradient of <x @ W_l, g> to g_weights[l] and returns
+        g @ W_l^T, the cotangent of x."""
+        w = self.weights[l]
+        x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+        if isinstance(w, FactoredWeight):
+            g_t = g2 @ w.vt.T
+            g_weights[l].vt += (x2 @ w.u).T @ g2
+            g_weights[l].u += x2.T @ g_t
+            return (g_t @ w.u.T).reshape(x.shape)
+        g_weights[l] += x2.T @ g2
+        return (g2 @ w.T).reshape(x.shape)
+
+    def jvp_many_vjp(self, lin, records, probes, seeds):
+        """Reverse pass of chained `jvp_many` calls u_k = J u_(k-1), u_0 =
+        `probes`, for a loss sum_k seeds[k-1] * <probes, u_k>.
+
+        `records[k-1]` is what call k recorded.  The walk starts at the last
+        call, and adds term k's seed to the cotangent of u_k as it passes
+        it.  Returns (the weight gradients, the cotangent of each layer's
+        slopes, shaped as they are)."""
+        p, slopes = lin
+        g_weights = [FactoredWeight(u=np.zeros_like(w.u), vt=np.zeros_like(w.vt))
+                     if isinstance(w, FactoredWeight) else np.zeros_like(w)
+                     for w in self.weights]
+        g_slopes = [None] * self.depth
+        g = None
+        for k in reversed(range(len(records))):
+            seed = seeds[k] * probes
+            g = seed if g is None else g + seed
+            for l in reversed(range(self.depth)):
+                v, a = records[k][l]
+                # the recorded product is not needed again: reuse it
+                g_s = _sum_probes(np.multiply(g, a, out=a))
+                g_slopes[l] = g_s if g_slopes[l] is None else g_slopes[l] + g_s
+                g *= slopes[l]
+                g = self._weight_vjp(l, v, g, g_weights)
+                if p is not None:
+                    g = _mix_transpose(p, g.reshape(*g.shape[:-2], -1)).reshape(g.shape)
+        return g_weights, g_slopes
+
+    def forward_vjp(self, kept, lin, g_out, g_slopes, g_weights):
+        """Reverse pass of `forward` from the cotangent `g_out` of f(x) and
+        `g_slopes` of its slopes, through elu' and elu''(pre) = (elu'(pre)
+        where pre < 0, else 0).  `kept` is what `forward` kept.  Adds the
+        weight gradients to `g_weights` and returns (the bias gradients,
+        None where a layer has none; the cotangent of the input x through
+        both x and f(x))."""
+        p, slopes = lin
+        g_biases = [None] * self.depth
+        g = g_out
+        for l in reversed(range(self.depth)):
+            m, pre = kept[l]
+            s = slopes[l].reshape(pre.shape)
+            g_pre = g * s + g_slopes[l].reshape(pre.shape) * np.where(pre < 0.0, s, 0.0)
+            if self.biases[l] is not None:
+                g_biases[l] = g_pre.reshape(-1, pre.shape[-1]).sum(axis=0, keepdims=True)
+            g = self._weight_vjp(l, m, g_pre, g_weights)
+            if p is not None:
+                g = _mix_transpose(p, g)
+        return g_biases, g_out + g
+
+
+def _mix(p, h):
+    return h if p is None else p @ h
+
+
+def _mix_transpose(p, g):
+    return np.swapaxes(p, -1, -2) @ g
+
+
+def _sum_probes(x: np.ndarray) -> np.ndarray:
+    """A tangent stack (..., rows, S, width) summed over its probe axis S,
+    shaped (..., rows, 1, width).  numpy's sum over that axis of a small
+    stack is ~2.5x slower than this einsum."""
+    dims = "abcdefghij"[:x.ndim]
+    summed = np.einsum(f"{dims}->{dims[:-2]}{dims[-1]}", x)
+    return summed.reshape(*x.shape[:-2], 1, x.shape[-1])
 
 
 # The benchmark tracer patches `apply`, `jvp_many` and `certified_bound` in
@@ -319,9 +427,9 @@ class GrfModel:
         `stored(name, shape)` returns one named parameter, as
         `named_parameters` names it; given it, the blocks take what it
         returns as it is, with no random draw and no projection.
-        `load_checkpoint` passes the arrays of a file, and training passes
-        tape leaves over a model's own arrays, which builds a taped twin
-        of that model.
+        `load_checkpoint` passes the arrays of a file; the tests pass tape
+        leaves over a model's own arrays, which builds a taped twin of that
+        model for their gradient reference.
         """
         self.config = config
         self.schema = GraphSchema(n_max=config.n_max, atom_symbols=config.atom_symbols,

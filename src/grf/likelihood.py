@@ -20,7 +20,7 @@ because every block is a contraction, each layer's log-det has a
 convergent alternating power series in traces of Jacobian powers; the
 traces are estimated with Rademacher probes, and Jacobian powers are
 applied as repeated Jacobian-vector products so the Jacobian is never
-materialized on the tape.
+materialized.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ def logdet_series_from_probes(jvp, probes, n_probes: int, series_terms: int):
     return total
 
 
-def _require_contractive(bound: float, where: str) -> None:
+def require_contractive(bound: float, where: str) -> None:
+    """NumericalError naming `where` unless `bound` < 1."""
     if bound >= 1.0:
         raise NumericalError(
             f"{where}: certified Lipschitz bound {bound:.6f} >= 1, "
@@ -132,7 +133,7 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     `selfcheck.check_logdet_oracle` checks it block by block against the
     exact value.
     """
-    _require_contractive(block.certified_bound(), block.prefix)
+    require_contractive(block.certified_bound(), block.prefix)
     seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
     _, lin = block.forward(x, p)
@@ -151,7 +152,7 @@ def exact_logdet(block, lin) -> float:
     over the stack.  A contraction has det(I + J) > 0, so any other sign,
     like a non-finite value, raises `NumericalError`.
     """
-    _require_contractive(block.certified_bound(), block.prefix)
+    require_contractive(block.certified_bound(), block.prefix)
     jac = np.ascontiguousarray(block.jacobians(lin))
     diag = np.arange(jac.shape[1])
     jac[:, diag, diag] += 1.0

@@ -8,15 +8,18 @@ function of the parameters).  After every optimizer step all weights are
 re-projected to the spectral budget, which keeps every block contractive
 throughout training.
 
-The minibatch runs as one batch, and the backward pass is block-local:
-both stacks run once on plain arrays over the batch's (B, N, M) feature
-and (B, N, N, R) adjacency stacks, keeping only each block's input.  The
-blocks are then walked in reverse, and each one is rebuilt on a short
-tape of its own from its saved input: its forward pass and its log-det
-series over all probes and samples.  Backpropagating that tape turns the
-cotangent of the block's output into its weight gradients and the
-cotangent of its input.  Training memory is one block's tape plus the
-block inputs, whatever the depth.
+The minibatch runs as one batch, and the backward pass is block-local
+and tape-free: both stacks run once on plain arrays over the batch's
+(B, N, M) feature and (B, N, N, R) adjacency stacks, keeping only each
+block's input.  The blocks are then walked in reverse.  Each one runs
+its forward pass and its log-det series over all probes and samples
+again from its saved input, recording what its two hand-written reverse
+passes need: `jvp_many_vjp` walks the series' tangent chains backwards
+into weight gradients and the slopes' cotangents, and `forward_vjp`
+turns those and the cotangent of the block's output into the rest of
+its weight and bias gradients and the cotangent of its input.  Training
+memory is one block's records plus the block inputs, whatever the
+depth.
 
 All randomness is keyed, so a fixed seed replays the exact same
 trajectory: shuffling by (seed, epoch), dequantization noise by
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, sum_all, value_of
+from .autodiff import sum_all
 from .flow import GrfModel, require_integers, save_checkpoint
 from .graphs import MolGraph, dequantize
 from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
@@ -69,15 +72,6 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def taped_twin(model: GrfModel) -> tuple[GrfModel, dict[str, Tensor]]:
-    """The same model on the tape: (twin, leaves), where `leaves` maps each
-    parameter path to a gradient-tracking Tensor over the model's own
-    array, and the twin's blocks hold those leaves as their weights."""
-    leaves = {path: Tensor(arr, requires_grad=True)
-              for path, arr in model.named_parameters()}
-    return GrfModel(model.config, stored=lambda name, shape: leaves[name]), leaves
-
-
 def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
              epoch: int = 0, step: int = 0):
     """Loss and parameter gradients for one minibatch, by a block-local walk.
@@ -85,10 +79,10 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     The loss is -(prior + sum of log-dets) / B.  Its cotangents seed the
     walk: z / B on each stack's latent z from the prior, and -1/B on each
     block's log-det.  Going from the last block to the first, each block
-    of the model's taped twin runs again on its saved input; backpropagating
-    <x + f(x), g_out> - log-det / B adds the block's weight gradients to
-    the twin's leaves and gives the cotangent of the input, which is the
-    previous block's g_out.  Only one block's tape is alive at a time.
+    runs again on its saved input, and its reverse passes differentiate
+    <x + f(x), g_out> - log-det / B: they give the block's parameter
+    gradients and the cotangent of its input, which is the previous
+    block's g_out.  Only one block's records are alive at a time.
 
     Returns (loss, grads, stats) where grads maps parameter paths to arrays
     and stats carries the per-sample mean prior and log-det terms for the
@@ -97,7 +91,6 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     """
     if not batch:
         raise ValueError("empty batch")
-    twin, leaves = taped_twin(model)
     n_batch = len(batch)
 
     deqs = [dequantize(g, model.config.noise_scale,
@@ -113,9 +106,10 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     z_x, z_a = model.stacks(np.stack([deq.features_c for deq in deqs]), p,
                             np.stack([deq.adjacency_c for deq in deqs]), keep_input)
 
-    blocks = twin.blocks()
-    n_x = len(twin.feature_layers)
+    blocks = model.blocks()
+    n_x = len(model.feature_layers)
     logdets = [0.0] * len(blocks)
+    grads = {}
     # the adjacency stack first, from its latent back to the data, then the feature stack
     for indices, p_stack, z in ((range(n_x, len(blocks)), None, z_a.reshape(inputs[-1].shape)),
                                 (range(n_x), p, z_x)):
@@ -124,7 +118,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
             probes = draw_probes(inputs[bi].shape, cfg.hutchinson_samples,
                                  derive_rng(cfg.rng_seed, TAG_PROBE, epoch, step, bi))
             logdets[bi], g_out = _block_backward(blocks[bi], inputs[bi], p_stack, g_out,
-                                                 probes, cfg, n_batch)
+                                                 probes, cfg, n_batch, grads)
 
     # The loss in forward block order, scaled by 1/B as the cotangents are.
     # A plain left-to-right sum: builtin `sum` compensates on Python >= 3.12.
@@ -141,28 +135,40 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
                   else "prior term is non-finite")
         raise NumericalError(f"non-finite loss: {detail}")
 
-    grads = {path: (t.grad if t.grad is not None else np.zeros_like(t.data))
-             for path, t in leaves.items()}
+    grads = {path: grads[path] for path, _ in model.named_parameters()}
     stats = {"nll": loss,
              "logdet_mean": total_logdet / n_batch,
              "prior_mean": prior_total / n_batch}
     return loss, grads, stats
 
 
-def _block_backward(block, h, p, g_out, probes, cfg: TrainConfig, n_batch: int):
-    """One taped block's share of the loss: (its log-det, the cotangent of
-    its input `h`).
+def _block_backward(block, h, p, g_out, probes, cfg: TrainConfig, n_batch: int,
+                    grads: dict):
+    """One block's share of the loss: (its log-det, the cotangent of its
+    input `h`).
 
-    The block's forward pass and log-det series run on a tape rooted at
-    `h`; backpropagating <h + f(h), g_out> - log-det / B adds the block's
-    weight gradients to its leaves.  The tape is freed on return.
+    The block's forward pass and log-det series run again from `h`,
+    recording each layer's intermediates.  The series' term k enters the
+    loss -log-det / B with weight -c_k / (S B), c_k = (-1)^(k+1) / k, on
+    <probes, J^k probes>; the block's reverse passes differentiate that
+    plus <h + f(h), g_out> and put its parameter gradients in `grads`.
     """
-    x = Tensor(h, requires_grad=True)
-    y, lin = block.forward(x, p)
-    ld = logdet_series_from_probes(lambda u: block.jvp_many(u, lin),
-                                   probes, cfg.hutchinson_samples, cfg.series_terms)
-    (sum_all((x + y) * g_out) - ld / n_batch).backward()
-    return float(value_of(ld)), x.grad
+    kept, records = [], []
+    _, lin = block.forward(h, p, keep=kept)
+
+    def jvp(u):
+        records.append([])
+        return block.jvp_many(u, lin, records[-1])
+
+    n_probes = cfg.hutchinson_samples
+    ld = logdet_series_from_probes(jvp, probes, n_probes, cfg.series_terms)
+    # -(1/B) * c_k * (1/S), multiplied in the order the loss applies them
+    seeds = [-(1.0 / n_batch) * ((-1.0) ** (k + 1) / k) * (1.0 / n_probes)
+             for k in range(1, cfg.series_terms + 1)]
+    g_weights, g_slopes = block.jvp_many_vjp(lin, records, probes, seeds)
+    g_biases, g_in = block.forward_vjp(kept, lin, g_out, g_slopes, g_weights)
+    grads.update(block.named(g_weights, g_biases))
+    return float(ld), g_in
 
 
 def adam_step(model: GrfModel, grads: dict, state: AdamState, cfg: TrainConfig) -> AdamState:

@@ -380,3 +380,38 @@ def test_checkpoint_of_a_retired_adjacency_mode_is_data_error(trained_dir, tmp_p
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"'{field}'" in err
         assert not (tmp_path / "s").exists()
+
+
+@pytest.fixture(scope="module")
+def over_budget_ckpt(tmp_path_factory):
+    """A toy checkpoint whose every block certifies at 1.02, just above a
+    contraction: its fixed-point iterates need not diverge to show it."""
+    import numpy as np
+
+    from grf.flow import GrfModel, save_checkpoint, toy_config
+
+    model = GrfModel(toy_config(seed=60))
+    for block in model.blocks():
+        for w in block.weights:
+            w *= 1.02 ** (1.0 / block.depth) / np.linalg.norm(w, 2)
+    assert min(model.certified_block_bounds()) >= 1.0
+    path = tmp_path_factory.mktemp("over_budget") / "model.npz"
+    save_checkpoint(path, model)
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--count", "4"],
+    ["reconstruct", "--dataset", str(DATA / "toy_train.smi"), "--count", "2"],
+    ["latent-grid", "--dataset", str(DATA / "toy_train.smi"), "--grid-size", "2"],
+    ["eval", "--dataset", str(DATA / "toy_train.smi"), "--count", "1"],
+], ids=lambda argv: argv[0])
+def test_non_contractive_checkpoint_is_numerical_error(argv, over_budget_ckpt, tmp_path,
+                                                       capsys):
+    from grf.cli import EXIT_NUMERICAL
+
+    out = tmp_path / "o"
+    assert main([*argv, "--ckpt", str(over_budget_ckpt), "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: feature.0: certified Lipschitz bound"), err
+    assert not out.exists() or not any(out.iterdir())

@@ -104,7 +104,7 @@ def test_gcn_jvp_many_agrees_with_single():
 
 def test_tape_and_numpy_jvp_many_agree_for_both_blocks():
     from grf.autodiff import Tensor
-    from grf.training import taped_twin
+    from conftest import taped_twin
 
     rng = np.random.default_rng(50)
     model = GrfModel(toy_config(seed=50, gcn_layers=2, use_bias=True))

@@ -74,3 +74,6 @@ def test_grad_nll_enters_each_block_series_once_whatever_the_batch(toy_graphs):
         assert spans["likelihood.series_from_probes"]["calls"] == n_blocks
         assert spans["flow.jvp_many"]["calls"] == cfg.series_terms * n_blocks
         assert spans["graphs.dequantize"]["calls"] == batch_size
+        # the block reverse passes run on plain arrays: nothing enters the tape
+        assert "autodiff.backward" not in spans
+        assert "autodiff.tape_nodes" not in tracer.counters

@@ -109,7 +109,7 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
     from grf.graphs import dequantize
     from grf.likelihood import (TAG_DEQUANT, TAG_PROBE, derive_rng, draw_probes,
                                 gaussian_logp_from_sumsq, logdet_series_from_probes)
-    from grf.training import taped_twin
+    from conftest import taped_twin
 
     twin, leaves = taped_twin(model)
     base, n_batch, s_probes = cfg.rng_seed, len(batch), cfg.hutchinson_samples
@@ -149,12 +149,16 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
     return float(value_of(loss)), {path: t.grad for path, t in leaves.items()}
 
 
-@pytest.mark.parametrize("shape", ["toy", "toy-rank2", "qm9"])
+@pytest.mark.parametrize("shape", ["toy", "toy-rank2", "toy-gcn2", "qm9"])
 def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus_graphs):
     if shape == "toy":
         model, batch = GrfModel(toy_config(seed=30, use_bias=True)), toy_graphs[:5]
     elif shape == "toy-rank2":
         model = GrfModel(toy_config(seed=30, adjacency_rank=2, use_bias=True))
+        batch = toy_graphs[:5]
+    elif shape == "toy-gcn2":
+        # two graph-convolution layers: P^T acts between them on the way back
+        model = GrfModel(toy_config(seed=30, gcn_layers=2, use_bias=True))
         batch = toy_graphs[:5]
     else:
         model, batch = GrfModel(qm9_table_config(seed=31, mlp_blocks=4)), corpus_graphs[:2]

@@ -141,8 +141,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_dataset(path: Path, schema, cap: int | None = None):
+class DatasetError(ValueError):
+    """A dataset file with fewer molecules than a command needs."""
+
+
+def _load_dataset(path: Path, schema, cap: int | None = None, at_least: int = 1):
     raws = load_smiles_file(path)
+    if len(raws) < at_least:
+        raise DatasetError(f"dataset {path} holds {len(raws)} molecule(s), "
+                           f"at least {at_least} needed")
     if cap is not None:
         raws = raws[:cap]
     return [pad_graph(raw, schema) for raw in raws]
@@ -264,7 +271,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_latent_grid(args) -> int:
     model = _load_contraction(args.ckpt)
-    graphs = _load_dataset(args.dataset, model.schema)
+    # the principal plane needs two molecules
+    graphs = _load_dataset(args.dataset, model.schema, at_least=2)
     records = latent_grid(model, graphs, grid_size=args.grid_size, step=args.grid_step,
                           rng_seed=args.seed, encode_count=args.count,
                           inversion=InversionConfig(iterations=args.iterations))
@@ -298,8 +306,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (SmilesError, ChemError, GraphError, CheckpointError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (SmilesError, ChemError, GraphError, CheckpointError, DatasetError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, ValueError) as exc:

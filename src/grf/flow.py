@@ -185,7 +185,9 @@ class _ResidualBlock:
 
     Tangent stacks insert a probe axis before the last: (..., rows, S,
     width) holds S tangents of each input.  A linearization `lin` is
-    (P, per-layer ELU slopes shaped (..., rows, 1, width)).
+    (P, per-layer ELU slopes shaped (..., rows, 1, width)), as `forward`
+    returns it, or with the slopes tiled to (..., rows, S, width) by
+    `tile_slopes` for a series that runs one stack of S probes many times.
     """
 
     def __init__(self, prefix: str, weights: list, biases: list, budget: float):
@@ -260,9 +262,10 @@ class _ResidualBlock:
     def jvp_many(self, u, lin, record=None):
         """Jacobian-vector products of a tangent stack u (..., rows, S, width)
         at `lin`: per layer, P @ U as (..., rows, rows) @ (..., rows, S*width)
-        when there is a P, then @ W_l as one 2-D product, then the broadcast
-        slopes.  A list `record` receives each layer's (tangent into @ W_l,
-        product out of it), which `jvp_many_vjp` takes."""
+        when there is a P, then @ W_l as one 2-D product, then times the
+        slopes, broadcast over S or tiled to u's shape.  A list `record`
+        receives each layer's (tangent into @ W_l, product out of it), which
+        `jvp_many_vjp` takes."""
         p, slopes = lin
         for l in range(self.depth):
             if p is not None:
@@ -287,29 +290,43 @@ class _ResidualBlock:
     # the input, so `jvp_many_vjp` hands their cotangents to `forward_vjp`.
     # `jvp_many_vjp` starts the per-layer weight gradients, shaped as the
     # weights (a FactoredWeight of two gradients for a rank-r weight), and
-    # `forward_vjp` adds its share to them.
+    # `forward_vjp` adds its share to them.  Both take `transposes()`, made
+    # once per block walk.
 
-    def _weight_vjp(self, l, x, g, g_weights):
+    def transposes(self):
+        """Each layer's W_l^T as a contiguous array, a rank-r one as the
+        FactoredWeight (Vt^T, U^T).  g @ W^T on a transposed view runs
+        ~1.3x slower at (144, 36) @ (36, 36)."""
+        return [FactoredWeight(u=np.ascontiguousarray(w.vt.T),
+                               vt=np.ascontiguousarray(w.u.T))
+                if isinstance(w, FactoredWeight) else np.ascontiguousarray(w.T)
+                for w in self.weights]
+
+    def _weight_vjp(self, l, x, g, g_weights, w_t):
         """Adds the W_l gradient of <x @ W_l, g> to g_weights[l] and returns
-        g @ W_l^T, the cotangent of x."""
-        w = self.weights[l]
+        g @ W_l^T, the cotangent of x, through `w_t` = W_l^T."""
         x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
-        if isinstance(w, FactoredWeight):
-            g_t = g2 @ w.vt.T
-            g_weights[l].vt += (x2 @ w.u).T @ g2
+        if isinstance(w_t, FactoredWeight):
+            g_t = g2 @ w_t.u
+            g_weights[l].vt += (x2 @ self.weights[l].u).T @ g2
             g_weights[l].u += x2.T @ g_t
-            return (g_t @ w.u.T).reshape(x.shape)
+            return (g_t @ w_t.vt).reshape(x.shape)
         g_weights[l] += x2.T @ g2
-        return (g2 @ w.T).reshape(x.shape)
+        return (g2 @ w_t).reshape(x.shape)
 
-    def jvp_many_vjp(self, lin, records, probes, seeds):
+    def jvp_many_vjp(self, lin, records, probes, seeds, transposes):
         """Reverse pass of chained `jvp_many` calls u_k = J u_(k-1), u_0 =
         `probes`, for a loss sum_k seeds[k-1] * <probes, u_k>.
 
-        `records[k-1]` is what call k recorded.  The walk starts at the last
-        call, and adds term k's seed to the cotangent of u_k as it passes
-        it.  Returns (the weight gradients, the cotangent of each layer's
-        slopes, shaped as they are)."""
+        `lin` holds the slopes tiled to the probe stack's (..., rows, S,
+        width), as the calls took them.  `records[k-1]` is what call k
+        recorded.  The walk starts at the last call, and adds term k's seed
+        to the cotangent of u_k as it passes it.  Each layer's G * a_l is
+        summed over the calls in the product buffer of the last call's
+        record, which is not needed again, and summed over the probes once
+        at the end.  Returns (the weight gradients, each layer's slope
+        cotangent shaped (..., rows, 1, width) as `forward`'s untiled
+        slopes)."""
         p, slopes = lin
         g_weights = [FactoredWeight(u=np.zeros_like(w.u), vt=np.zeros_like(w.vt))
                      if isinstance(w, FactoredWeight) else np.zeros_like(w)
@@ -321,22 +338,24 @@ class _ResidualBlock:
             g = seed if g is None else g + seed
             for l in reversed(range(self.depth)):
                 v, a = records[k][l]
-                # the recorded product is not needed again: reuse it
-                g_s = _sum_probes(np.multiply(g, a, out=a))
-                g_slopes[l] = g_s if g_slopes[l] is None else g_slopes[l] + g_s
+                np.multiply(g, a, out=a)
+                if g_slopes[l] is None:
+                    g_slopes[l] = a
+                else:
+                    g_slopes[l] += a
                 g *= slopes[l]
-                g = self._weight_vjp(l, v, g, g_weights)
+                g = self._weight_vjp(l, v, g, g_weights, transposes[l])
                 if p is not None:
                     g = _mix_transpose(p, g.reshape(*g.shape[:-2], -1)).reshape(g.shape)
-        return g_weights, g_slopes
+        return g_weights, [_sum_probes(g_s) for g_s in g_slopes]
 
-    def forward_vjp(self, kept, lin, g_out, g_slopes, g_weights):
+    def forward_vjp(self, kept, lin, g_out, g_slopes, g_weights, transposes):
         """Reverse pass of `forward` from the cotangent `g_out` of f(x) and
         `g_slopes` of its slopes, through elu' and elu''(pre) = (elu'(pre)
-        where pre < 0, else 0).  `kept` is what `forward` kept.  Adds the
-        weight gradients to `g_weights` and returns (the bias gradients,
-        None where a layer has none; the cotangent of the input x through
-        both x and f(x))."""
+        where pre < 0, else 0).  `kept` is what `forward` kept and `lin`
+        what it returned, with untiled slopes.  Adds the weight gradients to
+        `g_weights` and returns (the bias gradients, None where a layer has
+        none; the cotangent of the input x through both x and f(x))."""
         p, slopes = lin
         g_biases = [None] * self.depth
         g = g_out
@@ -346,10 +365,19 @@ class _ResidualBlock:
             g_pre = g * s + g_slopes[l].reshape(pre.shape) * np.where(pre < 0.0, s, 0.0)
             if self.biases[l] is not None:
                 g_biases[l] = g_pre.reshape(-1, pre.shape[-1]).sum(axis=0, keepdims=True)
-            g = self._weight_vjp(l, m, g_pre, g_weights)
+            g = self._weight_vjp(l, m, g_pre, g_weights, transposes[l])
             if p is not None:
                 g = _mix_transpose(p, g)
         return g_biases, g_out + g
+
+
+def tile_slopes(lin, n_probes: int):
+    """`lin` with each layer's slopes (..., rows, 1, width) repeated to
+    (..., rows, n_probes, width), so that a stack of that many probes
+    multiplies them at its own shape: about twice as fast as broadcasting
+    over the probe axis."""
+    p, slopes = lin
+    return p, [np.repeat(s, n_probes, axis=-2) for s in slopes]
 
 
 def _mix(p, h):
@@ -586,11 +614,14 @@ def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
     it at the wrong shape, raises `CheckpointError`.
     """
     try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise CheckpointError("an .npy array, not an .npz archive")
-        with data:
-            return _read_checkpoint(data)
+        # np.load(path) leaves the file it opened unclosed when the archive
+        # is corrupt, so the file is opened, and closed, here
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise CheckpointError("an .npy array, not an .npz archive")
+            with data:
+                return _read_checkpoint(data)
     except CheckpointError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from None
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import sum_all
-from .flow import GrfModel, require_integers, save_checkpoint
+from .flow import GrfModel, require_integers, save_checkpoint, tile_slopes
 from .graphs import MolGraph, dequantize
 from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
                          gaussian_logp_from_sumsq, logdet_series_from_probes)
@@ -152,21 +152,29 @@ def _block_backward(block, h, p, g_out, probes, cfg: TrainConfig, n_batch: int,
     loss -log-det / B with weight -c_k / (S B), c_k = (-1)^(k+1) / k, on
     <probes, J^k probes>; the block's reverse passes differentiate that
     plus <h + f(h), g_out> and put its parameter gradients in `grads`.
+
+    The series and `jvp_many_vjp` take the slopes tiled once to the probe
+    stack's (..., rows, S, width); `jvp_many_vjp` returns their cotangents
+    summed over the probes, (..., rows, 1, width), which `forward_vjp`
+    takes with the untiled slopes.  Both reverse passes share one set of
+    contiguous W^T.
     """
+    n_probes = cfg.hutchinson_samples
     kept, records = [], []
     _, lin = block.forward(h, p, keep=kept)
+    series_lin = tile_slopes(lin, n_probes)
 
     def jvp(u):
         records.append([])
-        return block.jvp_many(u, lin, records[-1])
+        return block.jvp_many(u, series_lin, records[-1])
 
-    n_probes = cfg.hutchinson_samples
     ld = logdet_series_from_probes(jvp, probes, n_probes, cfg.series_terms)
     # -(1/B) * c_k * (1/S), multiplied in the order the loss applies them
     seeds = [-(1.0 / n_batch) * ((-1.0) ** (k + 1) / k) * (1.0 / n_probes)
              for k in range(1, cfg.series_terms + 1)]
-    g_weights, g_slopes = block.jvp_many_vjp(lin, records, probes, seeds)
-    g_biases, g_in = block.forward_vjp(kept, lin, g_out, g_slopes, g_weights)
+    transposes = block.transposes()
+    g_weights, g_slopes = block.jvp_many_vjp(series_lin, records, probes, seeds, transposes)
+    g_biases, g_in = block.forward_vjp(kept, lin, g_out, g_slopes, g_weights, transposes)
     grads.update(block.named(g_weights, g_biases))
     return float(ld), g_in
 

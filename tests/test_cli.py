@@ -52,6 +52,26 @@ def test_bad_smiles_is_data_error(tmp_path, trained_dir):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("command, smiles", [
+    ("train", ""),
+    ("reconstruct", "# only a comment\n"),
+    ("eval", ""),
+    ("latent-grid", "CCO\n"),  # the principal plane needs two molecules
+])
+def test_too_small_dataset_is_data_error(command, smiles, trained_dir, tmp_path, capsys):
+    dataset = tmp_path / "small.smi"
+    dataset.write_text(smiles, encoding="utf-8")
+    out = tmp_path / "o"
+    argv = [command, "--dataset", str(dataset), "--out", str(out)]
+    if command != "train":
+        argv += ["--ckpt", str(trained_dir / "run" / "model.npz")]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: dataset") and str(dataset) in captured.err
+    assert "nan" not in captured.out
+    assert not out.exists()
+
+
 def test_train_outputs(trained_dir):
     run = trained_dir / "run"
     assert (run / "model.npz").exists()

@@ -149,8 +149,10 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
     return float(value_of(loss)), {path: t.grad for path, t in leaves.items()}
 
 
-@pytest.mark.parametrize("shape", ["toy", "toy-rank2", "toy-gcn2", "qm9"])
+@pytest.mark.parametrize("shape", ["toy", "toy-rank2", "toy-gcn2", "qm9", "qm9-defaults",
+                                   "qm9-rank4"])
 def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus_graphs):
+    cfg = TrainConfig(series_terms=5, hutchinson_samples=3, rng_seed=32)
     if shape == "toy":
         model, batch = GrfModel(toy_config(seed=30, use_bias=True)), toy_graphs[:5]
     elif shape == "toy-rank2":
@@ -160,9 +162,19 @@ def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus
         # two graph-convolution layers: P^T acts between them on the way back
         model = GrfModel(toy_config(seed=30, gcn_layers=2, use_bias=True))
         batch = toy_graphs[:5]
-    else:
+    elif shape == "qm9":
         model, batch = GrfModel(qm9_table_config(seed=31, mlp_blocks=4)), corpus_graphs[:2]
-    cfg = TrainConfig(series_terms=5, hutchinson_samples=3, rng_seed=32)
+    elif shape == "qm9-defaults":
+        # the benchmark's series: the TrainConfig defaults, 8 terms x 4 probes
+        model, batch = GrfModel(qm9_table_config(seed=31, mlp_blocks=4)), corpus_graphs[:2]
+        cfg = TrainConfig(rng_seed=32)
+        assert (cfg.series_terms, cfg.hutchinson_samples) == (8, 4)
+    else:
+        # rank-r adjacency weights with biases at the QM9 slice width d = 36
+        model = GrfModel(qm9_table_config(seed=31, mlp_blocks=4, adjacency_rank=4,
+                                          use_bias=True))
+        batch = corpus_graphs[:2]
+        assert model.slice_dim == 36
     loss, grads, _ = grad_nll(model, batch, cfg, epoch=1, step=2)
     ref_loss, ref_grads = per_probe_grad_nll(model, batch, cfg, epoch=1, step=2)
     assert loss == pytest.approx(ref_loss, rel=1e-12)

@@ -137,30 +137,79 @@ def _scale(w, factor: float) -> None:
         w *= factor
 
 
-def _clamp(weights: list, bound: float) -> None:
-    """Scale each weight in place so its exact sigma is at most `bound`.
+def _margin(weights: list) -> float:
+    """The relative margin m = 4 (d + 1)^2 u (u = 2^-53) below a block's
+    per-weight bound at which `_clamp` puts a weight and `_certify`
+    tests it; d is the weights' dimension.  It is about 1.1e-14 at d = 4,
+    6.1e-13 at d = 36 and 1.0e-11 at d = 152."""
+    w = weights[0]
+    d = (w.u if isinstance(w, FactoredWeight) else w).shape[0]
+    return (d + 1) ** 2 * 2.0 ** -51
 
-    Scaling by bound/sigma can leave sigma a few ulps above the bound, so
-    the scaled weights are measured again and shrunk by the next float
-    below the ratio until none exceeds it.
+
+def _certify(weights: list, bound: float) -> bool:
+    """True only if every weight provably has sigma < `bound`.
+
+    A rank-r weight is measured by `_sigmas` (an r x r SVD).  Dense (d, d)
+    weights go through one batched Cholesky of A = c I - fl(W^T W), with
+    c = bound^2 (1 - m) and m = `_margin(weights)`.  It proves sigma <
+    bound when it factors: with u = 2^-53 and g_n = n u / (1 - n u),
+    - the Gram product errs by at most g_d ||W||_F^2 <= g_d d sigma^2 in
+      2-norm, and the diagonal subtraction by u (c + sigma^2 (1 + g_d));
+    - a Cholesky that completes is exact for A + dA with |dA| <= g_(d+1)
+      |R^T| |R| (Higham, Accuracy and Stability of Numerical Algorithms,
+      Thm 10.3), so ||dA||_2 <= g_(d+1) tr(A) / (1 - g_(d+1)) <= g_(d+1) d
+      c / (1 - g_(d+1)), as tr(A) <= d c;
+    - R^T R is positive semidefinite, so sigma^2 <= c (1 + (2 d^2 + d + 4)
+      u + O(u^2)), counting the two roundings of c as well.  That is
+      below bound^2 because m = 4 (d + 1)^2 u exceeds (2 d^2 + d + 4) u.
+    A weight at sigma <= bound (1 - m) leaves A a gap of ~m bound^2, far
+    above the rounding seen in practice, so it factors.  A weight within
+    the margin of the bound may fail, which is safe.
+    """
+    if isinstance(weights[0], FactoredWeight):
+        return bool((_sigmas(weights) <= bound).all())
+    stack = np.stack(weights)
+    a = -(stack.transpose(0, 2, 1) @ stack)
+    diagonal = np.arange(a.shape[-1])
+    a[:, diagonal, diagonal] += bound * bound * (1.0 - _margin(weights))
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _clamp(weights: list, bound: float, init_target: float | None = None) -> None:
+    """Scale weights in place so that each one's sigma is at most `bound`,
+    measuring each weight once.
+
+    One batched `_sigmas` measures the block.  Every weight over the bound
+    is scaled to bound (1 - m), m = `_margin(weights)`; with `init_target`
+    (a model build) every nonzero weight is scaled to min(init_target,
+    bound (1 - m)) instead.  `_certify` then proves the scaled weights
+    below the bound, all at once.  Only if it cannot are they measured
+    again and shrunk by the next float below bound / sigma until none
+    exceeds the bound.
     """
     sigmas = _sigmas(weights)
-    over = np.flatnonzero(sigmas > bound)
-    shrink = bound / sigmas[over]
+    target = bound * (1.0 - _margin(weights))
+    if init_target is None:
+        picked = np.flatnonzero(sigmas > bound)
+    else:
+        picked = np.flatnonzero(sigmas > 0)
+        target = min(target, init_target)
+    for i in picked:
+        _scale(weights[i], target / sigmas[i])
+    if not picked.size or _certify([weights[i] for i in picked], bound):
+        return
+    over = picked
     while over.size:
-        for i, factor in zip(over, shrink):
-            _scale(weights[i], factor)
         sigmas = _sigmas([weights[i] for i in over])
         still = sigmas > bound
-        over, shrink = over[still], np.nextafter(bound / sigmas[still], 0.0)
-
-
-def _scaled_to(w, target_sigma: float):
-    """`w` scaled in place to spectral norm `target_sigma` (a zero weight stays)."""
-    sigma = _sigmas([w])[0]
-    if sigma > 0:
-        _scale(w, target_sigma / sigma)
-    return w
+        over = over[still]
+        for i, sigma in zip(over, sigmas[still]):
+            _scale(weights[i], np.nextafter(bound / sigma, 0.0))
 
 
 def _weight_entries(path: str, w) -> list[tuple[str, np.ndarray]]:
@@ -450,8 +499,11 @@ class GrfModel:
     """Stacked feature and adjacency residual flows plus a standard-normal prior."""
 
     def __init__(self, config: ModelConfig, stored=None):
-        """Random weights projected to the budget, or the stored ones.
+        """Random weights scaled under the budget, or the stored ones.
 
+        A random draw is scaled block by block: one batched measure, every
+        weight scaled to its share of `init_scale` or just under its bound
+        if that is smaller, and one certificate, as `_clamp` does.
         `stored(name, shape)` returns one named parameter, as
         `named_parameters` names it; given it, the blocks take what it
         returns as it is, with no random draw and no projection.
@@ -467,16 +519,15 @@ class GrfModel:
         # an adjacency slice is one node's row of the (N, N, R) tensor
         self.slice_dim = d = config.n_max * config.n_bond_types
 
-        def weight(path, dim, rank, target):
+        def weight(path, dim, rank):
             if stored is not None:
                 if rank > 0:
                     return FactoredWeight(u=stored(f"{path}.u", (dim, rank)),
                                           vt=stored(f"{path}.vt", (rank, dim)))
                 return stored(path, (dim, dim))
-            w = (FactoredWeight(u=rng.standard_normal((dim, rank)),
-                                vt=rng.standard_normal((rank, dim)))
-                 if rank > 0 else rng.standard_normal((dim, dim)))
-            return _scaled_to(w, target)
+            return (FactoredWeight(u=rng.standard_normal((dim, rank)),
+                                   vt=rng.standard_normal((rank, dim)))
+                    if rank > 0 else rng.standard_normal((dim, dim)))
 
         def bias(path, shape):
             if not config.use_bias:
@@ -484,8 +535,7 @@ class GrfModel:
             return np.zeros(shape) if stored is None else stored(path, shape)
 
         def layers(prefix, dim, rank, depth):
-            target = config.init_scale ** (1.0 / depth)
-            return ([weight(f"{prefix}.w{l}", dim, rank, target) for l in range(depth)],
+            return ([weight(f"{prefix}.w{l}", dim, rank) for l in range(depth)],
                     [bias(f"{prefix}.b{l}", (1, dim)) for l in range(depth)])
 
         self.feature_layers: list[GcnResidualBlock] = [
@@ -500,7 +550,9 @@ class GrfModel:
             for b in range(config.mlp_blocks)]
 
         if stored is None:
-            self.project_to_budget()
+            for block in self.blocks():
+                _clamp(block.weights, block.per_weight_bound(),
+                       init_target=config.init_scale ** (1.0 / block.depth))
 
     # -- parameters -----------------------------------------------------------
 

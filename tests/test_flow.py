@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from grf import flow
 from grf.autodiff import elu
-from grf.flow import (FactoredWeight, GrfModel, ModelConfig, count_parameters, load_checkpoint,
-                      qm9_table_config, save_checkpoint, toy_config)
+from grf.flow import (FactoredWeight, GrfModel, MlpResidualBlock, ModelConfig, count_parameters,
+                      load_checkpoint, qm9_table_config, save_checkpoint, toy_config)
 from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
 from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
+from grf.training import AdamState, TrainConfig, adam_step
 
 
 def svd_sigma(w):
@@ -464,5 +466,99 @@ def test_non_finite_weight_fails_loudly(value):
         block.weight_items()[0][1][0, 0] = value
         with pytest.raises(NumericalError):
             block.certified_bound()
+        with pytest.raises(NumericalError):
+            block.project()
+
+
+# -- one measure per weight: the projection's certificate -------------------------------
+
+AT_THE_BOUND = [1 + k * 2.0 ** -52 for k in (-4, 0, 4)] + [1 - 1e-9, 1 + 1e-9]
+
+
+def dense_at(d, sigma, rng):
+    w = rng.standard_normal((d, d))
+    return w * (sigma / svd_sigma(w))
+
+
+@pytest.mark.parametrize("d", [36, 152])
+def test_projection_at_the_bound_is_strict_and_idempotent(d):
+    rng = np.random.default_rng(44)
+    bound = 0.9 ** (1 / len(AT_THE_BOUND))
+    dense = MlpResidualBlock("t", [dense_at(d, bound * s, rng) for s in AT_THE_BOUND],
+                             [None] * len(AT_THE_BOUND), budget=0.9)
+    factored = MlpResidualBlock(
+        "t", [FactoredWeight(*near_degenerate_factored(d, 2, bound * s, rng))
+              for s in AT_THE_BOUND], [None] * len(AT_THE_BOUND), budget=0.9)
+    for block, sigma in ((dense, svd_sigma), (factored, qr_sigma)):
+        # a rank-r weight left at its bound can read a few ulps above it
+        # under the SVD of the formed product, so it is held to its own measure
+        block.project()
+        for w in block.weights:
+            assert sigma(w) <= bound
+        once = [a.copy() for _, a in block.weight_items()]
+        block.project()
+        assert all(np.array_equal(a, b) for a, b in zip(once, (a for _, a in block.weight_items())))
+
+
+def count_measures(monkeypatch):
+    """The number of weights each `_sigmas` call measures, appended as it runs."""
+    counts, measure = [], flow._sigmas
+
+    def counting(weights):
+        counts.append(len(weights))
+        return measure(weights)
+
+    monkeypatch.setattr(flow, "_sigmas", counting)
+    return counts
+
+
+def test_model_build_measures_each_weight_once(monkeypatch):
+    counts = count_measures(monkeypatch)
+    model = GrfModel(qm9_table_config())
+    assert sum(counts) == len(model.named_parameters()) == 801
+    assert len(counts) == len(model.blocks())  # one batched measure per block
+
+
+def test_adam_step_measures_each_weight_once(monkeypatch):
+    model = GrfModel(toy_config(init_scale=0.9, seed=45))  # every weight at its bound
+    rng = np.random.default_rng(46)
+    grads = {p: rng.standard_normal(a.shape) for p, a in model.named_parameters()}
+    counts = count_measures(monkeypatch)
+    adam_step(model, grads, AdamState(), TrainConfig(learning_rate=0.5))
+    assert sum(counts) == len(model.named_parameters())
+    for block in model.blocks():
+        bound = block.per_weight_bound()
+        for w in block.weights:  # each one went over and was scaled just under
+            assert bound * (1 - 1e-9) < svd_sigma(w) <= bound
+
+
+@pytest.mark.parametrize("d", [5, 36, 152])
+def test_certificate_separates_over_from_under(d):
+    rng = np.random.default_rng(47)
+    t = 0.9 ** (1 / 25)
+    under = [dense_at(d, t * (1 - 1e-3), rng) for _ in range(25)]
+    assert flow._certify(under, t)
+    assert not flow._certify([*under[:12], dense_at(d, t * (1 + 1e-9), rng), *under[13:]], t)
+
+
+def test_projection_falls_back_to_the_exact_loop(monkeypatch):
+    monkeypatch.setattr(flow, "_certify", lambda weights, bound: False)
+    counts = count_measures(monkeypatch)
+    rng = np.random.default_rng(48)
+    model = GrfModel(toy_config(seed=49, gcn_layers=2))
+    factored = GrfModel(toy_config(seed=49, adjacency_rank=2))
+    for block in [*model.blocks(), *factored.adjacency_layers]:
+        bound = block.per_weight_bound()
+        for w in block.weights:
+            if isinstance(w, FactoredWeight):
+                w.u[...], w.vt[...] = near_degenerate_factored(24, 2, bound * 1.5, rng)
+            else:
+                w[...] = near_degenerate(w.shape[0], bound * rng.uniform(1.01, 3.0), rng)
+        counts.clear()
+        block.project()
+        assert sum(counts) >= 2 * block.depth  # measured, scaled, measured again
+        for w in block.weights:
+            assert (qr_sigma(w) if isinstance(w, FactoredWeight) else svd_sigma(w)) <= bound
+        block.weight_items()[0][1][0, 0] = np.nan
         with pytest.raises(NumericalError):
             block.project()

@@ -72,13 +72,15 @@ def principal_axes(latents: np.ndarray) -> np.ndarray:
     """Top two principal directions of the latent rows, as orthonormal columns.
 
     Raises NumericalError when the second covariance eigenvalue is at or
-    below the float-noise floor 1e-15 * max(1, max|cov|): the latent cloud
-    then has no second direction to span a plane.
+    below the rounding scale of `eigh`, dim * eps * (largest eigenvalue):
+    the latent cloud then has no second direction to span a plane.  Two
+    latents give a rank-1 covariance, whose second eigenvalue is rounding
+    noise at that scale.
     """
     centered = latents - latents.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / max(1, latents.shape[0] - 1)
     values, vectors = np.linalg.eigh(cov)
-    if values[-2] <= 1e-15 * max(1.0, float(np.abs(cov).max())):
+    if values[-2] <= values.size * np.finfo(np.float64).eps * values[-1]:
         raise NumericalError("degenerate covariance: no second principal direction")
     return vectors[:, [-1, -2]]
 
@@ -94,8 +96,8 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
     carries the grid coordinates and either the decoded SMILES or an
     invalid marker (smiles = null).
     """
-    if len(graphs) < 2:
-        raise ValueError("need at least two molecules to fit principal directions")
+    if len(graphs) < 3:
+        raise ValueError("need at least three molecules to fit principal directions")
     inversion = inversion or InversionConfig()
     rng = derive_rng(rng_seed, 17)
     picks = rng.permutation(len(graphs))

@@ -2,13 +2,14 @@
 
 A small tape engine: every operation records its parent tensors and a
 closure that routes the output gradient back to them.  It implements
-exactly the primitives the residual flows need -- broadcast arithmetic,
-a contraction ``dot`` (``np.tensordot(a, b, 1)``, computed as one 2-D
-matrix product), numpy's batched ``@``, ``reshape``, ELU together with
-its derivative as a first-class op (the Jacobian-vector products of a
-residual block reference ``elu_prime`` directly, so its own gradient
-must be available), and a full-sum reduction.  Everything else stays in
-plain numpy where no gradient is required.
+broadcast arithmetic, a contraction ``dot`` (``np.tensordot(a, b, 1)``,
+computed as one 2-D matrix product), numpy's batched ``@``, ``reshape``,
+ELU together with its derivative as a first-class op, and a full-sum
+reduction, on the numpy kernels of `grf.flow`.
+
+The model no longer runs on it: training has its own reverse passes and
+the tests check them with a complex-step derivative.  The module stays
+only because the benchmark tracer patches `Tensor` by name.
 
 `backward()` allocates a node's gradient on its first write and drops it
 (sets ``.grad`` to None) once the node has passed it on to its parents;
@@ -19,6 +20,8 @@ nodes may share gradient arrays.
 from __future__ import annotations
 
 import numpy as np
+
+from .flow import _dot, _elu, _elu_prime
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -35,28 +38,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if kept != dims:
         grad = np.einsum(f"{dims}->{kept}", grad)
     return grad.reshape(shape)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a contracted with b over a's last and b's first axis, as one 2-D product."""
-    if a.ndim == 2 and b.ndim == 2:
-        return a @ b
-    out = a.reshape(-1, a.shape[-1]) @ b.reshape(b.shape[0], -1)
-    return out.reshape(a.shape[:-1] + b.shape[1:])
-
-
-def _elu(x: np.ndarray) -> np.ndarray:
-    # expm1(min(x, 0)) is elu(x) on the negative branch and 0 <= x on the
-    # other, so one maximum selects the branch; all three passes share one
-    # buffer (an explicit `out`, so a 0-d input also stays an array).
-    out = np.minimum(x, 0.0, out=np.empty_like(x))
-    np.expm1(out, out=out)
-    return np.maximum(x, out, out=out)
-
-
-def _elu_prime(x: np.ndarray) -> np.ndarray:
-    # exp(min(x, 0)) is exp(x) on the negative branch and exactly 1 elsewhere
-    return np.exp(np.minimum(x, 0.0))
 
 
 class Tensor:
@@ -260,29 +241,3 @@ class Tensor:
             if node.grad is not None and node._backward is not None:
                 node._backward(node)
                 node.grad = None
-
-
-# Dispatch helpers: flow code is written once against these and runs on
-# plain arrays (no tape) or Tensors (tape) depending on the inputs.
-
-def dot(a, b):
-    """np.tensordot(a, b, 1) on arrays, the `dot` op when either is a Tensor."""
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        return Tensor._lift(a).dot(b)
-    return _dot(a, b)
-
-
-def elu(x):
-    return x.elu() if isinstance(x, Tensor) else _elu(np.asarray(x, dtype=np.float64))
-
-
-def elu_prime(x):
-    return x.elu_prime() if isinstance(x, Tensor) else _elu_prime(np.asarray(x, dtype=np.float64))
-
-
-def sum_all(x):
-    return x.sum() if isinstance(x, Tensor) else float(np.sum(x))
-
-
-def value_of(x) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x)

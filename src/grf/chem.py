@@ -9,6 +9,7 @@ removed.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .graphs import MolGraph, RawGraph, unpad_graph
@@ -320,13 +321,20 @@ def load_smiles_file(path) -> list[RawGraph]:
 
 
 def load_valence_table(path) -> ValenceTable:
-    import json
+    """A JSON object mapping each element symbol to its maximum valence.
 
+    Every valence must be a non-negative JSON integer (a bool is not one);
+    anything else raises `ChemError` naming the symbol.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ChemError("valence table must be a JSON object mapping symbol to integer")
-    return {str(k): int(v) for k, v in raw.items()}
+    for symbol, valence in raw.items():
+        if isinstance(valence, bool) or not isinstance(valence, int) or valence < 0:
+            raise ChemError(f"valence table: {symbol!r} maps to {json.dumps(valence)}, "
+                            "not a non-negative integer")
+    return raw
 
 
 def training_string_set(molecules: list[RawGraph]) -> set[str]:

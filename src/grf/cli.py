@@ -128,7 +128,7 @@ def build_parser() -> _Parser:
     p_grid.add_argument("--out", type=Path, required=True)
     p_grid.add_argument("--grid-size", type=_int_at_least(1), default=5)
     p_grid.add_argument("--grid-step", type=_finite_float, default=0.5)
-    p_grid.add_argument("--count", type=_int_at_least(2), default=100,
+    p_grid.add_argument("--count", type=_int_at_least(3), default=100,
                         help="molecules used to fit the principal plane")
     p_grid.add_argument("--iterations", type=_int_at_least(1), default=100)
     p_grid.add_argument("--seed", type=int, default=0)
@@ -271,8 +271,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_latent_grid(args) -> int:
     model = _load_contraction(args.ckpt)
-    # the principal plane needs two molecules
-    graphs = _load_dataset(args.dataset, model.schema, at_least=2)
+    # the principal plane needs three molecules: two give a rank-1 covariance
+    graphs = _load_dataset(args.dataset, model.schema, at_least=3)
     records = latent_grid(model, graphs, grid_size=args.grid_size, step=args.grid_step,
                           rng_seed=args.seed, encode_count=args.count,
                           inversion=InversionConfig(iterations=args.iterations))
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (SmilesError, ChemError, GraphError, CheckpointError, DatasetError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalError, ValueError) as exc:

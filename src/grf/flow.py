@@ -8,11 +8,12 @@ budget, which makes each block a contraction, each residual layer
 invertible by fixed-point iteration, and the log-det power series
 convergent.
 
-Block code is written once against the autodiff dispatch helpers, so the
-same functions run on plain arrays and on tape tensors (the tests'
-gradient reference).  Training differentiates a block through its two
-hand-written reverse passes, `jvp_many_vjp` and `forward_vjp`, on plain
-arrays.
+Blocks run on plain numpy arrays through three kernels, `_dot`, `_elu`
+and `_elu_prime`.  Training differentiates a block through its two
+hand-written reverse passes, `jvp_many_vjp` and `forward_vjp`.  The
+kernels also run on complex arrays, branch by branch as on real ones
+(numpy orders complex numbers by their real part first), which is what
+the tests' complex-step gradient reference relies on.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import dot, elu, elu_prime
 from .graphs import DequantGraph, GraphSchema, LatentPoint, augmented_normalized_adjacency
 # operator_norm_power has no caller here; perfbench/tracing.py still patches
 # grf.flow.operator_norm_power by name, so the import keeps that lookup alive.
@@ -94,6 +94,32 @@ def qm9_table_config(**overrides) -> ModelConfig:
     base = dict(n_max=9, gcn_blocks=1, gcn_layers=1, mlp_blocks=32, mlp_layers=25, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+# ---------------------------------------------------------------------------
+# Kernels
+# ---------------------------------------------------------------------------
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a contracted with b over a's last and b's first axis, as one 2-D product."""
+    if a.ndim == 2 and b.ndim == 2:
+        return a @ b
+    out = a.reshape(-1, a.shape[-1]) @ b.reshape(b.shape[0], -1)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _elu(x: np.ndarray) -> np.ndarray:
+    # expm1(min(x, 0)) is elu(x) on the negative branch and 0 <= x on the
+    # other, so one maximum selects the branch; all three passes share one
+    # buffer (an explicit `out`, so a 0-d input also stays an array).
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=out)
+
+
+def _elu_prime(x: np.ndarray) -> np.ndarray:
+    # exp(min(x, 0)) is exp(x) on the negative branch and exactly 1 elsewhere
+    return np.exp(np.minimum(x, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +305,8 @@ class _ResidualBlock:
         """h @ W_l as one 2-D product over all leading axes."""
         w = self.weights[l]
         if isinstance(w, FactoredWeight):
-            return dot(dot(h, w.u), w.vt)
-        return dot(h, w)
+            return _dot(_dot(h, w.u), w.vt)
+        return _dot(h, w)
 
     def _layer_pre(self, m, l):
         """The pre-activation m @ W_l + b_l of the mixed input m = mix(h)."""
@@ -291,7 +317,7 @@ class _ResidualBlock:
     def apply(self, x, p=None):
         h = x
         for l in range(self.depth):
-            h = elu(self._layer_pre(_mix(p, h), l))
+            h = _elu(self._layer_pre(_mix(p, h), l))
         return h
 
     def forward(self, x, p=None, keep=None):
@@ -304,8 +330,8 @@ class _ResidualBlock:
             pre = self._layer_pre(m, l)
             if keep is not None:
                 keep.append((m, pre))
-            slopes.append(elu_prime(pre).reshape(*pre.shape[:-1], 1, pre.shape[-1]))
-            h = elu(pre)
+            slopes.append(_elu_prime(pre).reshape(*pre.shape[:-1], 1, pre.shape[-1]))
+            h = _elu(pre)
         return h, (p, slopes)
 
     def jvp_many(self, u, lin, record=None):
@@ -324,9 +350,8 @@ class _ResidualBlock:
                 record.append((u, a))
                 u = a * slopes[l]
             else:
-                # In place on an array: the product is a fresh temporary, and
-                # reusing it saves an allocation per layer.  A Tensor has no
-                # in-place ops, so on the tape `*=` records a new node.
+                # in place: the product is a fresh temporary, and reusing it
+                # saves an allocation per layer
                 a *= slopes[l]
                 u = a
         return u
@@ -507,9 +532,9 @@ class GrfModel:
         `stored(name, shape)` returns one named parameter, as
         `named_parameters` names it; given it, the blocks take what it
         returns as it is, with no random draw and no projection.
-        `load_checkpoint` passes the arrays of a file; the tests pass tape
-        leaves over a model's own arrays, which builds a taped twin of that
-        model for their gradient reference.
+        `load_checkpoint` passes the arrays of a file; the tests pass
+        complex perturbations of a model's own arrays, which builds the
+        twin their complex-step gradient reference runs.
         """
         self.config = config
         self.schema = GraphSchema(n_max=config.n_max, atom_symbols=config.atom_symbols,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import sum_all, value_of
 from .flow import GrfModel
 from .graphs import DequantGraph, LatentPoint, MolGraph, dequantize
 from .linalg import NumericalError
@@ -85,7 +84,7 @@ def prior_logp(z: LatentPoint) -> float:
 
 
 def gaussian_logp_from_sumsq(sum_sq, dim: int):
-    """Same density written in terms of a (possibly tape-tensor) sum of squares."""
+    """Same density written in terms of a sum of squares."""
     return -0.5 * dim * LOG_2PI - 0.5 * sum_sq
 
 
@@ -103,14 +102,15 @@ def logdet_series_from_probes(jvp, probes, n_probes: int, series_terms: int):
     the estimator only needs the elementwise dot against the evolving
     tangent, so the mean over probes is one full-sum divided by the probe
     count.  For a batch of inputs that sum also runs over the batch, which
-    gives the sum of the per-sample estimates.  Works on plain arrays and
-    on tape tensors alike.
+    gives the sum of the per-sample estimates.  The full-sum is left a numpy
+    scalar, not cast to float, so a complex tangent keeps its imaginary
+    part (the tests' complex-step gradient reference).
     """
     u = probes
     total = 0.0
     for k in range(1, series_terms + 1):
         u = jvp(u)
-        total = total + ((-1.0) ** (k + 1) / k) * (sum_all(probes * u) / n_probes)
+        total = total + ((-1.0) ** (k + 1) / k) * (np.sum(probes * u) / n_probes)
     return total
 
 
@@ -139,7 +139,7 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     _, lin = block.forward(x, p)
     probes = draw_probes(x.shape, s, derive_rng(seed, TAG_PROBE))
     jvp = lambda u: block.jvp_many(u, lin)
-    return float(value_of(logdet_series_from_probes(jvp, probes, s, cfg.series_terms)))
+    return float(logdet_series_from_probes(jvp, probes, s, cfg.series_terms))
 
 
 def exact_logdet(block, lin) -> float:
@@ -173,8 +173,8 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
     z_x, z_a, layers = model.forward(deq.features_c, p, deq.adjacency_c)
     logdets = [exact_logdet(block, lin) for block, _, lin in layers]
     n_x = len(model.feature_layers)
-    prior = float(gaussian_logp_from_sumsq(sum_all(z_x * z_x) + sum_all(z_a * z_a),
-                                           model.schema.latent_dim))
+    sum_sq = float(np.sum(z_x * z_x)) + float(np.sum(z_a * z_a))
+    prior = gaussian_logp_from_sumsq(sum_sq, model.schema.latent_dim)
     total = prior + sum(logdets[:n_x]) + sum(logdets[n_x:])
     return FlowTrace(feature_logdets=logdets[:n_x], adjacency_logdets=logdets[n_x:],
                      prior_logp=prior, total_logp=total)

@@ -1,17 +1,16 @@
 """Gradient computation, Adam, and the training loop.
 
 The loss is the mean negative log-likelihood over a minibatch.  Its
-gradients come from reverse-mode differentiation of the whole loss,
+gradients come from hand-written reverse passes through the whole loss,
 including the Jacobian-vector products inside the stochastic log-det
 series (probe vectors are frozen per step, so the estimator is a smooth
 function of the parameters).  After every optimizer step all weights are
 re-projected to the spectral budget, which keeps every block contractive
 throughout training.
 
-The minibatch runs as one batch, and the backward pass is block-local
-and tape-free: both stacks run once on plain arrays over the batch's
-(B, N, M) feature and (B, N, N, R) adjacency stacks, keeping only each
-block's input.  The blocks are then walked in reverse.  Each one runs
+The minibatch runs as one batch, and the backward pass is block-local:
+both stacks run once over the batch's (B, N, M) feature and
+(B, N, N, R) adjacency stacks, keeping only each block's input.  The blocks are then walked in reverse.  Each one runs
 its forward pass and its log-det series over all probes and samples
 again from its saved input, recording what its two hand-written reverse
 passes need: `jvp_many_vjp` walks the series' tangent chains backwards
@@ -35,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import sum_all
 from .flow import GrfModel, require_integers, save_checkpoint, tile_slopes
 from .graphs import MolGraph, dequantize
 from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
@@ -125,7 +123,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     total_logdet = 0.0
     for ld in logdets:
         total_logdet = total_logdet + ld
-    prior_sumsq = sum_all(z_x * z_x) + sum_all(z_a * z_a)
+    prior_sumsq = float(np.sum(z_x * z_x)) + float(np.sum(z_a * z_a))
     prior_total = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
     loss = -(prior_total + total_logdet) * (1.0 / n_batch)
     if not math.isfinite(loss):

@@ -2,25 +2,13 @@ from pathlib import Path
 
 import pytest
 
-from grf.autodiff import Tensor
 from grf.chem import load_smiles_file
-from grf.flow import GrfModel
 from grf.graphs import QM9_SCHEMA, GraphSchema, pad_graph
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
 
 TOY_SCHEMA = GraphSchema(n_max=6, atom_symbols=("C", "N", "O", "F"))
-
-
-def taped_twin(model: GrfModel) -> tuple[GrfModel, dict[str, Tensor]]:
-    """The same model on the reverse-mode tape, the tests' gradient
-    reference: (twin, leaves), where `leaves` maps each parameter path to a
-    gradient-tracking Tensor over the model's own array, and the twin's
-    blocks hold those leaves as their weights."""
-    leaves = {path: Tensor(arr, requires_grad=True)
-              for path, arr in model.named_parameters()}
-    return GrfModel(model.config, stored=lambda name, shape: leaves[name]), leaves
 
 
 @pytest.fixture(scope="session")

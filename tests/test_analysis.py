@@ -25,10 +25,21 @@ def test_latent_grid_shape_and_markers(toy_graphs):
     assert offs == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
-def test_latent_grid_requires_two_molecules(toy_graphs):
+def test_latent_grid_requires_three_molecules(toy_graphs):
     model = GrfModel(toy_config(seed=5))
-    with pytest.raises(ValueError):
-        latent_grid(model, toy_graphs[:1], grid_size=1, step=0.0, rng_seed=6)
+    for count in (1, 2):
+        with pytest.raises(ValueError):
+            latent_grid(model, toy_graphs[:count], grid_size=1, step=0.0, rng_seed=6)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (2, 3), (4, 5)])
+def test_two_distinct_latents_span_no_plane(pair, toy_graphs):
+    # their covariance has rank 1: the second eigenvalue is rounding noise
+    model = GrfModel(toy_config(seed=7))
+    latents = encode_dataset(model, [toy_graphs[i] for i in pair], rng_seed=8)
+    assert np.abs(latents[0] - latents[1]).max() > 0.1
+    with pytest.raises(NumericalError):
+        principal_axes(latents)
 
 
 def test_latent_grid_degenerate_covariance_raises(toy_graphs):

@@ -239,6 +239,14 @@ def test_load_valence_table(tmp_path):
     assert load_valence_table(path) == {"C": 4, "N": 3}
 
 
+@pytest.mark.parametrize("value", ["null", '"four"', "4.7", "true", "-1"])
+def test_load_valence_table_rejects_a_non_integer_valence(value, tmp_path):
+    path = tmp_path / "val.json"
+    path.write_text(f'{{"C": 4, "N": {value}}}', encoding="utf-8")
+    with pytest.raises(ChemError, match="'N'"):
+        load_valence_table(path)
+
+
 def test_training_string_set(corpus_raw):
     strings = training_string_set(corpus_raw[:10])
     assert len(strings) == 10

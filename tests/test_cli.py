@@ -56,7 +56,9 @@ def test_bad_smiles_is_data_error(tmp_path, trained_dir):
     ("train", ""),
     ("reconstruct", "# only a comment\n"),
     ("eval", ""),
-    ("latent-grid", "CCO\n"),  # the principal plane needs two molecules
+    # the principal plane needs three molecules: two span only a line
+    ("latent-grid", "CCO\n"),
+    ("latent-grid", "CCO\nCC\n"),
 ])
 def test_too_small_dataset_is_data_error(command, smiles, trained_dir, tmp_path, capsys):
     dataset = tmp_path / "small.smi"
@@ -70,6 +72,33 @@ def test_too_small_dataset_is_data_error(command, smiles, trained_dir, tmp_path,
     assert captured.err.startswith("data error: dataset") and str(dataset) in captured.err
     assert "nan" not in captured.out
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "DIR", "--out", "OUT"],
+                 id="dataset-is-a-directory"),
+    pytest.param(["eval", "--ckpt", "DIR", "--dataset", "TOY", "--out", "OUT"],
+                 id="ckpt-is-a-directory"),
+    pytest.param(["train", "--config", "DIR", "--dataset", "TOY", "--out", "OUT"],
+                 id="config-is-a-directory"),
+    pytest.param(["sample", "--ckpt", "CKPT", "--valence-table", "DIR", "--count", "1",
+                  "--out", "OUT"], id="valence-table-is-a-directory"),
+    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "TOY", "--out", "FILE"],
+                 id="out-is-a-file"),
+    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "LATIN1", "--out", "OUT"],
+                 id="dataset-is-not-utf8"),
+])
+def test_unreadable_input_is_data_error(argv, trained_dir, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("taken\n", encoding="utf-8")
+    (tmp_path / "latin1.smi").write_bytes("CCO # caf\xe9\n".encode("latin-1"))
+    paths = {"CKPT": trained_dir / "run" / "model.npz", "DIR": tmp_path / "dir",
+             "TOY": DATA / "toy_train.smi", "OUT": tmp_path / "o",
+             "FILE": tmp_path / "file", "LATIN1": tmp_path / "latin1.smi"}
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_outputs(trained_dir):
@@ -258,6 +287,8 @@ def test_sample_rejects_bad_temperature(trained_dir, tmp_path, capsys):
     pytest.param(["eval", "--dataset", "d.smi", "--count", "0"], "--count", id="eval-count-zero"),
     pytest.param(["latent-grid", "--dataset", "d.smi", "--count", "1"], "--count",
                  id="latent-grid-count-one"),
+    pytest.param(["latent-grid", "--dataset", "d.smi", "--count", "2"], "--count",
+                 id="latent-grid-count-two"),
     pytest.param(["latent-grid", "--dataset", "d.smi", "--grid-size", "0"], "--grid-size",
                  id="latent-grid-size-zero"),
     pytest.param(["latent-grid", "--dataset", "d.smi", "--grid-step", "nan"], "--grid-step",

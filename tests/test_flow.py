@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from grf import flow
-from grf.autodiff import elu
-from grf.flow import (FactoredWeight, GrfModel, MlpResidualBlock, ModelConfig, count_parameters,
-                      load_checkpoint, qm9_table_config, save_checkpoint, toy_config)
+from grf.flow import (FactoredWeight, GrfModel, MlpResidualBlock, ModelConfig, _dot, _elu,
+                      _elu_prime, count_parameters, load_checkpoint, qm9_table_config,
+                      save_checkpoint, toy_config)
 from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
 from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
@@ -37,15 +37,36 @@ def flow_latents(model, x, p, a):
 # -- ELU ----------------------------------------------------------------------
 
 def test_elu_anchor_values():
-    assert elu(np.array(0.0)) == 0.0
-    assert elu(np.array(1.0)) == 1.0
-    assert abs(elu(np.array(-1.0)) - (np.exp(-1) - 1)) < 1e-15
+    assert _elu(np.array(0.0)) == 0.0
+    assert _elu(np.array(1.0)) == 1.0
+    assert abs(_elu(np.array(-1.0)) - (np.exp(-1) - 1)) < 1e-15
+
+
+def test_kernels_match_reference_forms():
+    # exact against the branch-select forms, at zeros, subnormals, underflow and NaN
+    x = np.array([-2.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1.5, -800.0, np.nan])
+    neg = np.minimum(x, 0.0)
+    np.testing.assert_array_equal(_elu(x), np.where(x >= 0.0, x, np.expm1(neg)))
+    np.testing.assert_array_equal(_elu_prime(x), np.where(x >= 0.0, 1.0, np.exp(neg)))
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((4, 2, 5))
+    assert np.allclose(_dot(a, b), np.tensordot(a, b, 1))
+    assert np.array_equal(_dot(a, b[:, 0, :]), a @ b[:, 0, :])
+
+
+def test_elu_complex_step_gives_its_slope():
+    # the complex-step gradient reference runs the kernels on x + i h: each
+    # branch must keep the real value and carry elu'(x) h in the imaginary part
+    x = np.array([-3.0, -0.5, -1e-8, 1e-8, 0.5, 3.0])
+    out = _elu(x + 1e-30j)
+    np.testing.assert_array_equal(out.real, _elu(x))
+    assert np.allclose(out.imag / 1e-30, _elu_prime(x), rtol=1e-15, atol=0.0)
 
 
 def test_elu_unit_lipschitz_sampled():
     rng = np.random.default_rng(0)
     a, b = rng.standard_normal(2000) * 5, rng.standard_normal(2000) * 5
-    assert np.all(np.abs(elu(a) - elu(b)) <= np.abs(a - b) + 1e-15)
+    assert np.all(np.abs(_elu(a) - _elu(b)) <= np.abs(a - b) + 1e-15)
 
 
 # -- GCN block -------------------------------------------------------------------
@@ -104,26 +125,24 @@ def test_gcn_jvp_many_agrees_with_single():
         assert np.allclose(batch[:, s, :], single[:, 0, :], atol=1e-12)
 
 
-def test_tape_and_numpy_jvp_many_agree_for_both_blocks():
-    from grf.autodiff import Tensor
-    from conftest import taped_twin
-
+def test_jvp_many_matches_complex_step_for_both_blocks():
+    # Im(apply(x + i h v)) / h is the JVP J v to rounding, with no
+    # subtractive cancellation: the step h = 1e-30 leaves the real part exact
+    h = 1e-30
     rng = np.random.default_rng(50)
     model = GrfModel(toy_config(seed=50, gcn_layers=2, use_bias=True))
-    twin, _ = taped_twin(model)
     g = random_molgraph(model.schema, 51)
     p = model.conditioning_operator(g.adjacency)
-    cases = [(model.feature_layers[0], twin.feature_layers[0],
-              rng.standard_normal((6, 5)), rng.standard_normal((6, 3, 5)), p),
-             (model.adjacency_layers[0], twin.adjacency_layers[0],
-              rng.standard_normal((6, 24)), rng.standard_normal((6, 3, 24)), None)]
-    for block, taped, x, probes, op in cases:
+    cases = [(model.feature_layers[0], rng.standard_normal((6, 5)),
+              rng.standard_normal((6, 3, 5)), p),
+             (model.adjacency_layers[0], rng.standard_normal((6, 24)),
+              rng.standard_normal((6, 3, 24)), None)]
+    for block, x, probes, op in cases:
         _, lin = block.forward(x, op)
         plain = block.jvp_many(probes, lin)
-        _, tape_lin = taped.forward(Tensor(x), op)
-        tape = taped.jvp_many(Tensor(probes), tape_lin)
-        assert isinstance(tape, Tensor) and tape.requires_grad
-        assert np.allclose(tape.data, plain, rtol=1e-14, atol=1e-14)
+        # one complex input per probe, (S, rows, width), as a batch
+        stepped = block.apply(x + 1j * h * np.moveaxis(probes, -2, 0), op)
+        assert np.allclose(np.moveaxis(stepped.imag / h, 0, -2), plain, rtol=1e-14, atol=1e-14)
 
 
 def test_mlp_jvp_many_matches_dense_jacobian_per_probe():
@@ -308,7 +327,7 @@ def test_factored_forward_matches_dense_product():
     block = model.adjacency_layers[0]
     w = block.weights[0]
     x = np.random.default_rng(20).standard_normal((3, 24))
-    assert np.allclose(block.apply(x), elu(x @ (w.u @ w.vt)))
+    assert np.allclose(block.apply(x), _elu(x @ (w.u @ w.vt)))
 
 
 def test_mlp_block_single_layer_scalar_form():
@@ -320,7 +339,7 @@ def test_mlp_block_single_layer_scalar_form():
     block.weights[0][...] = np.array([[0.5]])
     for x in (-2.0, -0.3, 0.4, 2.0):
         out = block.apply(np.array([[x]]))
-        assert out[0, 0] == pytest.approx(float(elu(np.array(0.5 * x))))
+        assert out[0, 0] == pytest.approx(float(_elu(np.array(0.5 * x))))
 
 
 # -- checkpoints ----------------------------------------------------------------------

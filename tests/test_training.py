@@ -96,22 +96,29 @@ def test_grad_deterministic_given_seed():
         assert np.array_equal(g1[path], g2[path])
 
 
-def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
-    """Reference loss and gradients: each sample through its own 2-D flow,
-    and one series per (sample, probe), summed in Python loops.
+# Complex step: Im(L(theta + i h r)) / h is <grad L, r> to rounding, with no
+# subtractive cancellation, and Re(L(theta + i h r)) is L(theta).
+COMPLEX_STEP = 1e-30
 
-    Every block of the model's taped twin is linearized again at its
-    saved input.  The probes are `grad_nll`'s: one stack per block and
-    step in the batch layout, of which sample i and probe s take their
-    slice.
+
+def per_probe_nll(model, batch, cfg, direction, epoch=0, step=0):
+    """Reference (loss, derivative along `direction`) by a complex step:
+    each sample through its own 2-D flow, and one series per (sample,
+    probe), summed in Python loops.
+
+    The flow runs on a twin of `model` whose parameters are theta + i h r,
+    with r = `direction[path]` on the paths it names and 0 elsewhere.
+    Every block is linearized again at its saved input.  The probes are
+    `grad_nll`'s: one stack per block and step in the batch layout, of
+    which sample i and probe s take their slice.
     """
-    from grf.autodiff import sum_all, value_of
     from grf.graphs import dequantize
     from grf.likelihood import (TAG_DEQUANT, TAG_PROBE, derive_rng, draw_probes,
                                 gaussian_logp_from_sumsq, logdet_series_from_probes)
-    from conftest import taped_twin
 
-    twin, leaves = taped_twin(model)
+    theta = dict(model.named_parameters())
+    twin = GrfModel(model.config, stored=lambda path, shape: (
+        theta[path] + 1j * COMPLEX_STEP * direction.get(path, 0.0)))
     base, n_batch, s_probes = cfg.rng_seed, len(batch), cfg.hutchinson_samples
     n_x = len(model.feature_layers)
     prior_sumsq, samples = 0.0, []
@@ -128,11 +135,11 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
         for block in twin.adjacency_layers:
             inputs.append(h)
             h = h + block.apply(h)
-        prior_sumsq = prior_sumsq + sum_all(z * z) + sum_all(h * h)
+        prior_sumsq = prior_sumsq + np.sum(z * z) + np.sum(h * h)
         samples.append((p, inputs))
     total_logdet = 0.0
     for bi, block in enumerate(twin.blocks()):
-        shape = (n_batch, *value_of(samples[0][1][bi]).shape)
+        shape = (n_batch, *samples[0][1][bi].shape)
         probes = draw_probes(shape, s_probes, derive_rng(base, TAG_PROBE, epoch, step, bi))
         acc = 0.0
         for i, (p, inputs) in enumerate(samples):
@@ -145,13 +152,34 @@ def per_probe_grad_nll(model, batch, cfg, epoch=0, step=0):
         total_logdet = total_logdet + acc / s_probes
     prior = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
     loss = -(prior + total_logdet) / n_batch
-    loss.backward()
-    return float(value_of(loss)), {path: t.grad for path, t in leaves.items()}
+    return float(loss.real), float(loss.imag / COMPLEX_STEP)
 
 
-@pytest.mark.parametrize("shape", ["toy", "toy-rank2", "toy-gcn2", "qm9", "qm9-defaults",
-                                   "qm9-rank4"])
-def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus_graphs):
+def random_directions(model, per_block, seed):
+    """Seeded standard-normal directions: one per parameter array, or with
+    `per_block` one per block over all of its arrays."""
+    rng = np.random.default_rng(seed)
+    groups = ([block.named_parameters() for block in model.blocks()] if per_block
+              else [[item] for item in model.named_parameters()])
+    return [{path: rng.standard_normal(arr.shape) for path, arr in group} for group in groups]
+
+
+def mismatched_directions(grads, directions, derivatives):
+    """The directions (as tuples of their paths) along which <grads, r>
+    misses the reference derivative by more than 1e-12 of sum |grads * r|,
+    the scale of the dot product's own rounding."""
+    missed = []
+    for r, want in zip(directions, derivatives):
+        products = [grads[path] * v for path, v in r.items()]
+        got = sum(float(np.sum(prod)) for prod in products)
+        scale = sum(float(np.sum(np.abs(prod))) for prod in products)
+        if not abs(got - want) <= 1e-12 * scale:
+            missed.append(tuple(r))
+    return missed
+
+
+def grad_case(shape, toy_graphs, corpus_graphs):
+    """(model, batch, cfg) of one `test_grad_stacked_probes_match_per_probe_reference` case."""
     cfg = TrainConfig(series_terms=5, hutchinson_samples=3, rng_seed=32)
     if shape == "toy":
         model, batch = GrfModel(toy_config(seed=30, use_bias=True)), toy_graphs[:5]
@@ -175,12 +203,40 @@ def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus
                                           use_bias=True))
         batch = corpus_graphs[:2]
         assert model.slice_dim == 36
+    return model, batch, cfg
+
+
+def reference_derivatives(model, batch, cfg, loss, directions):
+    """`per_probe_nll`'s derivative along each direction, checking on the
+    way that its loss is `loss` to 1e-12 relative."""
+    derivatives = []
+    for r in directions:
+        ref_loss, derivative = per_probe_nll(model, batch, cfg, r, epoch=1, step=2)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        derivatives.append(derivative)
+    return derivatives
+
+
+@pytest.mark.parametrize("shape", ["toy", "toy-rank2", "toy-gcn2", "qm9", "qm9-defaults",
+                                   "qm9-rank4"])
+def test_grad_stacked_probes_match_per_probe_reference(shape, toy_graphs, corpus_graphs):
+    model, batch, cfg = grad_case(shape, toy_graphs, corpus_graphs)
     loss, grads, _ = grad_nll(model, batch, cfg, epoch=1, step=2)
-    ref_loss, ref_grads = per_probe_grad_nll(model, batch, cfg, epoch=1, step=2)
-    assert loss == pytest.approx(ref_loss, rel=1e-12)
-    for path, g in grads.items():
-        scale = np.abs(ref_grads[path]).max()
-        assert np.abs(g - ref_grads[path]).max() <= 1e-12 * scale, path
+    # one direction per array at toy shape; at QM9 shape, with 101-301 arrays,
+    # one per block keeps the reference to a few seconds
+    directions = random_directions(model, per_block=shape.startswith("qm9"), seed=33)
+    derivatives = reference_derivatives(model, batch, cfg, loss, directions)
+    assert mismatched_directions(grads, directions, derivatives) == []
+
+
+def test_per_array_reference_catches_a_gradient_off_by_1e_9(toy_graphs, corpus_graphs):
+    model, batch, cfg = grad_case("toy", toy_graphs, corpus_graphs)
+    loss, grads, _ = grad_nll(model, batch, cfg, epoch=1, step=2)
+    directions = random_directions(model, per_block=False, seed=33)
+    derivatives = reference_derivatives(model, batch, cfg, loss, directions)
+    for path in grads:
+        off = {**grads, path: grads[path] * (1.0 + 1e-9)}
+        assert mismatched_directions(off, directions, derivatives) == [(path,)]
 
 
 def test_grad_rejects_empty_batch():

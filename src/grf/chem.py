@@ -306,10 +306,18 @@ def compute_metrics(generated: list[MolGraph], training_set: set[str],
 # ---------------------------------------------------------------------------
 
 def load_smiles_file(path) -> list[RawGraph]:
-    """One SMILES per line; blank lines and '#' comments are skipped."""
+    """One SMILES per line of UTF-8 text; blank lines and '#' comments are
+    skipped.  A line that does not parse, or is not UTF-8, raises
+    `SmilesError` naming `path:line`."""
     molecules = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # "surrogateescape" decodes each byte that is not UTF-8 to a lone
+    # surrogate, which encoding refuses, so the line at fault is known
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise SmilesError(f"{path}:{line_no}: not UTF-8 text", exc.start) from None
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
@@ -324,16 +332,21 @@ def load_valence_table(path) -> ValenceTable:
     """A JSON object mapping each element symbol to its maximum valence.
 
     Every valence must be a non-negative JSON integer (a bool is not one);
-    anything else raises `ChemError` naming the symbol.
+    anything else raises `ChemError` naming the symbol.  A file that is not
+    UTF-8 JSON raises `ChemError` too; every message names the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError or json.JSONDecodeError
+        raise ChemError(f"valence table {path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ChemError("valence table must be a JSON object mapping symbol to integer")
+        raise ChemError(f"valence table {path} must be a JSON object mapping symbol "
+                        "to integer")
     for symbol, valence in raw.items():
         if isinstance(valence, bool) or not isinstance(valence, int) or valence < 0:
-            raise ChemError(f"valence table: {symbol!r} maps to {json.dumps(valence)}, "
-                            "not a non-negative integer")
+            raise ChemError(f"valence table {path}: {symbol!r} maps to "
+                            f"{json.dumps(valence)}, not a non-negative integer")
     return raw
 
 

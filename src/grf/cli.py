@@ -181,7 +181,7 @@ def _cmd_train(args) -> int:
     try:
         model_cfg, train_cfg = _parse_train_config(args.config)
     except (TypeError, ValueError, KeyError) as exc:
-        print(f"data error: bad config file: {exc}", file=sys.stderr)
+        print(f"data error: bad config file {args.config}: {exc}", file=sys.stderr)
         return EXIT_DATA
     train_cfg.rng_seed = args.seed
     model_cfg.seed = args.seed

@@ -18,10 +18,10 @@ the tests' complex-step gradient reference relies on.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
+import re
 import zipfile
 from dataclasses import asdict, dataclass
 
@@ -32,7 +32,7 @@ from .graphs import DequantGraph, GraphSchema, LatentPoint, augmented_normalized
 # grf.flow.operator_norm_power by name, so the import keeps that lookup alive.
 from .linalg import NumericalError, operator_norm_power  # noqa: F401
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass
@@ -236,6 +236,19 @@ def _clamp(weights: list, bound: float, init_target: float | None = None) -> Non
         over = over[still]
         for i, sigma in zip(over, sigmas[still]):
             _scale(weights[i], np.nextafter(bound / sigma, 0.0))
+
+
+_LAYER_NAME = re.compile(r"(.+\.[wb])(\d+)(\.u|\.vt|)")
+
+
+def stacked_name(name: str) -> tuple[str, int]:
+    """(stack, layer) of a per-layer parameter name as `named` makes it:
+    a checkpoint stores each block's layers of one kind as one array, the
+    stack, whose slice `layer` holds this parameter.  `adjacency.1.w0.u`
+    is layer 0 of `adjacency.1.w.u`, `feature.0.b2` layer 2 of
+    `feature.0.b`."""
+    stack, layer, part = _LAYER_NAME.fullmatch(name).groups()
+    return stack + part, int(layer)
 
 
 def _weight_entries(path: str, w) -> list[tuple[str, np.ndarray]]:
@@ -664,31 +677,30 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, model: GrfModel) -> None:
-    """Versioned npz container: the config and the weights.
+    """Versioned npz container: the config and the weights, one array per
+    block and kind (`stacked_name`), written straight into the file.
 
     Round trips are bit exact: arrays are stored as raw float64.
     """
-    arrays = {f"param::{name}": arr for name, arr in model.named_parameters()}
-    # format 4's layout keeps its "extra" section, which is left empty
-    meta = {"format_version": CHECKPOINT_VERSION,
-            "config": asdict(model.config),
-            "extra": {}}
-    buf = io.BytesIO()
-    np.savez(buf, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-             **arrays)
+    stacks = {}
+    for name, arr in model.named_parameters():
+        stacks.setdefault(f"param::{stacked_name(name)[0]}", []).append(arr)
+    meta = {"format_version": CHECKPOINT_VERSION, "config": asdict(model.config)}
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 **{key: np.stack(arrays) for key, arrays in stacks.items()})
 
 
 def load_checkpoint(path) -> tuple[GrfModel, dict, dict]:
     """Rebuild a model (bit exact) from a file that `save_checkpoint` wrote.
 
-    Returns (model, {}, {}): the two empty dicts stand for format 4's
-    extra arrays and metadata, which nothing writes any more.  Only format
-    version 4 is read.  A file that is not a checkpoint, whose metadata is
-    not a JSON object, has another version, stores a config field
-    `ModelConfig` does not have, or lacks an array the model needs or holds
-    it at the wrong shape, raises `CheckpointError`.
+    Returns (model, {}, {}): the two trailing empty dicts remain only
+    because perfbench/workloads.py unpacks three values, until ROADMAP
+    R1a/R7 change that.  Only format version 5 is read.  A file that is
+    not a checkpoint, whose metadata is not a JSON object, has another
+    version, stores a config field `ModelConfig` does not have, or lacks
+    a stack the model needs or holds it at the wrong shape (a layer short
+    or long included), raises `CheckpointError`.
     """
     try:
         # np.load(path) leaves the file it opened unclosed when the archive
@@ -724,8 +736,18 @@ def _read_checkpoint(data) -> tuple[GrfModel, dict, dict]:
                               f"only version {CHECKPOINT_VERSION} is read")
     # a stored field ModelConfig does not have raises a TypeError naming it
     config = ModelConfig(**meta["config"])
+    depths = {"feature": config.gcn_layers, "adjacency": config.mlp_layers}
+    stacks = {}
 
     def stored(name, shape):
-        return np.asarray(_checkpoint_array(data, f"param::{name}", shape), dtype=np.float64)
+        # each stack is read once; a layer's slice of a C-contiguous stack
+        # is itself C-contiguous, so the blocks compute exactly as on the
+        # arrays that were saved
+        key, layer = stacked_name(name)
+        if key not in stacks:
+            full = (depths[key.split(".", 1)[0]], *shape)
+            stacks[key] = np.ascontiguousarray(
+                _checkpoint_array(data, f"param::{key}", full), dtype=np.float64)
+        return stacks[key][layer]
 
     return GrfModel(config, stored=stored), {}, {}

@@ -74,30 +74,38 @@ def test_too_small_dataset_is_data_error(command, smiles, trained_dir, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "DIR", "--out", "OUT"],
+@pytest.mark.parametrize("argv, culprit", [
+    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "DIR", "--out", "OUT"], "DIR",
                  id="dataset-is-a-directory"),
-    pytest.param(["eval", "--ckpt", "DIR", "--dataset", "TOY", "--out", "OUT"],
+    pytest.param(["eval", "--ckpt", "DIR", "--dataset", "TOY", "--out", "OUT"], "DIR",
                  id="ckpt-is-a-directory"),
-    pytest.param(["train", "--config", "DIR", "--dataset", "TOY", "--out", "OUT"],
+    pytest.param(["train", "--config", "DIR", "--dataset", "TOY", "--out", "OUT"], "DIR",
                  id="config-is-a-directory"),
     pytest.param(["sample", "--ckpt", "CKPT", "--valence-table", "DIR", "--count", "1",
-                  "--out", "OUT"], id="valence-table-is-a-directory"),
-    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "TOY", "--out", "FILE"],
+                  "--out", "OUT"], "DIR", id="valence-table-is-a-directory"),
+    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "TOY", "--out", "FILE"], "FILE",
                  id="out-is-a-file"),
-    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "LATIN1", "--out", "OUT"],
+    pytest.param(["eval", "--ckpt", "CKPT", "--dataset", "LATIN1", "--out", "OUT"], "LATIN1:2",
                  id="dataset-is-not-utf8"),
+    pytest.param(["train", "--config", "LATIN1", "--dataset", "TOY", "--out", "OUT"], "LATIN1",
+                 id="config-is-not-utf8"),
+    pytest.param(["sample", "--ckpt", "CKPT", "--valence-table", "LATIN1", "--count", "1",
+                  "--out", "OUT"], "LATIN1", id="valence-table-is-not-utf8"),
 ])
-def test_unreadable_input_is_data_error(argv, trained_dir, tmp_path, capsys):
+def test_unreadable_input_is_data_error(argv, culprit, trained_dir, tmp_path, capsys):
+    """One line on stderr that names the file at fault (a dataset also its
+    line), and no output."""
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("taken\n", encoding="utf-8")
-    (tmp_path / "latin1.smi").write_bytes("CCO # caf\xe9\n".encode("latin-1"))
+    (tmp_path / "latin1.smi").write_bytes("CCO\nCCC # caf\xe9\n".encode("latin-1"))
     paths = {"CKPT": trained_dir / "run" / "model.npz", "DIR": tmp_path / "dir",
              "TOY": DATA / "toy_train.smi", "OUT": tmp_path / "o",
              "FILE": tmp_path / "file", "LATIN1": tmp_path / "latin1.smi"}
     assert main([str(paths.get(arg, arg)) for arg in argv]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+    name, *line = culprit.split(":")
+    assert ":".join([str(paths[name]), *line]) in err, err
     assert not (tmp_path / "o").exists()
 
 
@@ -358,21 +366,38 @@ def test_corrupt_checkpoint_is_data_error(trained_dir, tmp_path, capsys):
 
 def test_checkpoint_missing_parameter_is_data_error(trained_dir, tmp_path, capsys):
     ckpt = tmp_path / "missing.npz"
-    _rewrite_checkpoint(trained_dir / "run" / "model.npz", ckpt, drop=("param::adjacency.1.w0",))
+    _rewrite_checkpoint(trained_dir / "run" / "model.npz", ckpt, drop=("param::adjacency.1.w",))
     assert main(_eval_args(ckpt, tmp_path)) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "param::adjacency.1.w0" in err
+    assert err.startswith("data error:") and "param::adjacency.1.w" in err
 
 
 def test_checkpoint_wrong_shape_is_data_error(trained_dir, tmp_path, capsys):
     import numpy as np
 
-    ckpt = tmp_path / "shape.npz"
-    _rewrite_checkpoint(trained_dir / "run" / "model.npz", ckpt,
-                        replace={"param::feature.0.w0": np.zeros((4, 4))})
+    src, ckpt = trained_dir / "run" / "model.npz", tmp_path / "shape.npz"
+    with np.load(src) as data:
+        expected = data["param::feature.0.w"].shape
+    _rewrite_checkpoint(src, ckpt, replace={"param::feature.0.w": np.zeros((1, 4, 4))})
     assert main(_eval_args(ckpt, tmp_path)) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error:") and "param::feature.0.w0" in err and "(4, 4)" in err
+    assert err.startswith("data error:") and "'param::feature.0.w'" in err
+    assert "(1, 4, 4)" in err and str(expected) in err
+
+
+@pytest.mark.parametrize("layers", [-1, 1], ids=["a-layer-short", "a-layer-long"])
+def test_checkpoint_stack_of_another_depth_is_data_error(layers, trained_dir, tmp_path):
+    import numpy as np
+
+    from grf.flow import CheckpointError, load_checkpoint
+
+    src, ckpt = trained_dir / "run" / "model.npz", tmp_path / "depth.npz"
+    with np.load(src) as data:
+        stack = data["param::adjacency.1.w"]
+    resized = stack[:layers] if layers < 0 else np.concatenate([stack, stack[:layers]])
+    _rewrite_checkpoint(src, ckpt, replace={"param::adjacency.1.w": resized})
+    with pytest.raises(CheckpointError, match=r"'param::adjacency\.1\.w' has shape"):
+        load_checkpoint(ckpt)
 
 
 def _with_meta(src, dst, edit):
@@ -401,6 +426,27 @@ def test_checkpoint_of_another_format_version_is_data_error(trained_dir, tmp_pat
     assert main(_sample_args(ckpt, tmp_path)) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "format version 3" in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_format_4_checkpoint_is_data_error(tmp_path, capsys):
+    """Format 4, one array per layer, is not read any more."""
+    from dataclasses import asdict
+
+    import numpy as np
+
+    from grf.flow import CheckpointError, GrfModel, load_checkpoint, toy_config
+
+    model = GrfModel(toy_config(seed=26))
+    meta = {"format_version": 4, "config": asdict(model.config), "extra": {}}
+    ckpt = tmp_path / "v4.npz"
+    np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **{f"param::{name}": arr for name, arr in model.named_parameters()})
+    with pytest.raises(CheckpointError, match="format version 4"):
+        load_checkpoint(ckpt)
+    assert main(_sample_args(ckpt, tmp_path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "format version 4" in err
     assert not (tmp_path / "s").exists()
 
 

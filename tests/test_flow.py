@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -369,8 +371,10 @@ def assert_same_model(model, loaded):
 
 
 def test_checkpoint_bit_exact_roundtrip(tmp_path):
-    for rank in (0, 2):  # dense and rank-r weights, both with nonzero biases
-        model = biased_model(seed=21, adjacency_rank=rank)
+    # dense and rank-r weights, both with nonzero biases and two-layer stacks
+    # in every block
+    for rank in (0, 2):
+        model = biased_model(seed=21, adjacency_rank=rank, gcn_layers=2)
         path = tmp_path / f"rank{rank}.npz"
         save_checkpoint(path, model)
         loaded, extra_arrays, extra_meta = load_checkpoint(path)
@@ -391,15 +395,47 @@ def test_checkpoint_preserves_forward(tmp_path):
     assert np.array_equal(z1.z_features, z2.z_features)
 
 
-def test_checkpoint_version_4_writes_no_spectral_states(tmp_path):
+def test_loaded_model_takes_the_same_adam_step(tmp_path):
+    """Adam updates the loaded layers in place, which fails on a read-only
+    slice of a stack and shows one that aliases another or is out of order."""
+    for rank in (0, 2):
+        model = biased_model(seed=26, adjacency_rank=rank, gcn_layers=2)
+        save_checkpoint(tmp_path / "m.npz", model)
+        loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
+        rng = np.random.default_rng(27)
+        grads = {path: rng.standard_normal(arr.shape) for path, arr in model.named_parameters()}
+        for m in (model, loaded):
+            adam_step(m, grads, AdamState(), TrainConfig(learning_rate=0.05))
+        for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert n1 == n2 and np.array_equal(a1, a2)
+
+
+def test_checkpoint_version_5_stores_one_stack_per_block_and_kind(tmp_path):
     from grf.flow import CHECKPOINT_VERSION
 
-    assert CHECKPOINT_VERSION == 4
+    assert CHECKPOINT_VERSION == 5
     for tag, cfg in (("dense", toy_config(seed=25)),
-                     ("rank", toy_config(seed=25, adjacency_rank=2))):
-        save_checkpoint(tmp_path / f"{tag}.npz", GrfModel(cfg))
+                     ("rank", toy_config(seed=25, adjacency_rank=2, use_bias=True)),
+                     ("qm9", qm9_table_config())):
+        model = GrfModel(cfg)
+        m, d, r = model.schema.n_atom_types, model.slice_dim, cfg.adjacency_rank
+        adjacency = ({".w.u": (d, r), ".w.vt": (r, d)} if r else {".w": (d, d)})
+        if cfg.use_bias:
+            adjacency[".b"] = (1, d)
+        feature = {".w": (m, m), **({".b": (1, m)} if cfg.use_bias else {})}
+        expected = {f"param::feature.{b}{kind}": (cfg.gcn_layers, *shape)
+                    for b in range(cfg.gcn_blocks) for kind, shape in feature.items()}
+        expected.update({f"param::adjacency.{b}{kind}": (cfg.mlp_layers, *shape)
+                         for b in range(cfg.mlp_blocks) for kind, shape in adjacency.items()})
+        save_checkpoint(tmp_path / f"{tag}.npz", model)
         with np.load(tmp_path / f"{tag}.npz") as data:
-            assert not [k for k in data.files if k.startswith("sn::")]
+            assert sorted(data.files) == sorted(["__meta__", *expected])
+            assert {key: data[key].shape for key in expected} == expected
+            meta = json.loads(bytes(data["__meta__"]).decode())
+        # format 5 drops format 4's empty "extra" section
+        assert sorted(meta) == ["config", "format_version"] and meta["format_version"] == 5
+        assert ModelConfig(**meta["config"]) == cfg
+    assert len(expected) + 1 == 34  # the QM9 shape: 33 blocks, dense and bias-free
 
 
 def test_model_config_validation():

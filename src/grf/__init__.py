@@ -1,7 +1,7 @@
 """Invertible residual flows for small molecular graphs."""
 
-# Nothing in the package uses the tape module any more; perfbench/tracing.py
-# still looks up its tensor class by name, so this import keeps it loaded.
+# The tape is retired; perfbench/tracing.py still patches the placeholder
+# grf.autodiff.Tensor by name until ROADMAP R1a, so this import keeps it loaded.
 from . import autodiff  # noqa: F401
 from .chem import (DEFAULT_VALENCES, MetricsReport, SmilesError, check_validity,
                    compute_metrics, parse_smiles, write_smiles)

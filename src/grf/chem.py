@@ -32,6 +32,7 @@ class SmilesError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -324,7 +325,7 @@ def load_smiles_file(path) -> list[RawGraph]:
             try:
                 molecules.append(parse_smiles(text))
             except SmilesError as exc:
-                raise SmilesError(f"{path}:{line_no}: {exc}", exc.position) from exc
+                raise SmilesError(f"{path}:{line_no}: {exc.message}", exc.position) from exc
     return molecules
 
 

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .graphs import DequantGraph, GraphSchema, LatentPoint, augmented_normalized_adjacency
-# operator_norm_power has no caller here; perfbench/tracing.py still patches
-# grf.flow.operator_norm_power by name, so the import keeps that lookup alive.
+# operator_norm_power is a raising placeholder with no caller; perfbench/tracing.py
+# still patches grf.flow.operator_norm_power by name until ROADMAP R1a.
 from .linalg import NumericalError, operator_norm_power  # noqa: F401
 
 CHECKPOINT_VERSION = 5
@@ -284,9 +284,6 @@ class _ResidualBlock:
         self.biases = biases            # per layer: array or None
         self.lipschitz_budget = budget
         self.depth = len(weights)
-
-    def weight_items(self):
-        return self.named(self.weights, [None] * self.depth)
 
     def named_parameters(self):
         return self.named(self.weights, self.biases)
@@ -618,32 +615,11 @@ class GrfModel:
 
     # -- the flow ----------------------------------------------------------------
 
-    def forward(self, x, p, a):
-        """Both residual stacks, once, keeping what their log-dets need.
-
-        `x` is an (N, M) feature matrix with its (N, N) operator `p` and its
-        (N, N, R) adjacency `a`, or a (B, N, M) stack with (B, N, N) and
-        (B, N, N, R) ones.  The adjacency blocks act on the (..., C, d) view
-        of `a`, whose rows are the N node rows.  Returns (z_x, z_a, layers),
-        the latents in the inputs' shapes and, per block in order (feature
-        blocks first), (block, input, lin) with the linearization `lin` that
-        the block's `jvp_many` and `jacobians` take.
-        """
-        layers = []
-
-        def branch(block, h, p):
-            y, lin = block.forward(h, p)
-            layers.append((block, h, lin))
-            return y
-
-        return (*self.stacks(x, p, a, branch), layers)
-
     def encode(self, deqs: list[DequantGraph],
                adjacencies: list[np.ndarray]) -> list[LatentPoint]:
         """Latent points of a batch of dequantized graphs, each conditioned
-        on its discrete adjacency, as `forward` computes them.  Only the
-        latents are needed, so the blocks run slope-free `apply` and no
-        layer input is kept."""
+        on its discrete adjacency.  Only the latents are needed, so the
+        blocks run slope-free `apply` and no layer input is kept."""
         p = np.stack([self.conditioning_operator(a) for a in adjacencies])
         z_x, z_a = self.stacks(np.stack([deq.features_c for deq in deqs]), p,
                                np.stack([deq.adjacency_c for deq in deqs]),
@@ -653,8 +629,13 @@ class GrfModel:
     def stacks(self, x, p, a, branch):
         """(z_x, z_a): x + branch(block, x, p) through each feature block,
         then h + branch(block, h, None) through each adjacency block on the
-        (..., C, d) view h of `a`, returned in `a`'s shape.  `forward`,
-        `encode` and training's backward walk differ only in `branch`."""
+        (..., C, d) view h of `a`, returned in `a`'s shape.  Eval, `encode`
+        and training's backward walk differ only in `branch`.
+
+        `x` is an (N, M) feature matrix with its (N, N) operator `p` and its
+        (N, N, R) adjacency `a`, or a (B, N, M) stack with (B, N, N) and
+        (B, N, N, R) ones.  The adjacency blocks' rows are the N node rows.
+        """
         for block in self.feature_layers:
             x = x + branch(block, x, p)
         h = a.reshape(*a.shape[:-3], -1, self.slice_dim)

@@ -4,10 +4,10 @@ The objective is the standard change-of-variables decomposition: the
 standard-normal prior density of the latent point plus one log-det term
 per residual layer.
 
-Both eval and training run `GrfModel.forward` once, which returns each
-block's input and linearization; the log-dets are taken from those, and
-the prior from the latents' sum of squares.  Neither needs to know how a
-block lays its data out.
+Both eval and training walk the blocks once with `GrfModel.stacks`,
+taking each block's log-det from its input and linearization as the walk
+passes it, and the prior from the latents' sum of squares.  Neither needs
+to know how a block lays its data out.
 
 Eval (`full_logp`) computes each layer's log-det exactly.  Every block
 Jacobian is small or block-diagonal (one d x d block per adjacency
@@ -122,8 +122,7 @@ def require_contractive(bound: float, where: str) -> None:
             "so the block is not a certified contraction")
 
 
-def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
-                  rng_seed: int | None = None) -> float:
+def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None) -> float:
     """Stochastic log-det of one residual layer, linearized at input `x`.
 
     Feature blocks need the conditioning operator `p`; adjacency blocks
@@ -134,10 +133,9 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None,
     exact value.
     """
     require_contractive(block.certified_bound(), block.prefix)
-    seed = cfg.rng_seed if rng_seed is None else rng_seed
     s = cfg.hutchinson_samples
     _, lin = block.forward(x, p)
-    probes = draw_probes(x.shape, s, derive_rng(seed, TAG_PROBE))
+    probes = draw_probes(x.shape, s, derive_rng(cfg.rng_seed, TAG_PROBE))
     jvp = lambda u: block.jvp_many(u, lin)
     return float(logdet_series_from_probes(jvp, probes, s, cfg.series_terms))
 
@@ -170,8 +168,14 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
     """Change-of-variables log-likelihood of one already-dequantized graph,
     with every layer's exact log-det; nothing is drawn."""
     p = model.conditioning_operator(adjacency_discrete)
-    z_x, z_a, layers = model.forward(deq.features_c, p, deq.adjacency_c)
-    logdets = [exact_logdet(block, lin) for block, _, lin in layers]
+    logdets = []
+
+    def branch(block, h, p):
+        y, lin = block.forward(h, p)
+        logdets.append(exact_logdet(block, lin))
+        return y
+
+    z_x, z_a = model.stacks(deq.features_c, p, deq.adjacency_c, branch)
     n_x = len(model.feature_layers)
     sum_sq = float(np.sum(z_x * z_x)) + float(np.sum(z_a * z_a))
     prior = gaussian_logp_from_sumsq(sum_sq, model.schema.latent_dim)

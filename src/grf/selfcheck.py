@@ -118,13 +118,11 @@ def check_normalized_adjacency_spectrum(count: int = 10_000, seed: int = 0,
 
 
 def check_gcn_contraction(n_blocks: int = 40, pairs_per_block: int = 250,
-                          seed: int = 0, inject_overbudget: bool = False) -> CheckResult:
+                          seed: int = 0) -> CheckResult:
     """Residual blocks with in-budget weights never expand distances.
 
     Checks both the certified bound (product of exact operator norms,
-    must stay below 1) and sampled difference ratios.  The
-    `inject_overbudget` hook deliberately breaks one block so callers can
-    verify the check fails loudly.
+    must stay below 1) and sampled difference ratios.
     """
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
@@ -132,9 +130,6 @@ def check_gcn_contraction(n_blocks: int = 40, pairs_per_block: int = 250,
     violations = 0
     for b in range(n_blocks):
         block, p = random_feature_block(seed + 7919 * b)
-        if inject_overbudget and b == 0:
-            w = block.weights[0]
-            w[...] = w * (1.5 / np.linalg.norm(w, 2))
         cert = block.certified_bound()
         worst_cert = max(worst_cert, cert)
         if cert >= 1.0:
@@ -211,12 +206,11 @@ def check_inversion_convergence(n_inputs: int = 20, seed: int = 0) -> CheckResul
         f"per-iteration decay ratios {[f'{r:.3f}' for r in ratios]}")
 
 
-def run_selfcheck(seed: int = 0, inject_overbudget: bool = False,
-                  extra_graphs=None) -> list[CheckResult]:
+def run_selfcheck(seed: int = 0, extra_graphs=None) -> list[CheckResult]:
     return [
         check_frobenius_operator_bound(seed=seed),
         check_normalized_adjacency_spectrum(seed=seed, extra_graphs=extra_graphs),
-        check_gcn_contraction(seed=seed, inject_overbudget=inject_overbudget),
+        check_gcn_contraction(seed=seed),
         check_logdet_oracle(seed=seed),
         check_inversion_convergence(seed=seed),
     ]

@@ -233,6 +233,15 @@ def test_load_smiles_reports_line(tmp_path):
     assert "bad.smi:2" in str(exc.value)
 
 
+def test_load_smiles_states_the_position_once(tmp_path):
+    path = tmp_path / "bad.smi"
+    path.write_text("CCO\nCx\n", encoding="utf-8")
+    with pytest.raises(SmilesError) as exc:
+        load_smiles_file(path)
+    assert str(exc.value) == f"{path}:2: unknown symbol 'x' (at position 1)"
+    assert str(exc.value).count("at position") == 1
+
+
 def test_load_valence_table(tmp_path):
     path = tmp_path / "val.json"
     path.write_text('{"C": 4, "N": 3}', encoding="utf-8")

@@ -30,9 +30,22 @@ def zero_weights(model):
     return model
 
 
+def walk(model, x, p, a):
+    """(z_x, z_a, layers): `model.stacks` with a branch that records each
+    block's (block, input, lin) as it passes, as eval's walk sees them."""
+    layers = []
+
+    def branch(block, h, p):
+        y, lin = block.forward(h, p)
+        layers.append((block, h, lin))
+        return y
+
+    return (*model.stacks(x, p, a, branch), layers)
+
+
 def flow_latents(model, x, p, a):
-    """`model.forward` on one feature matrix and one adjacency tensor."""
-    z_x, z_a, _ = model.forward(x, p, a)
+    """Both latents of one feature matrix and one adjacency tensor."""
+    z_x, z_a, _ = walk(model, x, p, a)
     return z_x, z_a
 
 
@@ -169,7 +182,7 @@ def test_feature_flow_zero_weights_is_identity():
     g = random_molgraph(model.schema, 5)
     p = augmented_normalized_adjacency(g.adjacency)
     x = np.random.default_rng(6).standard_normal((6, 5))
-    z, _, layers = model.forward(x, p, np.zeros((6, 6, 4)))
+    z, _, layers = walk(model, x, p, np.zeros((6, 6, 4)))
     assert np.array_equal(z, x)
     assert [block for block, _, _ in layers] == model.blocks()
 
@@ -221,8 +234,8 @@ def test_feature_flow_equivariant_to_node_permutation():
 
 @pytest.mark.parametrize("make", [toy_config, qm9_table_config], ids=["toy", "qm9"])
 def test_batched_forward_matches_each_molecule(make):
-    """A (B, N, M) / (B, N, N, R) forward gives every molecule what its own
-    forward gives: latents, linearizations and exact log-dets."""
+    """A (B, N, M) / (B, N, N, R) walk gives every molecule what its own
+    walk gives: latents, linearizations and exact log-dets."""
     from grf.likelihood import exact_logdet
 
     model = GrfModel(make(seed=60, init_scale=0.9, gcn_blocks=2, gcn_layers=2, mlp_blocks=3,
@@ -237,11 +250,11 @@ def test_batched_forward_matches_each_molecule(make):
     ps = np.stack([model.conditioning_operator(g.adjacency) for g in graphs])
     xs = np.stack([deq.features_c for deq in deqs])
     a_s = np.stack([deq.adjacency_c for deq in deqs])
-    z_x, z_a, layers = model.forward(xs, ps, a_s)
+    z_x, z_a, layers = walk(model, xs, ps, a_s)
     assert z_x.shape == (3, n, m) and z_a.shape == a_s.shape
     assert len(layers) == len(model.blocks())
     for b in range(3):
-        one_x, one_a, one_layers = model.forward(xs[b], ps[b], a_s[b])
+        one_x, one_a, one_layers = walk(model, xs[b], ps[b], a_s[b])
         assert np.allclose(z_x[b], one_x, rtol=0, atol=1e-12)
         assert np.allclose(z_a[b], one_a, rtol=0, atol=1e-12)
         for (block, _, (p, slopes)), (_, _, one_lin) in zip(layers, one_layers):
@@ -269,7 +282,7 @@ def test_adjacency_blocks_act_on_a_view_of_node_rows():
     model = GrfModel(toy_config())
     assert model.slice_dim == 24
     p = np.broadcast_to(np.eye(6), (3, 6, 6))
-    _, _, layers = model.forward(x, p, batch)
+    _, _, layers = walk(model, x, p, batch)
     block, h, _ = layers[len(model.feature_layers)]
     assert h.shape == (3, 6, 24) and np.shares_memory(h, batch)
     for b in range(3):
@@ -285,7 +298,7 @@ def test_projection_enforces_budget_after_init():
     model = GrfModel(toy_config(init_scale=5.0, seed=17))  # init beyond the budget
     for block in model.blocks():
         bound = block.per_weight_bound()
-        for _, w in block.weight_items():
+        for w in block.weights:
             assert svd_sigma(w) <= bound * (1 + 1e-6)
         assert block.certified_bound() < 1.0
 
@@ -464,10 +477,10 @@ def test_projection_bound_is_strict_on_near_degenerate_top_pair():
         model = GrfModel(toy_config(seed=seed, gcn_layers=2))
         for block in model.blocks():
             bound = block.per_weight_bound()
-            for _, w in block.weight_items():
+            for w in block.weights:
                 w[...] = near_degenerate(w.shape[0], bound * rng.uniform(1.01, 3.0), rng)
             block.project()
-            for _, w in block.weight_items():
+            for w in block.weights:
                 assert np.linalg.norm(w, 2) <= bound
 
 
@@ -508,7 +521,7 @@ def test_certified_bound_is_exact_and_never_stale():
     for block in (model.feature_layers[0], model.adjacency_layers[0],
                   factored.adjacency_layers[0]):
         assert block.certified_bound() == pytest.approx(exact_product(block), rel=1e-12)
-        _, w = block.weight_items()[0]
+        _, w = block.named_parameters()[0]
         w *= 1.5 / exact_sigma(block.weights[0])  # in place, after the last projection
         assert block.certified_bound() == pytest.approx(exact_product(block), rel=1e-12)
         assert block.certified_bound() >= 1.0
@@ -518,7 +531,7 @@ def test_certified_bound_is_exact_and_never_stale():
 def test_non_finite_weight_fails_loudly(value):
     dense, factored = (GrfModel(toy_config(seed=42, adjacency_rank=r)) for r in (0, 2))
     for block in [*dense.blocks(), *factored.adjacency_layers]:
-        block.weight_items()[0][1][0, 0] = value
+        block.named_parameters()[0][1][0, 0] = value
         with pytest.raises(NumericalError):
             block.certified_bound()
         with pytest.raises(NumericalError):
@@ -550,9 +563,9 @@ def test_projection_at_the_bound_is_strict_and_idempotent(d):
         block.project()
         for w in block.weights:
             assert sigma(w) <= bound
-        once = [a.copy() for _, a in block.weight_items()]
+        once = [a.copy() for _, a in block.named_parameters()]
         block.project()
-        assert all(np.array_equal(a, b) for a, b in zip(once, (a for _, a in block.weight_items())))
+        assert all(np.array_equal(a, b) for a, b in zip(once, (a for _, a in block.named_parameters())))
 
 
 def count_measures(monkeypatch):
@@ -614,6 +627,6 @@ def test_projection_falls_back_to_the_exact_loop(monkeypatch):
         assert sum(counts) >= 2 * block.depth  # measured, scaled, measured again
         for w in block.weights:
             assert (qr_sigma(w) if isinstance(w, FactoredWeight) else svd_sigma(w)) <= bound
-        block.weight_items()[0][1][0, 0] = np.nan
+        block.named_parameters()[0][1][0, 0] = np.nan
         with pytest.raises(NumericalError):
             block.project()

@@ -64,11 +64,10 @@ def test_scalar_feature_flow_closed_form():
     block.weights[0][...] = np.array([[w]])
     p = np.array([[1.0]])
     for x in (-1.5, -0.2, 0.8, 2.5):
-        a = np.zeros((1, 1, model.schema.n_bond_types))
-        z, _, ((_, _, lin), _) = model.forward(np.array([[x]]), p, a)
+        f, lin = block.forward(np.array([[x]]), p)
         pre = x * w
         expected = x + (pre if pre >= 0 else math.expm1(pre))
-        assert z[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert x + f[0, 0] == pytest.approx(expected, abs=1e-12)
         slope = 1.0 if pre >= 0 else math.exp(pre)
         exact_ld = math.log(1.0 + slope * w)
         est = logdet_series(block, np.array([[x]]),

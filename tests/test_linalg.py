@@ -2,8 +2,8 @@
 
 Spectral norms and their clamping live on the residual blocks
 (`certified_bound`, `project`), the symmetric spectrum behind the
-adjacency property suite in `selfcheck.spectral_radius`, principal axes in
-`analysis.principal_axes`, and the matvec power iteration in `grf.linalg`.
+adjacency property suite in `selfcheck.spectral_radius`, and principal
+axes in `analysis.principal_axes`.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from grf.analysis import principal_axes
 from grf.flow import FactoredWeight, MlpResidualBlock
-from grf.linalg import NumericalError, operator_norm_power
+from grf.linalg import NumericalError
 from grf.selfcheck import spectral_radius
 
 
@@ -49,10 +49,6 @@ def normalize_to_bound(w, bound):
     return out
 
 
-def power_iteration(w, **kwargs):
-    return operator_norm_power(lambda x: w @ x, lambda y: w.T @ y, w.shape[1], **kwargs)
-
-
 # -- spectral norm -----------------------------------------------------------
 
 def test_spectral_norm_diagonal():
@@ -75,25 +71,6 @@ def test_spectral_norm_matches_svd_oracle():
 def test_spectral_norm_zero_matrix():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
     assert spectral_norm(FactoredWeight(u=np.zeros((3, 2)), vt=np.zeros((2, 3)))) == 0.0
-
-
-def test_spectral_norm_monotone_iterations():
-    rng = np.random.default_rng(5)
-    w = rng.standard_normal((8, 8))
-    prev = 0.0
-    for steps in range(1, 61):
-        sigma, _, _ = power_iteration(w, max_iter=steps, tol=0.0, seed=6)
-        assert sigma >= prev - 1e-12
-        prev = sigma
-
-
-def test_spectral_norm_warm_start_converges_faster():
-    rng = np.random.default_rng(7)
-    w = rng.standard_normal((10, 10))
-    sigma, u, _ = power_iteration(w)
-    # one iteration warm-started from the converged vector stays converged
-    sigma2, _, _ = power_iteration(w, u0=u, max_iter=1)
-    assert abs(sigma2 - sigma) < 1e-9
 
 
 # -- normalize to bound (block projection) ----------------------------------------
@@ -169,15 +146,7 @@ def test_max_abs_eigenvalue_equals_spectral_norm(n, seed):
     assert spectral_radius(s) == pytest.approx(spectral_norm(s), rel=1e-12)
 
 
-# -- operator power iteration and principal axes --------------------------------------
-
-def test_operator_norm_power_on_factored_product():
-    rng = np.random.default_rng(15)
-    u_mat, vt = rng.standard_normal((8, 2)), rng.standard_normal((2, 8))
-    sigma, _, _ = operator_norm_power(lambda x: u_mat @ (vt @ x),
-                                      lambda y: vt.T @ (u_mat.T @ y), 8)
-    assert abs(sigma - svd_sigma_max(u_mat @ vt)) < 1e-8
-
+# -- principal axes ------------------------------------------------------------------
 
 def test_dominant_eigenpairs_match_dense_solver():
     rng = np.random.default_rng(16)

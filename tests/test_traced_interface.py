@@ -77,3 +77,14 @@ def test_grad_nll_enters_each_block_series_once_whatever_the_batch(toy_graphs):
         # the block reverse passes run on plain arrays: nothing enters the tape
         assert "autodiff.backward" not in spans
         assert "autodiff.tape_nodes" not in tracer.counters
+
+
+def test_tracer_patches_every_site_and_restores_it():
+    tracing = load_tracing()
+    sites = [(owner, attr) for owner, attr, _ in tracing._patch_sites(grf)]
+    before = [owner.__dict__[attr] for owner, attr in sites]
+    with tracing.install(tracing.Tracer(), grf):
+        assert all(owner.__dict__[attr] is not original
+                   for (owner, attr), original in zip(sites, before))
+    assert all(owner.__dict__[attr] is original
+               for (owner, attr), original in zip(sites, before))

@@ -325,7 +325,7 @@ def test_adam_step_respects_budget():
         adam_step(model, grads, state, cfg)
         for block in model.blocks():
             bound = block.per_weight_bound()
-            for _, w in block.weight_items():
+            for w in block.weights:
                 sigma = np.linalg.svd(w, compute_uv=False).max()
                 assert sigma <= bound * (1 + 1e-6)
 

@@ -7,7 +7,7 @@ import numpy as np
 from .chem import check_validity, write_smiles
 from .flow import GrfModel
 from .graphs import (DequantGraph, LatentPoint, MolGraph, dequantize, quantize_adjacency,
-                     quantize_features)
+                     quantize_features, unpad_graph)
 from .inversion import InversionConfig, decode_latents, invert_latents
 from .likelihood import TAG_DEQUANT, derive_rng
 from .linalg import NumericalError
@@ -25,8 +25,10 @@ def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
     """Encode-decode error against the fixed-point iteration count.
 
     For each requested count the molecules are re-inverted from scratch,
-    as one batch, with exactly that many iterations (no early stop),
-    reporting the mean L2 distance between dequantized and reconstructed
+    as one batch, with at most that many iterations and no tolerance:
+    a molecule stops only once its step reaches the inversion's float
+    noise floor, where further iterations cannot move it.  Each row
+    reports the mean L2 distance between dequantized and reconstructed
     tensors normalized by the number of entries, plus the exact discrete
     reconstruction rate.
     """
@@ -120,8 +122,9 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
                                   for _, _, a, b in cells], inversion)
     records = []
     for (gi, gj, a, b), mol in zip(cells, mols):
-        valid = check_validity(mol)
+        raw = unpad_graph(mol)
+        valid = check_validity(raw)
         records.append({"gx": gi, "gy": gj, "offset_1": a, "offset_2": b,
                         "valid": bool(valid),
-                        "smiles": write_smiles(mol) if valid else None})
+                        "smiles": write_smiles(raw) if valid else None})
     return records

@@ -278,18 +278,20 @@ class MetricsReport:
                 "valid_count": self.valid_count}
 
 
-def compute_metrics(generated: list[MolGraph], training_set: set[str],
+def compute_metrics(generated: list[MolGraph | RawGraph], training_set: set[str],
                     table: ValenceTable | None = None) -> MetricsReport:
     """Validity over all samples; novelty/uniqueness over the valid ones.
 
     Molecule identity uses this module's deterministic SMILES strings.
-    With zero valid samples, novelty and uniqueness are reported as 0 and
-    `valid_count` carries the flag.
+    Each padded molecule is unpadded once, for both its validity and its
+    string.  With zero valid samples, novelty and uniqueness are reported
+    as 0 and `valid_count` carries the flag.
     """
     if not generated:
         raise ValueError("empty generated list")
     table = DEFAULT_VALENCES if table is None else table
-    valid_strings = [write_smiles(g) for g in generated if check_validity(g, table)]
+    raws = [unpad_graph(g) if isinstance(g, MolGraph) else g for g in generated]
+    valid_strings = [write_smiles(raw) for raw in raws if check_validity(raw, table)]
     n_valid = len(valid_strings)
     validity = n_valid / len(generated)
     if n_valid:

@@ -27,7 +27,7 @@ from .flow import (CheckpointError, GrfModel, ModelConfig, load_checkpoint,
                    save_checkpoint, toy_config)
 from .graphs import QM9_SCHEMA, GraphError, pad_graph, unpad_graph
 from .inversion import InversionConfig, generate
-from .likelihood import full_logp, require_contractive
+from .likelihood import full_logp
 from .linalg import NumericalError
 from .selfcheck import format_report, run_selfcheck
 from .training import TrainConfig, train, write_history_csv
@@ -197,12 +197,14 @@ def _cmd_train(args) -> int:
 
 
 def _load_contraction(path) -> GrfModel:
-    """The checkpoint's model, once every block certifies as a contraction:
-    a bound >= 1 raises `NumericalError` naming the first such block, before
-    any command writes its output."""
+    """The checkpoint's model, once every block certifies as a contraction
+    (`require_contraction`): a bound >= 1 raises `NumericalError` naming
+    the first such block, before any command writes its output.  The
+    library's `encode` and `invert_latents` trust the weights they are
+    given, so this is where a command checks them."""
     model, _, _ = load_checkpoint(path)
-    for block, bound in zip(model.blocks(), model.certified_block_bounds()):
-        require_contractive(bound, block.prefix)
+    for block in model.blocks():
+        block.require_contraction()
     return model
 
 
@@ -215,19 +217,20 @@ def _cmd_sample(args) -> int:
     training_set = set()
     if args.dataset:
         training_set = training_string_set(load_smiles_file(args.dataset))
+    raws = [unpad_graph(mol) for mol in molecules]
     args.out.mkdir(parents=True, exist_ok=True)
     with open(args.out / "samples.smi", "w", encoding="utf-8") as fh:
-        for i, mol in enumerate(molecules):
-            if check_validity(mol, valences):
-                fh.write(write_smiles(mol) + "\n")
+        for i, raw in enumerate(raws):
+            if check_validity(raw, valences):
+                fh.write(write_smiles(raw) + "\n")
             else:
                 fh.write(f"# invalid sample {i}\n")
     # every sample, valid or not, as one graph object per line
     with open(args.out / "graphs.jsonl", "w", encoding="utf-8") as fh:
-        for mol in molecules:
-            fh.write(unpad_graph(mol).to_json_line() + "\n")
-    if molecules:
-        report = compute_metrics(molecules, training_set, table=valences)
+        for raw in raws:
+            fh.write(raw.to_json_line() + "\n")
+    if raws:
+        report = compute_metrics(raws, training_set, table=valences)
         with open(args.out / "metrics.json", "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")

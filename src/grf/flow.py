@@ -191,11 +191,14 @@ def _certify(weights: list, bound: float) -> bool:
       below bound^2 because m = 4 (d + 1)^2 u exceeds (2 d^2 + d + 4) u.
     A weight at sigma <= bound (1 - m) leaves A a gap of ~m bound^2, far
     above the rounding seen in practice, so it factors.  A weight within
-    the margin of the bound may fail, which is safe.
+    the margin of the bound may fail, which is safe, and so does a
+    non-finite one.
     """
     if isinstance(weights[0], FactoredWeight):
-        return bool((_sigmas(weights) <= bound).all())
+        return bool((_sigmas(weights) < bound).all())
     stack = np.stack(weights)
+    if not np.isfinite(stack).all():
+        return False
     a = -(stack.transpose(0, 2, 1) @ stack)
     diagonal = np.arange(a.shape[-1])
     a[:, diagonal, diagonal] += bound * bound * (1.0 - _margin(weights))
@@ -308,8 +311,31 @@ class _ResidualBlock:
         _clamp(self.weights, self.per_weight_bound())
 
     def certified_bound(self) -> float:
-        """Product of exact per-layer operator norms (an upper Lipschitz bound)."""
+        """Product of exact per-layer operator norms (an upper Lipschitz bound).
+
+        A graph-convolution block's bound assumes ||P||_2 <= 1 for its
+        mix.  That holds for the normalized operator in exact arithmetic;
+        the floating-point P may exceed 1 by a few ulps, which the bound
+        does not count.
+        """
         return float(np.prod(_sigmas(self.weights)))
+
+    def require_contraction(self) -> None:
+        """NumericalError naming the block unless it is a certified contraction.
+
+        One `_certify` at bound 1 proves every sigma_l < 1, and so their
+        product.  Only if it cannot is `certified_bound` measured, so a
+        block whose product is below 1 with some sigma_l >= 1 still
+        passes, and a failure names the exact bound.  Nothing is cached:
+        a weight rescaled in place is caught on the next call.
+        """
+        if _certify(self.weights, 1.0):
+            return
+        bound = self.certified_bound()
+        if bound >= 1.0:
+            raise NumericalError(
+                f"{self.prefix}: certified Lipschitz bound {bound:.6f} >= 1, "
+                "so the block is not a certified contraction")
 
     def _times_weight(self, h, l):
         """h @ W_l as one 2-D product over all leading axes."""
@@ -619,7 +645,10 @@ class GrfModel:
                adjacencies: list[np.ndarray]) -> list[LatentPoint]:
         """Latent points of a batch of dequantized graphs, each conditioned
         on its discrete adjacency.  Only the latents are needed, so the
-        blocks run slope-free `apply` and no layer input is kept."""
+        blocks run slope-free `apply` and no layer input is kept.
+
+        The blocks' weights are trusted as they are: the CLI certifies
+        every block when it loads a checkpoint."""
         p = np.stack([self.conditioning_operator(a) for a in adjacencies])
         z_x, z_a = self.stacks(np.stack([deq.features_c for deq in deqs]), p,
                                np.stack([deq.adjacency_c for deq in deqs]),

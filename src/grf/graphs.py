@@ -125,10 +125,6 @@ class MolGraph:
         if not (diag[:, self.schema.no_bond] == 1.0).all():
             raise GraphError("self pairs must sit in the no-bond channel")
 
-    def real_atoms(self) -> np.ndarray:
-        """Indices of non-virtual atoms."""
-        return np.flatnonzero(self.features[:, self.schema.virtual_atom] == 0.0)
-
 
 @dataclass
 class DequantGraph:
@@ -279,13 +275,16 @@ def unpad_graph(g: MolGraph) -> RawGraph:
     Bonds incident to virtual atoms are dropped: a generated tensor may
     claim them, but they connect to nothing.
     """
-    real = g.real_atoms()
-    atom_of = {int(orig): new for new, orig in enumerate(real)}
-    symbols = [g.schema.atom_symbols[int(np.argmax(g.features[i, :-1]))] for i in real]
-    bonds = []
-    for a_pos, i in enumerate(real):
-        for j in real[a_pos + 1:]:
-            ch = int(np.argmax(g.adjacency[i, j]))
-            if ch != g.schema.no_bond:
-                bonds.append((atom_of[int(i)], atom_of[int(j)], ch + 1))
-    return RawGraph(atoms=symbols, bonds=bonds)
+    real = g.features[:, g.schema.virtual_atom] == 0.0
+    kinds = np.argmax(g.features[real, :-1], axis=1).tolist()
+    # one argmax per tensor; np.nonzero lists the bonded pairs row-major,
+    # the pairs i < j are kept, and a real atom's number is the count of
+    # real atoms before it
+    channels = np.argmax(g.adjacency, axis=2)
+    i, j = np.nonzero((channels != g.schema.no_bond) & real[:, None] & real)
+    upper = i < j
+    i, j = i[upper], j[upper]
+    number = np.cumsum(real) - 1
+    return RawGraph(atoms=[g.schema.atom_symbols[k] for k in kinds],
+                    bonds=list(zip(number[i].tolist(), number[j].tolist(),
+                                   (channels[i, j] + 1).tolist())))

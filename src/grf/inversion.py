@@ -37,9 +37,11 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
 
     `y` holds one sample per index of its leading axis, and `apply_fn`
     maps such a stack to R of every sample.  Each sample has its own
-    convergence state: once its successive iterates move less than the
-    tolerance it stops, and its iterate is frozen while the rest of the
-    batch goes on.  Successive-iterate distances must shrink for a
+    convergence state: once its successive iterates move no more than the
+    tolerance, or no more than the float noise floor 1e-13 max(1, |y|)
+    (so a zero tolerance still ends where further steps only round), it
+    stops, and its iterate is frozen while the rest of the batch goes
+    on.  Successive-iterate distances must shrink for a
     contraction; five consecutive increases for one sample mean the
     Lipschitz condition is broken and the loop would never converge, so
     that surfaces as an error instead, as does a non-finite iterate (for
@@ -69,7 +71,7 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
         if not active.all():
             x_next[~active] = x[~active]
         x = x_next
-        active &= delta > cfg.early_stop_tol
+        active &= (delta > cfg.early_stop_tol) & (delta > noise_floor)
         if not active.any():
             break
         prev_delta = delta
@@ -79,7 +81,11 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
 def invert_latents(model: GrfModel, latents: list[LatentPoint],
                    cfg: InversionConfig) -> list[DequantGraph]:
     """Two-step inverse of a batch of latent points: the adjacency stack
-    first, then the feature stack given each argmax-decoded adjacency."""
+    first, then the feature stack given each argmax-decoded adjacency.
+
+    The blocks' weights are trusted as they are: the CLI certifies every
+    block when it loads a checkpoint, and the loop's divergence check is
+    the guard at run time."""
     if not latents:
         return []
     z_a = np.stack([z.z_adjacency for z in latents])

@@ -114,14 +114,6 @@ def logdet_series_from_probes(jvp, probes, n_probes: int, series_terms: int):
     return total
 
 
-def require_contractive(bound: float, where: str) -> None:
-    """NumericalError naming `where` unless `bound` < 1."""
-    if bound >= 1.0:
-        raise NumericalError(
-            f"{where}: certified Lipschitz bound {bound:.6f} >= 1, "
-            "so the block is not a certified contraction")
-
-
 def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None) -> float:
     """Stochastic log-det of one residual layer, linearized at input `x`.
 
@@ -132,7 +124,7 @@ def logdet_series(block, x, cfg: LogDetEstimatorConfig, p=None) -> float:
     `selfcheck.check_logdet_oracle` checks it block by block against the
     exact value.
     """
-    require_contractive(block.certified_bound(), block.prefix)
+    block.require_contraction()
     s = cfg.hutchinson_samples
     _, lin = block.forward(x, p)
     probes = draw_probes(x.shape, s, derive_rng(cfg.rng_seed, TAG_PROBE))
@@ -147,10 +139,12 @@ def exact_logdet(block, lin) -> float:
     The block's `jacobians` gives J as a stack of dense blocks, (C, d, d)
     for an adjacency block and (1, NM, NM) for a graph-convolution block;
     one batched `slogdet` finishes it and the layer's log-det is the sum
-    over the stack.  A contraction has det(I + J) > 0, so any other sign,
-    like a non-finite value, raises `NumericalError`.
+    over the stack.  The block must first certify as a contraction
+    (`require_contraction`, one batched Cholesky).  A contraction has
+    det(I + J) > 0, so any other sign, like a non-finite value, raises
+    `NumericalError`.
     """
-    require_contractive(block.certified_bound(), block.prefix)
+    block.require_contraction()
     jac = np.ascontiguousarray(block.jacobians(lin))
     diag = np.arange(jac.shape[1])
     jac[:, diag, diag] += 1.0

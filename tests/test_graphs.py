@@ -49,6 +49,63 @@ def test_unpad_drops_bonds_to_virtual_atoms():
     assert raw.n == 2 and raw.bonds == [(0, 1, 1)]
 
 
+def unpad_per_pair(g: MolGraph) -> RawGraph:
+    """The reference unpadding: one argmax per atom and per pair of real atoms."""
+    real = np.flatnonzero(g.features[:, g.schema.virtual_atom] == 0.0)
+    atom_of = {int(orig): new for new, orig in enumerate(real)}
+    symbols = [g.schema.atom_symbols[int(np.argmax(g.features[i, :-1]))] for i in real]
+    bonds = []
+    for a_pos, i in enumerate(real):
+        for j in real[a_pos + 1:]:
+            ch = int(np.argmax(g.adjacency[i, j]))
+            if ch != g.schema.no_bond:
+                bonds.append((atom_of[int(i)], atom_of[int(j)], ch + 1))
+    return RawGraph(atoms=symbols, bonds=bonds)
+
+
+def assert_unpads_as_per_pair(g: MolGraph) -> None:
+    raw, ref = unpad_graph(g), unpad_per_pair(g)
+    assert raw == ref
+    assert raw.to_json_line() == ref.to_json_line()
+
+
+def test_unpad_matches_per_pair_reference_on_random_graphs():
+    for seed in range(40):
+        assert_unpads_as_per_pair(random_molgraph(SCHEMA, seed))
+
+
+def test_unpad_matches_per_pair_reference_on_generated_graphs():
+    from grf.flow import GrfModel, toy_config
+    from grf.inversion import InversionConfig, generate
+
+    model = GrfModel(toy_config(init_scale=0.9, seed=3))
+    mols = generate(model, 24, 1.0, 1.0, InversionConfig(), rng_seed=4)
+    assert any(unpad_per_pair(m).bonds for m in mols)
+    for g in mols:
+        assert_unpads_as_per_pair(g)
+
+
+def test_unpad_breaks_ties_toward_the_lowest_index():
+    rng = np.random.default_rng(5)
+    n, m, r = SCHEMA.n_max, SCHEMA.n_atom_types, SCHEMA.n_bond_types
+    for _ in range(20):
+        # 0/1 entries tie often, in atoms and bond channels alike
+        g = MolGraph(schema=SCHEMA, adjacency=rng.integers(0, 2, (n, n, r)).astype(float),
+                     features=rng.integers(0, 2, (n, m)).astype(float))
+        assert_unpads_as_per_pair(g)
+    adjacency = np.zeros((n, n, r))
+    adjacency[:, :, SCHEMA.no_bond] = 1.0
+    adjacency[0, 1] = adjacency[1, 0] = [0.0, 1.0, 1.0, 1.0]
+    features = np.zeros((n, m))
+    features[:, SCHEMA.virtual_atom] = 1.0
+    features[:2] = [[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 0.0]]
+    raw = unpad_graph(MolGraph(schema=SCHEMA, adjacency=adjacency, features=features))
+    assert raw.atoms == ["N", "C"] and raw.bonds == [(0, 1, 2)]
+    features[:2] = features[2]  # every atom virtual: the bond claim goes too
+    assert_unpads_as_per_pair(MolGraph(schema=SCHEMA, adjacency=adjacency, features=features))
+    assert unpad_graph(MolGraph(schema=SCHEMA, adjacency=adjacency, features=features)).n == 0
+
+
 # -- dequantize / quantize ----------------------------------------------------
 
 def test_dequantize_range():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import grf.inversion
 from grf.analysis import reconstruction_curve
 from grf.flow import GrfModel, MlpResidualBlock, _elu, qm9_table_config, toy_config
 from grf.graphs import dequantize, quantize_adjacency, quantize_features, random_molgraph
@@ -222,6 +223,32 @@ def test_batch_composition_does_not_change_results(budget_model):
                               mols)
     assert_close_inverses(invert_latents(budget_model, latents[::-1], cfg)[::-1], whole)
     assert_same_molecules(decode_latents(budget_model, latents[::-1], cfg)[::-1], mols)
+
+
+def test_reconstruction_stops_at_the_noise_floor(budget_model, toy_graphs, corpus_graphs,
+                                                 monkeypatch):
+    """With no tolerance, a layer inversion ends once every step is float
+    noise instead of running on to the cap.  The QM9-shape adjacency
+    blocks are within ~1e-7 of the identity, so their second step is
+    already noise: two applies per inversion."""
+    graphs = (toy_graphs if budget_model.schema.n_max == 6 else corpus_graphs)[:10]
+    applies = []  # (is an adjacency block, apply calls) per layer inversion
+    invert = grf.inversion.invert_residual_layer
+
+    def counting(apply_fn, y, cfg):
+        calls = []
+        out = invert(lambda x: calls.append(1) or apply_fn(x), y, cfg)
+        applies.append((isinstance(getattr(apply_fn, "__self__", None), MlpResidualBlock),
+                        len(calls)))
+        return out
+
+    monkeypatch.setattr(grf.inversion, "invert_residual_layer", counting)
+    (row,) = reconstruction_curve(budget_model, graphs, [100], rng_seed=23)
+    assert row["exact_rate"] == 1.0 and row["combined_l2"] < 1e-13
+    assert len(applies) == len(budget_model.blocks())
+    if budget_model.schema.n_max == 9:
+        assert {calls for adjacency, calls in applies if adjacency} == {2}
+    assert max(calls for _, calls in applies) < 100
 
 
 def updates_per_sample(apply_fn, y, cfg):

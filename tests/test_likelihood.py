@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from grf.flow import GrfModel, ModelConfig, MlpResidualBlock, toy_config
+import grf.flow
+from grf.flow import GrfModel, ModelConfig, MlpResidualBlock, qm9_table_config, toy_config
 from grf.graphs import LatentPoint, dequantize, random_molgraph
 from grf.likelihood import (FlowTrace, LogDetEstimatorConfig, draw_probes, exact_logdet,
                             full_logp, full_logp_from_dequant, logdet_series, prior_logp,
@@ -249,6 +250,49 @@ def test_full_logp_rejects_block_at_unit_bound(stack):
     assert block.certified_bound() >= 1.0
     with pytest.raises(NumericalError, match=block.prefix):
         full_logp(model, random_molgraph(model.schema, 59), rng_seed=60)
+
+
+def test_eval_certifies_without_measuring_a_weight(monkeypatch, corpus_graphs):
+    """A QM9-shape model at the budget certifies by Cholesky alone; no
+    block's weights go through the SVD measure."""
+    model = GrfModel(qm9_table_config(init_scale=0.9, lipschitz_budget=0.9, seed=61))
+    measured = []
+    sigmas = grf.flow._sigmas
+    monkeypatch.setattr(grf.flow, "_sigmas", lambda weights: measured.append(1) or
+                        sigmas(weights))
+    trace = full_logp(model, corpus_graphs[0], rng_seed=62)
+    assert math.isfinite(trace.total_logp)
+    assert measured == []
+
+
+def test_block_with_one_layer_over_one_evaluates_through_the_exact_bound():
+    """Per-layer sigmas (1.2, 0.5) fail the per-layer certificate, but their
+    product 0.6 is a contraction: the exact bound admits the block."""
+    rng = np.random.default_rng(63)
+    weights = [s * np.linalg.qr(rng.standard_normal((3, 3)))[0] for s in (1.2, 0.5)]
+    block = MlpResidualBlock(prefix="t", weights=weights, biases=[None, None], budget=0.9)
+    assert not grf.flow._certify(block.weights, 1.0)
+    assert block.certified_bound() == pytest.approx(0.6)
+    x = rng.standard_normal((2, 3))
+    oracle = np.linalg.slogdet(np.eye(x.size) + exact_block_jacobian(block, x))[1]
+    assert exact_logdet(block, block.forward(x)[1]) == pytest.approx(oracle, abs=1e-8)
+    cfg = LogDetEstimatorConfig(series_terms=40, hutchinson_samples=2, rng_seed=64)
+    assert math.isfinite(logdet_series(block, x, cfg))
+    block.weights[1] *= 2.0  # product 1.2: the in-place rescale is caught
+    with pytest.raises(NumericalError, match=r"t: certified Lipschitz bound 1\.200000"):
+        exact_logdet(block, block.forward(x)[1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_fails_the_certificate(bad):
+    """A NaN Gram entry can pass a Cholesky factorization unreported, so
+    the certificate checks finiteness itself."""
+    weights = [0.5 * np.eye(3), 0.5 * np.eye(3)]
+    weights[0][0, 1] = bad
+    block = MlpResidualBlock(prefix="t", weights=weights, biases=[None, None], budget=0.9)
+    assert not grf.flow._certify(block.weights, 1.0)
+    with pytest.raises(NumericalError, match="non-finite weight"):
+        block.require_contraction()
 
 
 def test_full_logp_matches_composed_jacobian_oracle():

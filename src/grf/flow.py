@@ -375,15 +375,19 @@ class _ResidualBlock:
         at `lin`: per layer, P @ U as (..., rows, rows) @ (..., rows, S*width)
         when there is a P, then @ W_l as one 2-D product, then times the
         slopes, broadcast over S or tiled to u's shape.  A list `record`
-        receives each layer's (tangent into @ W_l, product out of it), which
-        `jvp_many_vjp` takes."""
+        receives the call's input u, then each layer's product a_l out of
+        @ W_l, which `jvp_many_vjp` takes.  The tangent into @ W_l is not
+        kept: it is mix(u) at l = 0 and mix(a_(l-1) * slopes) after, which
+        the reverse pass rebuilds by the same operations."""
         p, slopes = lin
+        if record is not None:
+            record.append(u)
         for l in range(self.depth):
             if p is not None:
-                u = (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
+                u = _mix_tangents(p, u)
             a = self._times_weight(u, l)
             if record is not None:
-                record.append((u, a))
+                record.append(a)
                 u = a * slopes[l]
             else:
                 # in place: the product is a fresh temporary, and reusing it
@@ -430,13 +434,16 @@ class _ResidualBlock:
 
         `lin` holds the slopes tiled to the probe stack's (..., rows, S,
         width), as the calls took them.  `records[k-1]` is what call k
-        recorded.  The walk starts at the last call, and adds term k's seed
-        to the cotangent of u_k as it passes it.  Each layer's G * a_l is
-        summed over the calls in the product buffer of the last call's
-        record, which is not needed again, and summed over the probes once
-        at the end.  Returns (the weight gradients, each layer's slope
-        cotangent shaped (..., rows, 1, width) as `forward`'s untiled
-        slopes)."""
+        recorded: its input, then each layer's product a_l.  The walk
+        starts at the last call, and adds term k's seed to the cotangent of
+        u_k as it passes it.  Layer l's tangent into @ W_l is rebuilt from
+        the record, as mix(a_(l-1) * slopes), or as the mixed call input
+        at l = 0: the forward pass's operands and operations, so it is the
+        same array bit for bit.  Each layer's G * a_l is summed over the
+        calls in the product buffer of the last call's record, which is
+        not needed again, and summed over the probes once at the end.
+        Returns (the weight gradients, each layer's slope cotangent shaped
+        (..., rows, 1, width) as `forward`'s untiled slopes)."""
         p, slopes = lin
         g_weights = [FactoredWeight(u=np.zeros_like(w.u), vt=np.zeros_like(w.vt))
                      if isinstance(w, FactoredWeight) else np.zeros_like(w)
@@ -446,8 +453,12 @@ class _ResidualBlock:
         for k in reversed(range(len(records))):
             seed = seeds[k] * probes
             g = seed if g is None else g + seed
+            products = records[k][1:]
             for l in reversed(range(self.depth)):
-                v, a = records[k][l]
+                v = records[k][0] if l == 0 else products[l - 1] * slopes[l - 1]
+                if p is not None:
+                    v = _mix_tangents(p, v)
+                a = products[l]
                 np.multiply(g, a, out=a)
                 if g_slopes[l] is None:
                     g_slopes[l] = a
@@ -496,6 +507,12 @@ def _mix(p, h):
 
 def _mix_transpose(p, g):
     return np.swapaxes(p, -1, -2) @ g
+
+
+def _mix_tangents(p, u):
+    """P @ U for a tangent stack u (..., rows, S, width), as one
+    (..., rows, rows) @ (..., rows, S*width) product."""
+    return (p @ u.reshape(*u.shape[:-2], -1)).reshape(u.shape)
 
 
 def _sum_probes(x: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ class MolGraph:
         if self.features.shape != (n, m):
             raise GraphError(f"features shape {self.features.shape} != {(n, m)}")
         for name, t in (("adjacency", self.adjacency), ("features", self.features)):
-            if not np.isin(t, (0.0, 1.0)).all():
+            if not ((t == 0.0) | (t == 1.0)).all():
                 raise GraphError(f"{name} entries must be 0 or 1")
         if not (self.adjacency.sum(axis=2) == 1.0).all():
             raise GraphError("adjacency must be one-hot over bond channels")

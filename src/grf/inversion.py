@@ -11,6 +11,7 @@ own convergence state; a single latent is a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,10 @@ class InversionConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
+        # NaN compares false, so a NaN tolerance would stop every sample
+        # after its first step
+        if not 0.0 <= self.early_stop_tol < math.inf:
+            raise ValueError("early_stop_tol must be a finite number >= 0")
 
 
 def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.ndarray:

@@ -10,15 +10,17 @@ throughout training.
 
 The minibatch runs as one batch, and the backward pass is block-local:
 both stacks run once over the batch's (B, N, M) feature and
-(B, N, N, R) adjacency stacks, keeping only each block's input.  The blocks are then walked in reverse.  Each one runs
-its forward pass and its log-det series over all probes and samples
-again from its saved input, recording what its two hand-written reverse
-passes need: `jvp_many_vjp` walks the series' tangent chains backwards
-into weight gradients and the slopes' cotangents, and `forward_vjp`
-turns those and the cotangent of the block's output into the rest of
-its weight and bias gradients and the cotangent of its input.  Training
-memory is one block's records plus the block inputs, whatever the
-depth.
+(B, N, N, R) adjacency stacks, keeping only each block's input.  The
+blocks are then walked in reverse, in chunks of molecules.  For each
+chunk a block runs its forward pass and its log-det series over all
+probes again from its saved input, recording what its two hand-written
+reverse passes need: `jvp_many_vjp` walks the series' tangent chains
+backwards into weight gradients and the slopes' cotangents, and
+`forward_vjp` turns those and the cotangent of the block's output into
+the rest of its weight and bias gradients and the cotangent of its
+input.  A chunk holds as many molecules as `CHUNK_RECORD_BYTES` holds of
+their records, so training memory is one chunk's records plus the block
+inputs and the gradients, whatever the depth and the batch.
 
 All randomness is keyed, so a fixed seed replays the exact same
 trajectory: shuffling by (seed, epoch), dequantization noise by
@@ -44,6 +46,11 @@ from .linalg import NumericalError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Bytes of series records that one chunk of a block walk may hold, by
+# `molecule_record_bytes`: with 8 terms x 4 probes, 27 molecules a chunk
+# at QM9 shape and 560 at toy shape, so both benchmark batches are one chunk.
+CHUNK_RECORD_BYTES = 64 * 2 ** 20
 
 
 @dataclass
@@ -80,7 +87,11 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     runs again on its saved input, and its reverse passes differentiate
     <x + f(x), g_out> - log-det / B: they give the block's parameter
     gradients and the cotangent of its input, which is the previous
-    block's g_out.  Only one block's records are alive at a time.
+    block's g_out.  A block is walked in chunks of molecules
+    (`_block_backward`), and only one chunk's records are alive at a
+    time; a saved input is freed once its block is walked.  Each block's
+    probes are drawn once for the whole batch, so the result does not
+    depend on the chunking beyond the order of the sums.
 
     Returns (loss, grads, stats) where grads maps parameter paths to arrays
     and stats carries the per-sample mean prior and log-det terms for the
@@ -91,9 +102,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
         raise ValueError("empty batch")
     n_batch = len(batch)
 
-    deqs = [dequantize(g, model.config.noise_scale,
-                       int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
-            for i, g in enumerate(batch)]
+    x, a = _dequantized_stacks(model, batch, cfg, epoch, step)
     p = np.stack([model.conditioning_operator(g.adjacency) for g in batch])
     inputs = []
 
@@ -101,8 +110,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
         inputs.append(h)
         return block.apply(h, p)
 
-    z_x, z_a = model.stacks(np.stack([deq.features_c for deq in deqs]), p,
-                            np.stack([deq.adjacency_c for deq in deqs]), keep_input)
+    z_x, z_a = model.stacks(x, p, a, keep_input)
 
     blocks = model.blocks()
     n_x = len(model.feature_layers)
@@ -113,9 +121,10 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
                                 (range(n_x), p, z_x)):
         g_out = z * (1.0 / n_batch)
         for bi in reversed(indices):
-            probes = draw_probes(inputs[bi].shape, cfg.hutchinson_samples,
+            h = inputs.pop()  # the walk takes the inputs in reverse, freeing each after
+            probes = draw_probes(h.shape, cfg.hutchinson_samples,
                                  derive_rng(cfg.rng_seed, TAG_PROBE, epoch, step, bi))
-            logdets[bi], g_out = _block_backward(blocks[bi], inputs[bi], p_stack, g_out,
+            logdets[bi], g_out = _block_backward(blocks[bi], h, p_stack, g_out,
                                                  probes, cfg, n_batch, grads)
 
     # The loss in forward block order, scaled by 1/B as the cotangents are.
@@ -140,22 +149,62 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     return loss, grads, stats
 
 
+def _dequantized_stacks(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
+                        epoch: int, step: int):
+    """The batch's dequantized (B, N, M) feature and (B, N, N, R) adjacency
+    stacks, each sample's noise keyed by (seed, epoch, step, sample)."""
+    deqs = [dequantize(g, model.config.noise_scale,
+                       int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
+            for i, g in enumerate(batch)]
+    return (np.stack([deq.features_c for deq in deqs]),
+            np.stack([deq.adjacency_c for deq in deqs]))
+
+
 def _block_backward(block, h, p, g_out, probes, cfg: TrainConfig, n_batch: int,
                     grads: dict):
     """One block's share of the loss: (its log-det, the cotangent of its
     input `h`).
 
+    The batch is walked in chunks of as many molecules as
+    `CHUNK_RECORD_BYTES` holds of their records (at least one), so the
+    records alive at once fit it whatever the batch; a batch that fits is
+    one chunk.  Each chunk takes its slices of `h`, `p`, `g_out` and
+    the block's `probes` through `_chunk_backward`.  The chunks' log-dets
+    and parameter gradients are summed, the latter into `grads`, and
+    their input cotangents concatenated.
+    """
+    # -(1/B) * c_k * (1/S), multiplied in the order the loss applies them
+    seeds = [-(1.0 / n_batch) * ((-1.0) ** (k + 1) / k) * (1.0 / cfg.hutchinson_samples)
+             for k in range(1, cfg.series_terms + 1)]
+    transposes = block.transposes()
+    chunk = max(1, CHUNK_RECORD_BYTES // molecule_record_bytes(h, block.depth, cfg))
+    ld, g_ins = 0.0, []
+    for lo in range(0, len(h), chunk):
+        part = slice(lo, lo + chunk)
+        ld_part, g_in = _chunk_backward(block, h[part], None if p is None else p[part],
+                                        g_out[part], probes[part], cfg, seeds, transposes,
+                                        grads)
+        ld += ld_part
+        g_ins.append(g_in)
+    return ld, g_ins[0] if len(g_ins) == 1 else np.concatenate(g_ins)
+
+
+def _chunk_backward(block, h, p, g_out, probes, cfg: TrainConfig, seeds, transposes,
+                    grads: dict):
+    """(log-det, input cotangent) of one chunk of the batch, adding its
+    parameter gradients to `grads`; its records are freed when it returns.
+
     The block's forward pass and log-det series run again from `h`,
     recording each layer's intermediates.  The series' term k enters the
     loss -log-det / B with weight -c_k / (S B), c_k = (-1)^(k+1) / k, on
-    <probes, J^k probes>; the block's reverse passes differentiate that
-    plus <h + f(h), g_out> and put its parameter gradients in `grads`.
+    <probes, J^k probes>: that is `seeds[k-1]`.  The block's reverse
+    passes differentiate it plus <h + f(h), g_out>.
 
     The series and `jvp_many_vjp` take the slopes tiled once to the probe
     stack's (..., rows, S, width); `jvp_many_vjp` returns their cotangents
     summed over the probes, (..., rows, 1, width), which `forward_vjp`
     takes with the untiled slopes.  Both reverse passes share one set of
-    contiguous W^T.
+    contiguous W^T, `transposes`.
     """
     n_probes = cfg.hutchinson_samples
     kept, records = [], []
@@ -167,14 +216,23 @@ def _block_backward(block, h, p, g_out, probes, cfg: TrainConfig, n_batch: int,
         return block.jvp_many(u, series_lin, records[-1])
 
     ld = logdet_series_from_probes(jvp, probes, n_probes, cfg.series_terms)
-    # -(1/B) * c_k * (1/S), multiplied in the order the loss applies them
-    seeds = [-(1.0 / n_batch) * ((-1.0) ** (k + 1) / k) * (1.0 / n_probes)
-             for k in range(1, cfg.series_terms + 1)]
-    transposes = block.transposes()
     g_weights, g_slopes = block.jvp_many_vjp(series_lin, records, probes, seeds, transposes)
     g_biases, g_in = block.forward_vjp(kept, lin, g_out, g_slopes, g_weights, transposes)
-    grads.update(block.named(g_weights, g_biases))
+    for path, g in block.named(g_weights, g_biases):
+        if path in grads:
+            grads[path] += g
+        else:
+            grads[path] = g
     return float(ld), g_in
+
+
+def molecule_record_bytes(h, depth: int, cfg: TrainConfig) -> int:
+    """Bytes of one molecule's records in a block walk over the batch `h`
+    (B, ...) through `depth` layers: one tangent stack of S probes for
+    each series call's input and each of its layer products, and `depth`
+    more for the tiled slopes."""
+    tangent_bytes = cfg.hutchinson_samples * h[0].nbytes
+    return tangent_bytes * (cfg.series_terms * (1 + depth) + depth)
 
 
 def adam_step(model: GrfModel, grads: dict, state: AdamState, cfg: TrainConfig) -> AdamState:

@@ -253,6 +253,20 @@ def test_latent_point_vector_roundtrip():
     assert np.array_equal(back.z_features, z.z_features)
 
 
+def test_molgraph_validate_takes_signed_zeros_and_rejects_nan():
+    g = random_molgraph(SCHEMA, 10)
+    for t in (g.adjacency, g.features):
+        t[t == 0.0] = -0.0
+    g.validate()
+    for name in ("adjacency", "features"):
+        for bad in (np.nan, 0.5):
+            g = random_molgraph(SCHEMA, 10)
+            t = getattr(g, name)
+            t.flat[np.flatnonzero(t == 0.0)[0]] = bad
+            with pytest.raises(GraphError, match=f"{name} entries must be 0 or 1"):
+                g.validate()
+
+
 def test_molgraph_validate_catches_asymmetry():
     g = random_molgraph(SCHEMA, 9)
     g.adjacency[0, 1, 0] = 1.0 - g.adjacency[0, 1, 0]

@@ -149,6 +149,11 @@ def test_generate_empty_and_deterministic():
 def test_inversion_config_validation():
     with pytest.raises(ValueError):
         InversionConfig(iterations=0)
+    # a NaN tolerance compares false and would stop every inversion after one step
+    for tol in (np.nan, np.inf, -1e-8):
+        with pytest.raises(ValueError, match="early_stop_tol"):
+            InversionConfig(early_stop_tol=tol)
+    InversionConfig(early_stop_tol=0.0)  # 0 runs to the noise floor
 
 
 # -- batched inversion ---------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grf import training
 from grf.flow import GrfModel, ModelConfig, qm9_table_config, toy_config
 from grf.graphs import pad_graph
 from grf.chem import parse_smiles
@@ -259,24 +260,80 @@ def test_grad_nonfinite_loss_names_offending_layer():
         assert str(exc.value) == f"non-finite loss: first non-finite log-det from {offender}"
 
 
-def test_grad_memory_does_not_grow_with_depth(corpus_graphs):
+def traced_grad_peak(model, batch, cfg):
+    """tracemalloc's peak over one `grad_nll`, in bytes."""
     import tracemalloc
 
-    # the saved block inputs and the gradients grow with depth, by a few
-    # MB here; a tape over every block would grow ~4x from 2 to 8 blocks
+    tracemalloc.start()
+    try:
+        grad_nll(model, batch, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def traced_peak(mlp_blocks):
-        model = GrfModel(qm9_table_config(seed=33, mlp_blocks=mlp_blocks))
-        cfg = TrainConfig(rng_seed=34)
-        tracemalloc.start()
-        try:
-            grad_nll(model, corpus_graphs[:2], cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    shallow, deep = traced_peak(2), traced_peak(8)
-    assert deep <= 1.25 * shallow, (shallow, deep)
+def test_grad_memory_does_not_grow_with_depth(corpus_graphs):
+    # From 2 to 8 blocks the walk keeps six more blocks' gradients and saved
+    # inputs, ~1.6 MB here, and nothing else; a tape over every block would
+    # add each block's series records, >10x the bound
+    batch, cfg = corpus_graphs[:2], TrainConfig(rng_seed=34)
+    shallow, deep = (traced_grad_peak(GrfModel(qm9_table_config(seed=33, mlp_blocks=n)),
+                                      batch, cfg) for n in (2, 8))
+    model = GrfModel(qm9_table_config(seed=33, mlp_blocks=1))
+    grad_bytes = sum(arr.nbytes for _, arr in model.adjacency_layers[0].named_parameters())
+    input_bytes = len(batch) * model.config.n_max * model.slice_dim * 8
+    assert deep - shallow <= 1.25 * 6 * (grad_bytes + input_bytes), (shallow, deep)
+
+
+def toy_block_bytes(model, cfg):
+    """Per-molecule record bytes of the feature and of the adjacency
+    blocks of a toy model, as the block walk sizes its chunks."""
+    n, m = model.config.n_max, model.schema.n_atom_types
+    return (training.molecule_record_bytes(np.empty((1, n, m)), model.config.gcn_layers, cfg),
+            training.molecule_record_bytes(np.empty((1, n, model.slice_dim)),
+                                           model.config.mlp_layers, cfg))
+
+
+@pytest.mark.parametrize("chunked", ["feature", "adjacency"])
+def test_chunked_block_walk_matches_one_chunk(chunked, monkeypatch, toy_graphs):
+    # two graph-convolution layers, so the rebuilt tangent of layer 1 is mixed
+    model = GrfModel(toy_config(seed=40, gcn_layers=2, use_bias=True))
+    batch, cfg = toy_graphs[:7], TrainConfig(series_terms=5, hutchinson_samples=3,
+                                             rng_seed=41)
+    loss, grads, stats = grad_nll(model, batch, cfg, epoch=1, step=2)
+
+    # 3 molecules a chunk in the named stack, so 7 is 3 + 3 + 1; the other
+    # stack is walked one molecule a chunk (feature) or in one chunk
+    feature_bytes, adjacency_bytes = toy_block_bytes(model, cfg)
+    monkeypatch.setattr(training, "CHUNK_RECORD_BYTES",
+                        3 * (feature_bytes if chunked == "feature" else adjacency_bytes))
+    sizes = []
+    chunk_backward = training._chunk_backward
+    monkeypatch.setattr(training, "_chunk_backward",
+                        lambda *args: sizes.append(len(args[1])) or chunk_backward(*args))
+    chunked_loss, chunked_grads, chunked_stats = grad_nll(model, batch, cfg, epoch=1, step=2)
+
+    # the adjacency stack is walked first
+    n_mlp = model.config.mlp_blocks
+    assert sizes == ([1] * 7 * n_mlp + [3, 3, 1] if chunked == "feature"
+                     else [3, 3, 1] * n_mlp + [7])
+    assert chunked_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+    for key in stats:
+        assert chunked_stats[key] == pytest.approx(stats[key], rel=1e-12, abs=0.0)
+    assert list(chunked_grads) == list(grads)
+    for path, g in grads.items():
+        err = np.max(np.abs(chunked_grads[path] - g))
+        assert err <= 1e-12 * np.max(np.abs(g)), path
+
+
+def test_grad_memory_is_bounded_by_the_chunk(monkeypatch, toy_graphs):
+    # with room for 2 molecules' records, 8 molecules hold one chunk's
+    # records as 2 do, and add only their inputs, probes and cotangents
+    model = GrfModel(toy_config(seed=42))
+    cfg = TrainConfig(rng_seed=43)
+    monkeypatch.setattr(training, "CHUNK_RECORD_BYTES", 2 * toy_block_bytes(model, cfg)[1])
+    small, large = (traced_grad_peak(model, toy_graphs[:b], cfg) for b in (2, 8))
+    assert large <= 1.25 * small, (small, large)
 
 
 # -- Adam -----------------------------------------------------------------------

@@ -8,7 +8,7 @@ from .chem import check_validity, write_smiles
 from .flow import GrfModel
 from .graphs import (DequantGraph, LatentPoint, MolGraph, dequantize, quantize_adjacency,
                      quantize_features, unpad_graph)
-from .inversion import InversionConfig, decode_latents, invert_latents
+from .inversion import InversionConfig, decode_latents, invert_stacks
 from .likelihood import TAG_DEQUANT, derive_rng
 from .linalg import NumericalError
 
@@ -33,29 +33,25 @@ def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
     reconstruction rate.
     """
     deqs = _dequantized(model, graphs, rng_seed)
-    lats = model.encode(deqs, [g.adjacency for g in graphs])
+    adjacency = np.stack([g.adjacency for g in graphs])
+    features = np.stack([g.features for g in graphs])
+    lats = model.encode(deqs, adjacency)
     rows = []
     for n_it in iteration_counts:
         if n_it == 0:
             # zero iterations: the latents themselves are the guess, so the
             # error is the whole forward-chain displacement
-            recs = [DequantGraph(adjacency_c=z.z_adjacency, features_c=z.z_features)
-                    for z in lats]
+            a = np.stack([z.z_adjacency for z in lats])
+            x = np.stack([z.z_features for z in lats])
         else:
-            recs = invert_latents(model, lats,
-                                  InversionConfig(iterations=n_it, early_stop_tol=0.0))
-        feat_err = []
-        adj_err = []
-        exact = 0
-        for g, deq, rec in zip(graphs, deqs, recs):
-            adj_err.append(np.linalg.norm(rec.adjacency_c - deq.adjacency_c)
-                           / deq.adjacency_c.size)
-            feat_err.append(np.linalg.norm(rec.features_c - deq.features_c)
-                            / deq.features_c.size)
-            a_hat = quantize_adjacency(rec.adjacency_c)
-            x_hat = quantize_features(rec.features_c)
-            if np.array_equal(a_hat, g.adjacency) and np.array_equal(x_hat, g.features):
-                exact += 1
+            a, x = invert_stacks(model, lats,
+                                 InversionConfig(iterations=n_it, early_stop_tol=0.0))
+        adj_err = [np.linalg.norm(a_b - deq.adjacency_c) / deq.adjacency_c.size
+                   for a_b, deq in zip(a, deqs)]
+        feat_err = [np.linalg.norm(f - deq.features_c) / deq.features_c.size
+                    for f, deq in zip(x, deqs)]
+        exact = int(np.sum((quantize_adjacency(a) == adjacency).all(axis=(1, 2, 3))
+                           & (quantize_features(x) == features).all(axis=(1, 2))))
         rows.append({"iterations": n_it,
                      "feature_l2": float(np.mean(feat_err)),
                      "adjacency_l2": float(np.mean(adj_err)),

@@ -654,6 +654,9 @@ class GrfModel:
     # -- conditioning ----------------------------------------------------------
 
     def conditioning_operator(self, adjacency: np.ndarray):
+        """P of one (N, N, R) adjacency or of a (..., N, N, R) stack, in one
+        call of this module's `augmented_normalized_adjacency`: the name
+        the benchmark tracer patches."""
         return augmented_normalized_adjacency(adjacency)
 
     # -- the flow ----------------------------------------------------------------
@@ -666,7 +669,7 @@ class GrfModel:
 
         The blocks' weights are trusted as they are: the CLI certifies
         every block when it loads a checkpoint."""
-        p = np.stack([self.conditioning_operator(a) for a in adjacencies])
+        p = self.conditioning_operator(np.stack(adjacencies))
         z_x, z_a = self.stacks(np.stack([deq.features_c for deq in deqs]), p,
                                np.stack([deq.adjacency_c for deq in deqs]),
                                lambda block, h, p: block.apply(h, p))

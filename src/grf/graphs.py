@@ -169,7 +169,7 @@ def dequantize(g: MolGraph, c: float, rng_seed: int) -> DequantGraph:
 
 
 def quantize_adjacency(a_cont: np.ndarray) -> np.ndarray:
-    """Argmax decode of a continuous adjacency tensor.
+    """Argmax decode of a continuous (..., N, N, R) adjacency tensor or stack.
 
     The tensor is symmetrized by averaging the (i, j) and (j, i) channel
     vectors before the argmax; ties go to the lowest channel index.  Self
@@ -177,23 +177,19 @@ def quantize_adjacency(a_cont: np.ndarray) -> np.ndarray:
     the output always satisfies the discrete invariants.
     """
     a_cont = np.asarray(a_cont, dtype=np.float64)
-    n = a_cont.shape[0]
-    sym = 0.5 * (a_cont + a_cont.transpose(1, 0, 2))
-    winners = np.argmax(sym, axis=2)  # np.argmax breaks ties toward index 0
-    out = np.zeros_like(a_cont)
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    out[ii, jj, winners] = 1.0
-    diag = np.arange(n)
-    out[diag, diag, :] = 0.0
-    out[diag, diag, -1] = 1.0
+    sym = 0.5 * (a_cont + np.swapaxes(a_cont, -3, -2))
+    out = quantize_features(sym)  # np.argmax breaks ties toward index 0
+    diag = np.arange(a_cont.shape[-2])
+    out[..., diag, diag, :] = 0.0
+    out[..., diag, diag, -1] = 1.0
     return out
 
 
 def quantize_features(x_cont: np.ndarray) -> np.ndarray:
-    """Row-wise argmax decode; ties to the lowest index."""
+    """Argmax decode along the last axis of (..., N, M); ties to the lowest index."""
     x_cont = np.asarray(x_cont, dtype=np.float64)
     out = np.zeros_like(x_cont)
-    out[np.arange(x_cont.shape[0]), np.argmax(x_cont, axis=1)] = 1.0
+    np.put_along_axis(out, np.argmax(x_cont, axis=-1)[..., None], 1.0, axis=-1)
     return out
 
 
@@ -202,27 +198,24 @@ def quantize_features(x_cont: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def augmented_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """Self-loop-augmented degree-normalized adjacency matrix.
+    """Self-loop-augmented degree-normalized adjacency matrices, (..., N, N).
 
     Bond channels except the last ("no bond") are collapsed with a
     saturating sum into a single 0/1 adjacency matrix A, then
     P = (D + I)^{-1/2} (A + I) (D + I)^{-1/2}.  Every eigenvalue of P lies
     in [-1, 1], which is what keeps the graph-convolution residual blocks
     contractive.  Isolated nodes are fine: the added self loop keeps all
-    degrees positive.  A 2-D argument is taken as an already-collapsed
-    0/1 adjacency matrix.
+    degrees positive.  A lone 2-D argument is an already-collapsed 0/1
+    matrix; anything else is a (..., N, N, R) one-hot tensor or stack.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    n = adjacency.shape[0]
-    if adjacency.ndim == 2:
-        collapsed = np.minimum(adjacency, 1.0)
-    else:
-        collapsed = np.minimum(adjacency[:, :, :-1].sum(axis=2), 1.0)
-    collapsed = collapsed.copy()
-    np.fill_diagonal(collapsed, 0.0)
-    a_tilde = collapsed + np.eye(n)
-    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-    return a_tilde * np.outer(d_inv_sqrt, d_inv_sqrt)
+    collapsed = np.minimum(adjacency if adjacency.ndim == 2
+                           else adjacency[..., :-1].sum(axis=-1), 1.0)
+    diag = np.arange(collapsed.shape[-1])
+    collapsed[..., diag, diag] = 0.0
+    a_tilde = collapsed + np.eye(len(diag))
+    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=-1))
+    return a_tilde * (d_inv_sqrt[..., :, None] * d_inv_sqrt[..., None, :])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import GrfModel
+from .flow import GrfModel, require_integers
 from .graphs import (DequantGraph, LatentPoint, MolGraph, quantize_adjacency,
                      quantize_features)
 from .likelihood import sample_prior
@@ -29,8 +29,7 @@ class InversionConfig:
     early_stop_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        require_integers(self, 1, "iterations")
         # NaN compares false, so a NaN tolerance would stop every sample
         # after its first step
         if not 0.0 <= self.early_stop_tol < math.inf:
@@ -85,34 +84,43 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
 
 def invert_latents(model: GrfModel, latents: list[LatentPoint],
                    cfg: InversionConfig) -> list[DequantGraph]:
-    """Two-step inverse of a batch of latent points: the adjacency stack
-    first, then the feature stack given each argmax-decoded adjacency.
+    """Two-step inverse of a batch of latent points (`invert_stacks`)."""
+    if not latents:
+        return []
+    a, x = invert_stacks(model, latents, cfg)
+    return [DequantGraph(adjacency_c=a_b, features_c=f) for a_b, f in zip(a, x)]
+
+
+def invert_stacks(model: GrfModel, latents: list[LatentPoint],
+                  cfg: InversionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted (B, N, N, R) adjacency and (B, N, M) feature stacks of a
+    non-empty batch of latent points: the adjacency stack first, then the
+    feature stack given the operators of its one argmax decode.
 
     The blocks' weights are trusted as they are: the CLI certifies every
     block when it loads a checkpoint, and the loop's divergence check is
     the guard at run time."""
-    if not latents:
-        return []
     z_a = np.stack([z.z_adjacency for z in latents])
     h = z_a.reshape(len(latents), -1, model.slice_dim)  # the blocks' (B, C, d) view
     for block in reversed(model.adjacency_layers):
         h = invert_residual_layer(block.apply, h, cfg)
     a = h.reshape(z_a.shape)
 
-    p = np.stack([model.conditioning_operator(quantize_adjacency(a_b)) for a_b in a])
+    p = model.conditioning_operator(quantize_adjacency(a))
     x = np.stack([z.z_features for z in latents])
     for block in reversed(model.feature_layers):
         x = invert_residual_layer(lambda t: block.apply(t, p), x, cfg)
-    return [DequantGraph(adjacency_c=a_b, features_c=f) for a_b, f in zip(a, x)]
+    return a, x
 
 
 def decode_latents(model: GrfModel, latents: list[LatentPoint],
                    cfg: InversionConfig) -> list[MolGraph]:
-    """Invert and argmax-quantize a batch of latent points into molecules."""
-    return [MolGraph(schema=model.schema,
-                     adjacency=quantize_adjacency(deq.adjacency_c),
-                     features=quantize_features(deq.features_c))
-            for deq in invert_latents(model, latents, cfg)]
+    """Invert a batch of latent points and argmax-decode both stacks into molecules."""
+    if not latents:
+        return []
+    a, x = invert_stacks(model, latents, cfg)
+    return [MolGraph(schema=model.schema, adjacency=a_b, features=f)
+            for a_b, f in zip(quantize_adjacency(a), quantize_features(x))]
 
 
 def generate(model: GrfModel, count: int, t_x: float, t_a: float,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import GrfModel
+from .flow import GrfModel, require_integers
 from .graphs import DequantGraph, LatentPoint, MolGraph, dequantize
 from .linalg import NumericalError
 
@@ -57,8 +57,7 @@ class LogDetEstimatorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.series_terms < 1 or self.hutchinson_samples < 1:
-            raise ValueError("series_terms and hutchinson_samples must be >= 1")
+        require_integers(self, 1, "series_terms", "hutchinson_samples")
 
 
 @dataclass

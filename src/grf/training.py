@@ -103,7 +103,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     n_batch = len(batch)
 
     x, a = _dequantized_stacks(model, batch, cfg, epoch, step)
-    p = np.stack([model.conditioning_operator(g.adjacency) for g in batch])
+    p = model.conditioning_operator(np.stack([g.adjacency for g in batch]))
     inputs = []
 
     def keep_input(block, h, p):

@@ -230,6 +230,119 @@ def test_normalized_adjacency_spectrum_property(n, p_edge, seed):
     assert np.abs(lam).max() <= 1.0 + 1e-9
 
 
+# -- batched graph functions against the per-molecule references ---------------
+
+def quantize_adjacency_one(a_cont):
+    """The reference adjacency decode: one (N, N, R) tensor at a time."""
+    a_cont = np.asarray(a_cont, dtype=np.float64)
+    n = a_cont.shape[0]
+    sym = 0.5 * (a_cont + a_cont.transpose(1, 0, 2))
+    winners = np.argmax(sym, axis=2)
+    out = np.zeros_like(a_cont)
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    out[ii, jj, winners] = 1.0
+    diag = np.arange(n)
+    out[diag, diag, :] = 0.0
+    out[diag, diag, -1] = 1.0
+    return out
+
+
+def quantize_features_one(x_cont):
+    """The reference feature decode: one (N, M) matrix at a time."""
+    x_cont = np.asarray(x_cont, dtype=np.float64)
+    out = np.zeros_like(x_cont)
+    out[np.arange(x_cont.shape[0]), np.argmax(x_cont, axis=1)] = 1.0
+    return out
+
+
+def normalized_adjacency_one(adjacency):
+    """The reference operator: one adjacency at a time, by np.outer."""
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    n = adjacency.shape[0]
+    if adjacency.ndim == 2:
+        collapsed = np.minimum(adjacency, 1.0)
+    else:
+        collapsed = np.minimum(adjacency[:, :, :-1].sum(axis=2), 1.0)
+    collapsed = collapsed.copy()
+    np.fill_diagonal(collapsed, 0.0)
+    a_tilde = collapsed + np.eye(n)
+    d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
+    return a_tilde * np.outer(d_inv_sqrt, d_inv_sqrt)
+
+
+def assert_bits_per_molecule(batched, reference, stack, inner_ndim):
+    """`batched(stack)` equals `reference` on every inner tensor, bit for bit."""
+    out = batched(stack)
+    lead = stack.shape[:stack.ndim - inner_ndim]
+    flat_in = stack.reshape((-1,) + stack.shape[len(lead):])
+    expected = np.stack([reference(t) for t in flat_in])
+    assert out.shape == lead + expected.shape[1:]
+    assert np.array_equal(out.reshape(expected.shape).view(np.int64), expected.view(np.int64))
+
+
+def all_virtual_molecule(schema=SCHEMA):
+    n, m, r = schema.n_max, schema.n_atom_types, schema.n_bond_types
+    adjacency = np.zeros((n, n, r))
+    adjacency[:, :, schema.no_bond] = 1.0
+    features = np.zeros((n, m))
+    features[:, schema.virtual_atom] = 1.0
+    return MolGraph(schema=schema, adjacency=adjacency, features=features)
+
+
+LEADING_SHAPES = [(), (5,), (2, 3)]
+
+
+@pytest.mark.parametrize("lead", LEADING_SHAPES, ids=["single", "B", "B1xB2"])
+def test_batched_quantizers_match_per_molecule_reference(lead):
+    rng = np.random.default_rng(31)
+    n, m, r = SCHEMA.n_max, SCHEMA.n_atom_types, SCHEMA.n_bond_types
+    for k in range(40):
+        if k % 2:  # values on a coarse grid tie often, across channels and pairs alike
+            a = rng.integers(0, 3, lead + (n, n, r)) / 2.0
+            x = rng.integers(0, 3, lead + (n, m)) / 2.0
+        else:
+            a = rng.standard_normal(lead + (n, n, r))
+            x = rng.standard_normal(lead + (n, m))
+        assert_bits_per_molecule(quantize_adjacency, quantize_adjacency_one, a, 3)
+        assert_bits_per_molecule(quantize_features, quantize_features_one, x, 2)
+    g = all_virtual_molecule()
+    for a, x in ((g.adjacency, g.features), (np.ones((n, n, r)), np.ones((n, m)))):
+        assert_bits_per_molecule(quantize_adjacency, quantize_adjacency_one,
+                                 np.broadcast_to(a, lead + a.shape).copy(), 3)
+        assert_bits_per_molecule(quantize_features, quantize_features_one,
+                                 np.broadcast_to(x, lead + x.shape).copy(), 2)
+
+
+def test_batched_quantizers_break_ties_low_and_force_self_pairs():
+    out = quantize_adjacency(np.ones((2, 3, 3, 4)))
+    off = ~np.eye(3, dtype=bool)
+    assert (out[:, off, 0] == 1.0).all() and (out[:, off].sum(axis=-1) == 1.0).all()
+    assert (out[:, [0, 1, 2], [0, 1, 2]] == [0.0, 0.0, 0.0, 1.0]).all()
+    assert np.array_equal(quantize_features(np.ones((2, 3, 5)))[..., 0], np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("lead", LEADING_SHAPES, ids=["single", "B", "B1xB2"])
+def test_batched_operator_matches_per_molecule_reference(lead):
+    size = int(np.prod(lead, dtype=int))
+    for k in range(8):
+        graphs = [random_molgraph(SCHEMA, 1000 * k + i) for i in range(size)]
+        stack = np.stack([g.adjacency for g in graphs]).reshape(lead + graphs[0].adjacency.shape)
+        assert_bits_per_molecule(augmented_normalized_adjacency, normalized_adjacency_one,
+                                 stack, 3)
+    a = all_virtual_molecule().adjacency
+    empty = np.broadcast_to(a, lead + a.shape).copy()
+    assert_bits_per_molecule(augmented_normalized_adjacency, normalized_adjacency_one, empty, 3)
+    assert (augmented_normalized_adjacency(empty) == np.eye(SCHEMA.n_max)).all()
+
+
+def test_lone_matrix_is_still_a_collapsed_adjacency():
+    g = random_molgraph(SCHEMA, 7)
+    collapsed = np.minimum(g.adjacency[:, :, :-1].sum(axis=2), 1.0)
+    p = augmented_normalized_adjacency(collapsed)
+    assert np.array_equal(p.view(np.int64), normalized_adjacency_one(collapsed).view(np.int64))
+    assert np.array_equal(p, augmented_normalized_adjacency(g.adjacency))
+
+
 # -- serialization ----------------------------------------------------------------
 
 def test_raw_graph_json_roundtrip():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import grf.flow
 import grf.inversion
 from grf.analysis import reconstruction_curve
 from grf.flow import GrfModel, MlpResidualBlock, _elu, qm9_table_config, toy_config
@@ -154,6 +155,11 @@ def test_inversion_config_validation():
         with pytest.raises(ValueError, match="early_stop_tol"):
             InversionConfig(early_stop_tol=tol)
     InversionConfig(early_stop_tol=0.0)  # 0 runs to the noise floor
+    # a float count failed later inside the loop; True silently ran one iteration
+    for iterations in (2.5, True, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            InversionConfig(iterations=iterations)
+    assert InversionConfig(iterations=np.int64(3)).iterations == 3
 
 
 # -- batched inversion ---------------------------------------------------------
@@ -328,6 +334,26 @@ def test_one_diverging_sample_fails_the_batch():
         invert_residual_layer(lambda x: _elu(slopes * x), y, cfg)
     x = invert_residual_layer(lambda x: _elu(0.5 * x), y, cfg)
     assert np.abs(x + _elu(0.5 * x) - y).max() < 1e-12
+
+
+def test_generate_makes_one_call_per_stack(monkeypatch):
+    model = GrfModel(toy_config(init_scale=0.9, seed=3))
+    calls = {"quantize_adjacency": 0, "quantize_features": 0, "operator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("quantize_adjacency", "quantize_features"):
+        monkeypatch.setattr(grf.inversion, name, counted(name, getattr(grf.inversion, name)))
+    monkeypatch.setattr(grf.flow, "augmented_normalized_adjacency",
+                        counted("operator", grf.flow.augmented_normalized_adjacency))
+    mols = generate(model, 32, 1.0, 1.0, InversionConfig(), rng_seed=4)
+    assert len(mols) == 32
+    # one quantize for the feature stack's operators and one per decoded stack
+    assert calls == {"quantize_adjacency": 2, "quantize_features": 1, "operator": 1}
 
 
 def test_empty_batch_decodes_to_nothing(budget_model):

@@ -180,6 +180,12 @@ def test_probe_draws_have_unit_moments():
 def test_estimator_config_validation():
     with pytest.raises(ValueError):
         LogDetEstimatorConfig(series_terms=0)
+    # a float count failed later inside the series; True gave a 1-term estimate
+    for name in ("series_terms", "hutchinson_samples"):
+        for bad in (0, 2.5, True, np.float64(3.0), "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                LogDetEstimatorConfig(**{name: bad})
+    assert LogDetEstimatorConfig(series_terms=np.int64(3)).series_terms == 3
 
 
 # -- exact log-det ------------------------------------------------------------------

@@ -7,7 +7,7 @@ from .chem import (DEFAULT_VALENCES, MetricsReport, SmilesError, check_validity,
                    compute_metrics, parse_smiles, write_smiles)
 from .flow import (GrfModel, ModelConfig, count_parameters, load_checkpoint,
                    save_checkpoint, qm9_table_config, toy_config)
-from .graphs import (DequantGraph, GraphSchema, LatentPoint, MolGraph, RawGraph,
+from .graphs import (GraphSchema, GraphTensors, MolGraph, RawGraph,
                      augmented_normalized_adjacency, dequantize, pad_graph,
                      quantize_adjacency, quantize_features, unpad_graph)
 from .inversion import InversionConfig, decode_latents, generate, invert_latents
@@ -18,8 +18,8 @@ from .training import AdamState, TrainConfig, adam_step, grad_nll, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "DEFAULT_VALENCES", "DequantGraph", "FlowTrace", "GraphSchema",
-    "GrfModel", "InversionConfig", "LatentPoint", "LogDetEstimatorConfig",
+    "AdamState", "DEFAULT_VALENCES", "FlowTrace", "GraphSchema", "GraphTensors",
+    "GrfModel", "InversionConfig", "LogDetEstimatorConfig",
     "MetricsReport", "ModelConfig", "MolGraph", "RawGraph", "SmilesError",
     "TrainConfig", "adam_step", "augmented_normalized_adjacency", "check_validity",
     "compute_metrics", "count_parameters", "decode_latents",

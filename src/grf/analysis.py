@@ -6,18 +6,23 @@ import numpy as np
 
 from .chem import check_validity, write_smiles
 from .flow import GrfModel
-from .graphs import (DequantGraph, LatentPoint, MolGraph, dequantize, quantize_adjacency,
+from .graphs import (GraphTensors, MolGraph, dequantize, quantize_adjacency,
                      quantize_features, unpad_graph)
-from .inversion import InversionConfig, decode_latents, invert_stacks
+from .inversion import InversionConfig, decode_latents, invert_latents
 from .likelihood import TAG_DEQUANT, derive_rng
 from .linalg import NumericalError
 
 
 def _dequantized(model: GrfModel, graphs: list[MolGraph], rng_seed: int,
-                 first_index: int = 0) -> list[DequantGraph]:
-    return [dequantize(g, model.config.noise_scale,
-                       int(derive_rng(rng_seed, TAG_DEQUANT, first_index + i).integers(2 ** 31)))
-            for i, g in enumerate(graphs)]
+                 first_index: int = 0) -> GraphTensors:
+    """The molecules' dequantized tensors as one batch; raises `ValueError`
+    for an empty list."""
+    if not graphs:
+        raise ValueError("no molecules to encode")
+    return GraphTensors.stack([
+        dequantize(g, model.config.noise_scale,
+                   int(derive_rng(rng_seed, TAG_DEQUANT, first_index + i).integers(2 ** 31)))
+        for i, g in enumerate(graphs)])
 
 
 def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
@@ -32,26 +37,20 @@ def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
     tensors normalized by the number of entries, plus the exact discrete
     reconstruction rate.
     """
-    deqs = _dequantized(model, graphs, rng_seed)
+    deq = _dequantized(model, graphs, rng_seed)
     adjacency = np.stack([g.adjacency for g in graphs])
     features = np.stack([g.features for g in graphs])
-    lats = model.encode(deqs, adjacency)
+    z = model.encode(deq, adjacency)
     rows = []
     for n_it in iteration_counts:
-        if n_it == 0:
-            # zero iterations: the latents themselves are the guess, so the
-            # error is the whole forward-chain displacement
-            a = np.stack([z.z_adjacency for z in lats])
-            x = np.stack([z.z_features for z in lats])
-        else:
-            a, x = invert_stacks(model, lats,
-                                 InversionConfig(iterations=n_it, early_stop_tol=0.0))
-        adj_err = [np.linalg.norm(a_b - deq.adjacency_c) / deq.adjacency_c.size
-                   for a_b, deq in zip(a, deqs)]
-        feat_err = [np.linalg.norm(f - deq.features_c) / deq.features_c.size
-                    for f, deq in zip(x, deqs)]
-        exact = int(np.sum((quantize_adjacency(a) == adjacency).all(axis=(1, 2, 3))
-                           & (quantize_features(x) == features).all(axis=(1, 2))))
+        # zero iterations: the latents themselves are the guess, so the
+        # error is the whole forward-chain displacement
+        rec = z if n_it == 0 else invert_latents(
+            model, z, InversionConfig(iterations=n_it, early_stop_tol=0.0))
+        adj_err = [np.linalg.norm(r - d) / d.size for r, d in zip(rec.adjacency, deq.adjacency)]
+        feat_err = [np.linalg.norm(r - d) / d.size for r, d in zip(rec.features, deq.features)]
+        exact = int(np.sum((quantize_adjacency(rec.adjacency) == adjacency).all(axis=(1, 2, 3))
+                           & (quantize_features(rec.features) == features).all(axis=(1, 2))))
         rows.append({"iterations": n_it,
                      "feature_l2": float(np.mean(feat_err)),
                      "adjacency_l2": float(np.mean(adj_err)),
@@ -62,8 +61,8 @@ def reconstruction_curve(model: GrfModel, graphs: list[MolGraph],
 
 def encode_dataset(model: GrfModel, graphs: list[MolGraph], rng_seed: int = 0) -> np.ndarray:
     """Latent vectors (rows) of dequantized dataset molecules, encoded as one batch."""
-    lats = model.encode(_dequantized(model, graphs, rng_seed), [g.adjacency for g in graphs])
-    return np.stack([z.to_vector() for z in lats])
+    return model.encode(_dequantized(model, graphs, rng_seed),
+                        np.stack([g.adjacency for g in graphs])).to_vector()
 
 
 def principal_axes(latents: np.ndarray) -> np.ndarray:
@@ -108,14 +107,13 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
 
     query = graphs[query_idx]
     z_query = model.encode(_dequantized(model, [query], rng_seed, first_index=10 ** 6),
-                           [query.adjacency])[0].to_vector()
+                           query.adjacency[None]).to_vector()[0]
 
     half = (grid_size - 1) / 2.0
     cells = [(gi, gj, (gi - half) * step, (gj - half) * step)
              for gi in range(grid_size) for gj in range(grid_size)]
-    mols = decode_latents(model, [LatentPoint.from_vector(z_query + a * v1 + b * v2,
-                                                          model.schema)
-                                  for _, _, a, b in cells], inversion)
+    grid = np.stack([z_query + a * v1 + b * v2 for _, _, a, b in cells])
+    mols = decode_latents(model, GraphTensors.from_vector(grid, model.schema), inversion)
     records = []
     for (gi, gj, a, b), mol in zip(cells, mols):
         raw = unpad_graph(mol)

@@ -59,6 +59,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """argparse type: a seed in [0, 2**31), the range `derive_rng` keeps of every key."""
+    try:
+        if 0 <= int(text) < 2 ** 31:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**31), got {text!r}")
+
+
 def _finite_float(text: str) -> float:
     """argparse type: a float other than nan and +-inf."""
     try:
@@ -92,7 +102,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", type=Path, help="JSON with 'model' and 'train' sections")
     p_train.add_argument("--dataset", type=Path, required=True)
     p_train.add_argument("--out", type=Path, required=True)
-    p_train.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_train.add_argument("--seed", type=_seed, default=0)
 
     p_sample = sub.add_parser("sample", help="generate molecules from a checkpoint")
     p_sample.add_argument("--ckpt", type=Path, required=True)
@@ -101,7 +111,7 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--tx", type=_positive_float, default=0.65)
     p_sample.add_argument("--ta", type=_positive_float, default=0.69)
     p_sample.add_argument("--iterations", type=_int_at_least(1), default=100)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--seed", type=_seed, default=0)
     p_sample.add_argument("--dataset", type=Path,
                           help="training SMILES for the novelty metric")
     p_sample.add_argument("--valence-table", type=Path)
@@ -113,14 +123,14 @@ def build_parser() -> _Parser:
     p_rec.add_argument("--iterations", type=_iteration_counts, default="1,5,10,30,100",
                        help="comma-separated iteration counts")
     p_rec.add_argument("--count", type=_int_at_least(1), help="cap the number of molecules")
-    p_rec.add_argument("--seed", type=int, default=0)
+    p_rec.add_argument("--seed", type=_seed, default=0)
 
     p_eval = sub.add_parser("eval", help="per-molecule log-likelihood traces")
     p_eval.add_argument("--ckpt", type=Path, required=True)
     p_eval.add_argument("--dataset", type=Path, required=True)
     p_eval.add_argument("--out", type=Path, required=True)
     p_eval.add_argument("--count", type=_int_at_least(1))
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed, default=0)
 
     p_grid = sub.add_parser("latent-grid", help="decode a grid on the principal latent plane")
     p_grid.add_argument("--ckpt", type=Path, required=True)
@@ -131,10 +141,10 @@ def build_parser() -> _Parser:
     p_grid.add_argument("--count", type=_int_at_least(3), default=100,
                         help="molecules used to fit the principal plane")
     p_grid.add_argument("--iterations", type=_int_at_least(1), default=100)
-    p_grid.add_argument("--seed", type=int, default=0)
+    p_grid.add_argument("--seed", type=_seed, default=0)
 
     p_check = sub.add_parser("selfcheck", help="run the numerical property suites")
-    p_check.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.add_argument("--dataset", type=Path,
                          help="also check dataset molecules' adjacency spectra")
 

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphs import DequantGraph, GraphSchema, LatentPoint, augmented_normalized_adjacency
+from .graphs import GraphSchema, GraphTensors, augmented_normalized_adjacency
 # operator_norm_power is a raising placeholder with no caller; perfbench/tracing.py
 # still patches grf.flow.operator_norm_power by name until ROADMAP R1a.
 from .linalg import NumericalError, operator_norm_power  # noqa: F401
@@ -661,36 +661,34 @@ class GrfModel:
 
     # -- the flow ----------------------------------------------------------------
 
-    def encode(self, deqs: list[DequantGraph],
-               adjacencies: list[np.ndarray]) -> list[LatentPoint]:
+    def encode(self, deq: GraphTensors, adjacency: np.ndarray) -> GraphTensors:
         """Latent points of a batch of dequantized graphs, each conditioned
-        on its discrete adjacency.  Only the latents are needed, so the
-        blocks run slope-free `apply` and no layer input is kept.
+        on its discrete adjacency in the (B, N, N, R) stack `adjacency`.
+        Only the latents are needed, so the blocks run slope-free `apply`
+        and no layer input is kept.
 
         The blocks' weights are trusted as they are: the CLI certifies
         every block when it loads a checkpoint."""
-        p = self.conditioning_operator(np.stack(adjacencies))
-        z_x, z_a = self.stacks(np.stack([deq.features_c for deq in deqs]), p,
-                               np.stack([deq.adjacency_c for deq in deqs]),
-                               lambda block, h, p: block.apply(h, p))
-        return [LatentPoint(z_adjacency=za, z_features=zx) for za, zx in zip(z_a, z_x)]
+        return self.stacks(deq, self.conditioning_operator(adjacency),
+                           lambda block, h, p: block.apply(h, p))
 
-    def stacks(self, x, p, a, branch):
-        """(z_x, z_a): x + branch(block, x, p) through each feature block,
-        then h + branch(block, h, None) through each adjacency block on the
-        (..., C, d) view h of `a`, returned in `a`'s shape.  Eval, `encode`
-        and training's backward walk differ only in `branch`.
+    def stacks(self, t: GraphTensors, p, branch) -> GraphTensors:
+        """The image of `t`: x + branch(block, x, p) through each feature
+        block, then h + branch(block, h, None) through each adjacency block
+        on the (..., C, d) view h of the adjacency, returned in its shape.
+        Eval, `encode` and training's backward walk differ only in `branch`.
 
-        `x` is an (N, M) feature matrix with its (N, N) operator `p` and its
-        (N, N, R) adjacency `a`, or a (B, N, M) stack with (B, N, N) and
-        (B, N, N, R) ones.  The adjacency blocks' rows are the N node rows.
+        `t` is one molecule with its (N, N) operator `p`, or a batch with a
+        (B, N, N) stack of them.  The adjacency blocks' rows are the N node
+        rows.
         """
+        x, a = t.features, t.adjacency
         for block in self.feature_layers:
             x = x + branch(block, x, p)
         h = a.reshape(*a.shape[:-3], -1, self.slice_dim)
         for block in self.adjacency_layers:
             h = h + branch(block, h, None)
-        return x, h.reshape(a.shape)
+        return GraphTensors(adjacency=h.reshape(a.shape), features=x)
 
 
 def count_parameters(model: GrfModel) -> int:

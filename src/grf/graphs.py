@@ -127,34 +127,44 @@ class MolGraph:
 
 
 @dataclass
-class DequantGraph:
-    """Continuous tensors after adding sub-unit uniform noise."""
+class GraphTensors:
+    """Continuous graph tensors: a dequantized molecule or a latent point.
 
-    adjacency_c: np.ndarray
-    features_c: np.ndarray
+    Every residual block keeps its input's shape, so both sides of the
+    flow are the same pair: an (..., N, N, R) adjacency and an (..., N, M)
+    feature tensor, for one molecule or a batch with any leading shape.
+    """
 
-
-@dataclass
-class LatentPoint:
-    z_adjacency: np.ndarray  # (N, N, R)
-    z_features: np.ndarray   # (N, M)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.z_adjacency.ravel(), self.z_features.ravel()])
+    adjacency: np.ndarray
+    features: np.ndarray
 
     @staticmethod
-    def from_vector(vec: np.ndarray, schema: GraphSchema) -> "LatentPoint":
+    def stack(items: list["GraphTensors"]) -> "GraphTensors":
+        """One batch from single molecules, stacked along a new leading axis."""
+        return GraphTensors(adjacency=np.stack([t.adjacency for t in items]),
+                            features=np.stack([t.features for t in items]))
+
+    def to_vector(self) -> np.ndarray:
+        """(..., latent_dim) vectors: the flattened adjacency, then the features."""
+        lead = self.features.shape[:-2]
+        return np.concatenate([self.adjacency.reshape(*lead, -1),
+                               self.features.reshape(*lead, -1)], axis=-1)
+
+    @staticmethod
+    def from_vector(vec: np.ndarray, schema: GraphSchema) -> "GraphTensors":
+        """Inverse of `to_vector` for (..., latent_dim) vectors; the tensors are copies."""
         n, m, r = schema.n_max, schema.n_atom_types, schema.n_bond_types
         split = n * n * r
-        return LatentPoint(z_adjacency=vec[:split].reshape(n, n, r).copy(),
-                           z_features=vec[split:].reshape(n, m).copy())
+        lead = vec.shape[:-1]
+        return GraphTensors(adjacency=vec[..., :split].reshape(*lead, n, n, r).copy(),
+                            features=vec[..., split:].reshape(*lead, n, m).copy())
 
 
 # ---------------------------------------------------------------------------
 # Dequantization and quantization
 # ---------------------------------------------------------------------------
 
-def dequantize(g: MolGraph, c: float, rng_seed: int) -> DequantGraph:
+def dequantize(g: MolGraph, c: float, rng_seed: int) -> GraphTensors:
     """Add c * Uniform[0, 1) noise independently to every entry.
 
     Flooring any resulting entry recovers the discrete value, so the map
@@ -165,7 +175,7 @@ def dequantize(g: MolGraph, c: float, rng_seed: int) -> DequantGraph:
     rng = np.random.default_rng(rng_seed)
     a = g.adjacency + c * rng.random(g.adjacency.shape)
     x = g.features + c * rng.random(g.features.shape)
-    return DequantGraph(adjacency_c=a, features_c=x)
+    return GraphTensors(adjacency=a, features=x)
 
 
 def quantize_adjacency(a_cont: np.ndarray) -> np.ndarray:

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import GrfModel, require_integers
-from .graphs import (DequantGraph, LatentPoint, MolGraph, quantize_adjacency,
-                     quantize_features)
+from .graphs import GraphTensors, MolGraph, quantize_adjacency, quantize_features
 from .likelihood import sample_prior
 from .linalg import NumericalError
 
@@ -82,45 +81,33 @@ def invert_residual_layer(apply_fn, y: np.ndarray, cfg: InversionConfig) -> np.n
     return x
 
 
-def invert_latents(model: GrfModel, latents: list[LatentPoint],
-                   cfg: InversionConfig) -> list[DequantGraph]:
-    """Two-step inverse of a batch of latent points (`invert_stacks`)."""
-    if not latents:
-        return []
-    a, x = invert_stacks(model, latents, cfg)
-    return [DequantGraph(adjacency_c=a_b, features_c=f) for a_b, f in zip(a, x)]
-
-
-def invert_stacks(model: GrfModel, latents: list[LatentPoint],
-                  cfg: InversionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted (B, N, N, R) adjacency and (B, N, M) feature stacks of a
-    non-empty batch of latent points: the adjacency stack first, then the
-    feature stack given the operators of its one argmax decode.
+def invert_latents(model: GrfModel, z: GraphTensors, cfg: InversionConfig) -> GraphTensors:
+    """Two-step inverse of a (B, ...) batch of latent points: the
+    adjacency stack first, then the feature stack given the operators of
+    its one argmax decode.  An empty batch is returned as it is.
 
     The blocks' weights are trusted as they are: the CLI certifies every
     block when it loads a checkpoint, and the loop's divergence check is
     the guard at run time."""
-    z_a = np.stack([z.z_adjacency for z in latents])
-    h = z_a.reshape(len(latents), -1, model.slice_dim)  # the blocks' (B, C, d) view
+    if len(z.features) == 0:
+        return z
+    h = z.adjacency.reshape(len(z.adjacency), -1, model.slice_dim)  # the blocks' (B, C, d) view
     for block in reversed(model.adjacency_layers):
         h = invert_residual_layer(block.apply, h, cfg)
-    a = h.reshape(z_a.shape)
+    a = h.reshape(z.adjacency.shape)
 
     p = model.conditioning_operator(quantize_adjacency(a))
-    x = np.stack([z.z_features for z in latents])
+    x = z.features
     for block in reversed(model.feature_layers):
         x = invert_residual_layer(lambda t: block.apply(t, p), x, cfg)
-    return a, x
+    return GraphTensors(adjacency=a, features=x)
 
 
-def decode_latents(model: GrfModel, latents: list[LatentPoint],
-                   cfg: InversionConfig) -> list[MolGraph]:
+def decode_latents(model: GrfModel, z: GraphTensors, cfg: InversionConfig) -> list[MolGraph]:
     """Invert a batch of latent points and argmax-decode both stacks into molecules."""
-    if not latents:
-        return []
-    a, x = invert_stacks(model, latents, cfg)
-    return [MolGraph(schema=model.schema, adjacency=a_b, features=f)
-            for a_b, f in zip(quantize_adjacency(a), quantize_features(x))]
+    t = invert_latents(model, z, cfg)
+    return [MolGraph(schema=model.schema, adjacency=a, features=x)
+            for a, x in zip(quantize_adjacency(t.adjacency), quantize_features(t.features))]
 
 
 def generate(model: GrfModel, count: int, t_x: float, t_a: float,
@@ -131,5 +118,4 @@ def generate(model: GrfModel, count: int, t_x: float, t_a: float,
     sample gets its own seed-derived stream, so a fixed seed reproduces
     the batch bit for bit.
     """
-    latents = [sample_prior(model, t_x, t_a, rng_seed=(rng_seed, i)) for i in range(count)]
-    return decode_latents(model, latents, cfg)
+    return decode_latents(model, sample_prior(model, count, t_x, t_a, rng_seed), cfg)

@@ -6,7 +6,7 @@ per residual layer.
 
 Both eval and training walk the blocks once with `GrfModel.stacks`,
 taking each block's log-det from its input and linearization as the walk
-passes it, and the prior from the latents' sum of squares.  Neither needs
+passes it, and the prior from the latents with `prior_logp`.  Neither needs
 to know how a block lays its data out.
 
 Eval (`full_logp`) computes each layer's log-det exactly.  Every block
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import GrfModel, require_integers
-from .graphs import DequantGraph, LatentPoint, MolGraph, dequantize
+from .graphs import GraphTensors, MolGraph, dequantize
 from .linalg import NumericalError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -76,15 +76,12 @@ class FlowTrace:
                 "total_logp": self.total_logp}
 
 
-def prior_logp(z: LatentPoint) -> float:
-    """Sum of independent standard-normal log densities over all coordinates."""
-    vec = z.to_vector()
-    return float(gaussian_logp_from_sumsq(vec @ vec, vec.size))
-
-
-def gaussian_logp_from_sumsq(sum_sq, dim: int):
-    """Same density written in terms of a sum of squares."""
-    return -0.5 * dim * LOG_2PI - 0.5 * sum_sq
+def prior_logp(z: GraphTensors) -> float:
+    """Sum of independent standard-normal log densities over every
+    coordinate of one latent point or of a whole batch."""
+    x, a = z.features, z.adjacency
+    sum_sq = float(np.sum(x * x)) + float(np.sum(a * a))
+    return -0.5 * (x.size + a.size) * LOG_2PI - 0.5 * sum_sq
 
 
 def draw_probes(shape: tuple[int, ...], n_probes: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,7 +153,7 @@ def exact_logdet(block, lin) -> float:
     return total
 
 
-def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
+def full_logp_from_dequant(model: GrfModel, deq: GraphTensors,
                            adjacency_discrete: np.ndarray) -> FlowTrace:
     """Change-of-variables log-likelihood of one already-dequantized graph,
     with every layer's exact log-det; nothing is drawn."""
@@ -168,10 +165,8 @@ def full_logp_from_dequant(model: GrfModel, deq: DequantGraph,
         logdets.append(exact_logdet(block, lin))
         return y
 
-    z_x, z_a = model.stacks(deq.features_c, p, deq.adjacency_c, branch)
+    prior = prior_logp(model.stacks(deq, p, branch))
     n_x = len(model.feature_layers)
-    sum_sq = float(np.sum(z_x * z_x)) + float(np.sum(z_a * z_a))
-    prior = gaussian_logp_from_sumsq(sum_sq, model.schema.latent_dim)
     total = prior + sum(logdets[:n_x]) + sum(logdets[n_x:])
     return FlowTrace(feature_logdets=logdets[:n_x], adjacency_logdets=logdets[n_x:],
                      prior_logp=prior, total_logp=total)
@@ -192,17 +187,20 @@ def full_logp(model: GrfModel, g: MolGraph, cfg: LogDetEstimatorConfig | None = 
     return full_logp_from_dequant(model, deq, g.adjacency)
 
 
-def sample_prior(model: GrfModel, t_x: float, t_a: float, rng_seed) -> LatentPoint:
-    """Draw a latent point with per-part temperature (standard-deviation) scaling.
-
-    `rng_seed` may be an int or a tuple of ints (used to give each sample
-    in a batch its own stream).
+def sample_prior(model: GrfModel, count: int, t_x: float, t_a: float,
+                 rng_seed: int) -> GraphTensors:
+    """A batch of `count` latent points with per-part temperature
+    (standard-deviation) scaling.  Sample i draws from its own stream,
+    keyed by (rng_seed, i), so a sample does not depend on the batch size.
     """
-    if t_x <= 0.0 or t_a <= 0.0:
-        raise ValueError("temperatures must be positive")
-    keys = tuple(rng_seed) if isinstance(rng_seed, (tuple, list)) else (rng_seed,)
-    rng = derive_rng(*keys, TAG_PRIOR_SAMPLE)
+    # NaN compares false, so a NaN temperature would pass a plain `<= 0`
+    if not (0.0 < t_x < math.inf and 0.0 < t_a < math.inf):
+        raise ValueError("temperatures must be positive finite numbers")
     schema = model.schema
-    z_a = rng.standard_normal((schema.n_max, schema.n_max, schema.n_bond_types))
-    z_x = rng.standard_normal((schema.n_max, schema.n_atom_types))
-    return LatentPoint(z_adjacency=t_a * z_a, z_features=t_x * z_x)
+    n, m, r = schema.n_max, schema.n_atom_types, schema.n_bond_types
+    z = GraphTensors(adjacency=np.empty((count, n, n, r)), features=np.empty((count, n, m)))
+    for i in range(count):
+        rng = derive_rng(rng_seed, i, TAG_PRIOR_SAMPLE)
+        z.adjacency[i] = t_a * rng.standard_normal((n, n, r))
+        z.features[i] = t_x * rng.standard_normal((n, m))
+    return z

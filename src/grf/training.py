@@ -37,9 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from .flow import GrfModel, require_integers, save_checkpoint, tile_slopes
-from .graphs import MolGraph, dequantize
+from .graphs import GraphTensors, MolGraph, dequantize
 from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
-                         gaussian_logp_from_sumsq, logdet_series_from_probes)
+                         logdet_series_from_probes, prior_logp)
 from .linalg import NumericalError
 
 # Adam's moment decay rates and denominator offset
@@ -102,7 +102,6 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
         raise ValueError("empty batch")
     n_batch = len(batch)
 
-    x, a = _dequantized_stacks(model, batch, cfg, epoch, step)
     p = model.conditioning_operator(np.stack([g.adjacency for g in batch]))
     inputs = []
 
@@ -110,16 +109,17 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
         inputs.append(h)
         return block.apply(h, p)
 
-    z_x, z_a = model.stacks(x, p, a, keep_input)
+    z = model.stacks(_dequantized_stacks(model, batch, cfg, epoch, step), p, keep_input)
 
     blocks = model.blocks()
     n_x = len(model.feature_layers)
     logdets = [0.0] * len(blocks)
     grads = {}
     # the adjacency stack first, from its latent back to the data, then the feature stack
-    for indices, p_stack, z in ((range(n_x, len(blocks)), None, z_a.reshape(inputs[-1].shape)),
-                                (range(n_x), p, z_x)):
-        g_out = z * (1.0 / n_batch)
+    for indices, p_stack, z_part in ((range(n_x, len(blocks)), None,
+                                      z.adjacency.reshape(inputs[-1].shape)),
+                                     (range(n_x), p, z.features)):
+        g_out = z_part * (1.0 / n_batch)
         for bi in reversed(indices):
             h = inputs.pop()  # the walk takes the inputs in reverse, freeing each after
             probes = draw_probes(h.shape, cfg.hutchinson_samples,
@@ -132,8 +132,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
     total_logdet = 0.0
     for ld in logdets:
         total_logdet = total_logdet + ld
-    prior_sumsq = float(np.sum(z_x * z_x)) + float(np.sum(z_a * z_a))
-    prior_total = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
+    prior_total = prior_logp(z)
     loss = -(prior_total + total_logdet) * (1.0 / n_batch)
     if not math.isfinite(loss):
         offender = next((block.prefix for block, ld in zip(blocks, logdets)
@@ -150,14 +149,13 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
 
 
 def _dequantized_stacks(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
-                        epoch: int, step: int):
-    """The batch's dequantized (B, N, M) feature and (B, N, N, R) adjacency
-    stacks, each sample's noise keyed by (seed, epoch, step, sample)."""
-    deqs = [dequantize(g, model.config.noise_scale,
-                       int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
-            for i, g in enumerate(batch)]
-    return (np.stack([deq.features_c for deq in deqs]),
-            np.stack([deq.adjacency_c for deq in deqs]))
+                        epoch: int, step: int) -> GraphTensors:
+    """The batch's dequantized tensors as one batch, each sample's noise
+    keyed by (seed, epoch, step, sample)."""
+    return GraphTensors.stack([
+        dequantize(g, model.config.noise_scale,
+                   int(derive_rng(cfg.rng_seed, TAG_DEQUANT, epoch, step, i).integers(2 ** 31)))
+        for i, g in enumerate(batch)])
 
 
 def _block_backward(block, h, p, g_out, probes, cfg: TrainConfig, n_batch: int,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grf.analysis import encode_dataset, latent_grid, principal_axes
+from grf.analysis import encode_dataset, latent_grid, principal_axes, reconstruction_curve
 from grf.flow import GrfModel, toy_config
 from grf.inversion import InversionConfig
 from grf.linalg import NumericalError
@@ -49,3 +49,13 @@ def test_latent_grid_degenerate_covariance_raises(toy_graphs):
     latents = encode_dataset(model, [toy_graphs[0]], rng_seed=8)
     with pytest.raises(NumericalError):
         principal_axes(np.repeat(latents, 5, axis=0))
+
+
+def test_empty_input_says_there_are_no_molecules(toy_graphs):
+    model = GrfModel(toy_config(seed=9))
+    with pytest.raises(ValueError, match="no molecules"):
+        reconstruction_curve(model, [], [0, 1])
+    with pytest.raises(ValueError, match="no molecules"):
+        encode_dataset(model, [])
+    with pytest.raises(ValueError, match="no molecules"):
+        latent_grid(model, toy_graphs[:5], grid_size=1, step=0.0, encode_count=0)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from grf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from grf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -312,20 +312,36 @@ def test_malformed_flag_is_usage_error(argv, flag, tmp_path, capsys):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
-def test_train_negative_seed_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--dataset", str(DATA / "toy_train.smi"), "--out", str(tmp_path / "o"),
-              "--seed", "-1"])
-    assert exc.value.code == EXIT_USAGE
-    assert "argument --seed" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+# every subcommand's required flags, none of which is opened before --seed is parsed
+SEED_COMMANDS = {
+    "train": ["--dataset", "d.smi", "--out", "o"],
+    "sample": ["--ckpt", "m.npz", "--out", "o"],
+    "reconstruct": ["--ckpt", "m.npz", "--dataset", "d.smi", "--out", "o"],
+    "eval": ["--ckpt", "m.npz", "--dataset", "d.smi", "--out", "o"],
+    "latent-grid": ["--ckpt", "m.npz", "--dataset", "d.smi", "--out", "o"],
+    "selfcheck": [],
+}
 
 
-def test_selfcheck_negative_seed_is_usage_error(capsys):
+@pytest.mark.parametrize("seed", ["-1", "2147483648", "1.5"],
+                         ids=["negative", "2**31", "fraction"])
+@pytest.mark.parametrize("command", list(SEED_COMMANDS))
+def test_seed_outside_31_bits_is_usage_error(command, seed, tmp_path, monkeypatch, capsys):
+    # keys are masked to 31 bits, so -1 would replay seed 2**31 - 1;
+    # the flags name files in an empty directory, and none is made
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["selfcheck", "--seed", "-1"])
+        main([command, *SEED_COMMANDS[command], "--seed", seed])
     assert exc.value.code == EXIT_USAGE
     assert "argument --seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", list(SEED_COMMANDS))
+def test_seed_range_ends_parse(command):
+    for seed in (0, 2 ** 31 - 1):
+        args = build_parser().parse_args([command, *SEED_COMMANDS[command], "--seed", str(seed)])
+        assert args.seed == seed
 
 
 def test_reconstruct_accepts_zero_iterations(trained_dir, tmp_path):

@@ -7,7 +7,7 @@ from grf import flow
 from grf.flow import (FactoredWeight, GrfModel, MlpResidualBlock, ModelConfig, _dot, _elu,
                       _elu_prime, count_parameters, load_checkpoint, qm9_table_config,
                       save_checkpoint, toy_config)
-from grf.graphs import augmented_normalized_adjacency, dequantize, random_molgraph
+from grf.graphs import GraphTensors, augmented_normalized_adjacency, dequantize, random_molgraph
 from grf.linalg import NumericalError
 from grf.selfcheck import random_feature_block
 from grf.training import AdamState, TrainConfig, adam_step
@@ -40,7 +40,8 @@ def walk(model, x, p, a):
         layers.append((block, h, lin))
         return y
 
-    return (*model.stacks(x, p, a, branch), layers)
+    z = model.stacks(GraphTensors(adjacency=a, features=x), p, branch)
+    return z.features, z.adjacency, layers
 
 
 def flow_latents(model, x, p, a):
@@ -246,10 +247,9 @@ def test_batched_forward_matches_each_molecule(make):
             arr[...] = 0.3 * rng.standard_normal(arr.shape)
     n, m = model.schema.n_max, model.schema.n_atom_types
     graphs = [random_molgraph(model.schema, 62 + i) for i in range(3)]
-    deqs = [dequantize(g, 0.9, 65 + i) for i, g in enumerate(graphs)]
+    deq = GraphTensors.stack([dequantize(g, 0.9, 65 + i) for i, g in enumerate(graphs)])
     ps = np.stack([model.conditioning_operator(g.adjacency) for g in graphs])
-    xs = np.stack([deq.features_c for deq in deqs])
-    a_s = np.stack([deq.adjacency_c for deq in deqs])
+    xs, a_s = deq.features, deq.adjacency
     z_x, z_a, layers = walk(model, xs, ps, a_s)
     assert z_x.shape == (3, n, m) and z_a.shape == a_s.shape
     assert len(layers) == len(model.blocks())
@@ -266,10 +266,9 @@ def test_batched_forward_matches_each_molecule(make):
                 assert np.allclose(s, one, rtol=0, atol=1e-12)
             ld = exact_logdet(block, (None if p is None else p[b], mine))
             assert ld == pytest.approx(exact_logdet(block, one_lin), rel=0, abs=1e-12)
-    lats = model.encode(deqs, [g.adjacency for g in graphs])
-    for b, z in enumerate(lats):
-        assert np.allclose(z.z_features, z_x[b], rtol=0, atol=1e-12)
-        assert np.allclose(z.z_adjacency, z_a[b], rtol=0, atol=1e-12)
+    z = model.encode(deq, np.stack([g.adjacency for g in graphs]))
+    assert np.allclose(z.features, z_x, rtol=0, atol=1e-12)
+    assert np.allclose(z.adjacency, z_a, rtol=0, atol=1e-12)
 
 
 def test_adjacency_blocks_act_on_a_view_of_node_rows():
@@ -376,10 +375,10 @@ def assert_same_model(model, loaded):
     for (n1, a1), (n2, a2) in zip(model.named_parameters(), loaded.named_parameters()):
         assert n1 == n2 and np.array_equal(a1, a2)
     g = random_molgraph(model.schema, 28)
-    deq = dequantize(g, 0.9, 29)
-    (z1,), (z2,) = (m.encode([deq], [g.adjacency]) for m in (model, loaded))
-    assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
-    assert np.array_equal(z1.z_features, z2.z_features)
+    deq = GraphTensors.stack([dequantize(g, 0.9, 29)])
+    z1, z2 = (m.encode(deq, g.adjacency[None]) for m in (model, loaded))
+    assert np.array_equal(z1.adjacency, z2.adjacency)
+    assert np.array_equal(z1.features, z2.features)
     assert full_logp(loaded, g, rng_seed=30).total_logp == full_logp(model, g, rng_seed=30).total_logp
 
 
@@ -399,13 +398,13 @@ def test_checkpoint_bit_exact_roundtrip(tmp_path):
 def test_checkpoint_preserves_forward(tmp_path):
     model = GrfModel(toy_config(seed=22))
     g = random_molgraph(model.schema, 23)
-    deq = dequantize(g, 0.9, 24)
-    (z1,) = model.encode([deq], [g.adjacency])
+    deq = GraphTensors.stack([dequantize(g, 0.9, 24)])
+    z1 = model.encode(deq, g.adjacency[None])
     save_checkpoint(tmp_path / "m.npz", model)
     loaded, _, _ = load_checkpoint(tmp_path / "m.npz")
-    (z2,) = loaded.encode([deq], [g.adjacency])
-    assert np.array_equal(z1.z_adjacency, z2.z_adjacency)
-    assert np.array_equal(z1.z_features, z2.z_features)
+    z2 = loaded.encode(deq, g.adjacency[None])
+    assert np.array_equal(z1.adjacency, z2.adjacency)
+    assert np.array_equal(z1.features, z2.features)
 
 
 def test_loaded_model_takes_the_same_adam_step(tmp_path):

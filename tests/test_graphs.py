@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grf.graphs import (GraphError, GraphSchema, LatentPoint, MolGraph, RawGraph,
+from grf.graphs import (GraphError, GraphSchema, GraphTensors, MolGraph, RawGraph,
                         augmented_normalized_adjacency, dequantize, pad_graph,
                         quantize_adjacency, quantize_features, random_molgraph,
                         unpad_graph)
@@ -111,14 +111,14 @@ def test_unpad_breaks_ties_toward_the_lowest_index():
 def test_dequantize_range():
     g = random_molgraph(SCHEMA, 0)
     deq = dequantize(g, 0.9, 123)
-    assert deq.adjacency_c.min() >= 0.0 and deq.adjacency_c.max() < 1.9
-    assert deq.features_c.min() >= 0.0 and deq.features_c.max() < 1.9
+    assert deq.adjacency.min() >= 0.0 and deq.adjacency.max() < 1.9
+    assert deq.features.min() >= 0.0 and deq.features.max() < 1.9
 
 
 def test_dequantize_small_noise_limit():
     g = random_molgraph(SCHEMA, 1)
     deq = dequantize(g, 1e-12, 5)
-    assert np.abs(deq.adjacency_c - g.adjacency).max() < 1e-11
+    assert np.abs(deq.adjacency - g.adjacency).max() < 1e-11
 
 
 def test_dequantize_rejects_bad_scale():
@@ -132,8 +132,8 @@ def test_dequantize_deterministic():
     g = random_molgraph(SCHEMA, 3)
     a = dequantize(g, 0.9, 77)
     b = dequantize(g, 0.9, 77)
-    assert np.array_equal(a.adjacency_c, b.adjacency_c)
-    assert np.array_equal(a.features_c, b.features_c)
+    assert np.array_equal(a.adjacency, b.adjacency)
+    assert np.array_equal(a.features, b.features)
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,8 +141,8 @@ def test_dequantize_deterministic():
 def test_floor_recovers_discrete(seed, c):
     g = random_molgraph(SCHEMA, seed)
     deq = dequantize(g, c, seed + 1)
-    assert np.array_equal(np.floor(deq.adjacency_c), g.adjacency)
-    assert np.array_equal(np.floor(deq.features_c), g.features)
+    assert np.array_equal(np.floor(deq.adjacency), g.adjacency)
+    assert np.array_equal(np.floor(deq.features), g.features)
 
 
 @settings(max_examples=200, deadline=None)
@@ -150,8 +150,8 @@ def test_floor_recovers_discrete(seed, c):
 def test_quantize_roundtrip(seed):
     g = random_molgraph(SCHEMA, seed)
     deq = dequantize(g, 0.9, seed + 17)
-    assert np.array_equal(quantize_adjacency(deq.adjacency_c), g.adjacency)
-    assert np.array_equal(quantize_features(deq.features_c), g.features)
+    assert np.array_equal(quantize_adjacency(deq.adjacency), g.adjacency)
+    assert np.array_equal(quantize_features(deq.features), g.features)
 
 
 def test_quantize_adjacency_examples():
@@ -359,11 +359,20 @@ def test_raw_graph_json_rejects_bad_count():
 
 def test_latent_point_vector_roundtrip():
     rng = np.random.default_rng(4)
-    z = LatentPoint(z_adjacency=rng.standard_normal((9, 9, 4)),
-                    z_features=rng.standard_normal((9, 5)))
-    back = LatentPoint.from_vector(z.to_vector(), SCHEMA)
-    assert np.array_equal(back.z_adjacency, z.z_adjacency)
-    assert np.array_equal(back.z_features, z.z_features)
+    for lead in ((), (3,), (2, 3)):
+        z = GraphTensors(adjacency=rng.standard_normal((*lead, 9, 9, 4)),
+                         features=rng.standard_normal((*lead, 9, 5)))
+        vec = z.to_vector()
+        assert vec.shape == (*lead, SCHEMA.latent_dim)
+        back = GraphTensors.from_vector(vec, SCHEMA)
+        assert np.array_equal(back.adjacency, z.adjacency)
+        assert np.array_equal(back.features, z.features)
+        assert not np.shares_memory(back.adjacency, vec)
+    # a batch's vectors are its molecules' vectors, row by row
+    one = [GraphTensors(adjacency=z.adjacency[0, i], features=z.features[0, i])
+           for i in range(3)]
+    assert np.array_equal(GraphTensors.stack(one).to_vector(), vec[0])
+    assert np.array_equal(vec[0, 1], one[1].to_vector())
 
 
 def test_molgraph_validate_takes_signed_zeros_and_rejects_nan():

@@ -5,7 +5,8 @@ import grf.flow
 import grf.inversion
 from grf.analysis import reconstruction_curve
 from grf.flow import GrfModel, MlpResidualBlock, _elu, qm9_table_config, toy_config
-from grf.graphs import dequantize, quantize_adjacency, quantize_features, random_molgraph
+from grf.graphs import (GraphTensors, dequantize, quantize_adjacency, quantize_features,
+                        random_molgraph)
 from grf.inversion import (InversionConfig, decode_latents, generate, invert_latents,
                            invert_residual_layer)
 from grf.likelihood import TAG_DEQUANT, derive_rng, sample_prior
@@ -80,23 +81,23 @@ def test_invert_flow_zero_weights_passes_latents_through():
     model = GrfModel(toy_config(seed=6))
     for _, arr in model.named_parameters():
         arr[...] = 0.0
-    z = sample_prior(model, 0.65, 0.69, rng_seed=7)
-    (deq,) = invert_latents(model, [z], InversionConfig(iterations=5))
-    assert np.allclose(deq.adjacency_c, z.z_adjacency)
-    assert np.allclose(deq.features_c, z.z_features)
+    z = sample_prior(model, 1, 0.65, 0.69, rng_seed=7)
+    deq = invert_latents(model, z, InversionConfig(iterations=5))
+    assert np.allclose(deq.adjacency, z.adjacency)
+    assert np.allclose(deq.features, z.features)
 
 
 def test_encode_decode_roundtrip():
     model = GrfModel(toy_config(seed=8))
     for i in range(5):
         g = random_molgraph(model.schema, 100 + i)
-        deq = dequantize(g, 0.9, 200 + i)
-        (z,) = model.encode([deq], [g.adjacency])
-        (rec,) = invert_latents(model, [z], InversionConfig(iterations=100))
-        assert np.abs(rec.adjacency_c - deq.adjacency_c).max() < 1e-6
-        assert np.abs(rec.features_c - deq.features_c).max() < 1e-6
-        assert np.array_equal(quantize_adjacency(rec.adjacency_c), g.adjacency)
-        assert np.array_equal(quantize_features(rec.features_c), g.features)
+        deq = GraphTensors.stack([dequantize(g, 0.9, 200 + i)])
+        z = model.encode(deq, g.adjacency[None])
+        rec = invert_latents(model, z, InversionConfig(iterations=100))
+        assert np.abs(rec.adjacency - deq.adjacency).max() < 1e-6
+        assert np.abs(rec.features - deq.features).max() < 1e-6
+        assert np.array_equal(quantize_adjacency(rec.adjacency)[0], g.adjacency)
+        assert np.array_equal(quantize_features(rec.features)[0], g.features)
 
 
 def test_reconstruction_error_decreases_with_iterations(toy_graphs):
@@ -114,27 +115,27 @@ def test_reconstruction_zero_iterations_is_forward_displacement(toy_graphs):
     adj, feat = [], []
     for i, g in enumerate(graphs):
         deq = dequantize(g, 0.9, int(derive_rng(10, TAG_DEQUANT, i).integers(2 ** 31)))
-        (z,) = model.encode([deq], [g.adjacency])
-        adj.append(np.linalg.norm(z.z_adjacency - deq.adjacency_c) / deq.adjacency_c.size)
-        feat.append(np.linalg.norm(z.z_features - deq.features_c) / deq.features_c.size)
+        z = pick(model.encode(GraphTensors.stack([deq]), g.adjacency[None]), 0)
+        adj.append(np.linalg.norm(z.adjacency - deq.adjacency) / deq.adjacency.size)
+        feat.append(np.linalg.norm(z.features - deq.features) / deq.features.size)
     assert rows[0]["adjacency_l2"] == pytest.approx(float(np.mean(adj)), abs=1e-15)
     assert rows[0]["feature_l2"] == pytest.approx(float(np.mean(feat)), abs=1e-15)
 
 
 def test_decode_molecule_satisfies_invariants():
     model = GrfModel(toy_config(seed=11))
-    z = sample_prior(model, 0.65, 0.69, rng_seed=12)
-    (mol,) = decode_latents(model, [z], InversionConfig())
+    (mol,) = decode_latents(model, sample_prior(model, 1, 0.65, 0.69, rng_seed=12),
+                            InversionConfig())
     mol.validate()
 
 
-@pytest.mark.parametrize("part", ["z_adjacency", "z_features"])
+@pytest.mark.parametrize("part", ["adjacency", "features"], ids=["z_adjacency", "z_features"])
 def test_nan_latent_raises_instead_of_decoding(part):
     model = GrfModel(toy_config(seed=15))
-    z = sample_prior(model, 0.65, 0.69, rng_seed=16)
-    getattr(z, part)[0, 0] = np.nan
+    z = sample_prior(model, 1, 0.65, 0.69, rng_seed=16)
+    getattr(z, part)[0, 0, 0] = np.nan
     with pytest.raises(NumericalError, match="not finite"):
-        decode_latents(model, [z], InversionConfig())
+        decode_latents(model, z, InversionConfig())
 
 
 def test_generate_empty_and_deterministic():
@@ -174,7 +175,17 @@ def budget_model(request):
 
 
 def prior_latents(model, count, seed):
-    return [sample_prior(model, 0.65, 0.69, rng_seed=(seed, i)) for i in range(count)]
+    return sample_prior(model, count, 0.65, 0.69, rng_seed=seed)
+
+
+def pick(t, index):
+    """The molecules t[index] of a batch, as a batch if `index` is a list or a slice."""
+    return GraphTensors(adjacency=t.adjacency[index], features=t.features[index])
+
+
+def concat(parts):
+    return GraphTensors(adjacency=np.concatenate([t.adjacency for t in parts]),
+                        features=np.concatenate([t.features for t in parts]))
 
 
 def assert_same_molecules(mols_a, mols_b):
@@ -184,21 +195,21 @@ def assert_same_molecules(mols_a, mols_b):
         assert np.array_equal(a.features, b.features)
 
 
-def assert_close_inverses(deqs_a, deqs_b, tol=1e-12):
-    assert len(deqs_a) == len(deqs_b)
-    for a, b in zip(deqs_a, deqs_b):
-        assert np.abs(a.adjacency_c - b.adjacency_c).max() <= tol
-        assert np.abs(a.features_c - b.features_c).max() <= tol
+def assert_close_inverses(a, b, tol=1e-12):
+    assert a.adjacency.shape == b.adjacency.shape and a.features.shape == b.features.shape
+    assert np.abs(a.adjacency - b.adjacency).max() <= tol
+    assert np.abs(a.features - b.features).max() <= tol
 
 
 def test_batched_decode_matches_each_latent_alone(budget_model):
     cfg = InversionConfig()
     latents = prior_latents(budget_model, 12, seed=22)
-    alone = [decode_latents(budget_model, [z], cfg)[0] for z in latents]
+    singles = [pick(latents, [i]) for i in range(12)]
+    alone = [decode_latents(budget_model, z, cfg)[0] for z in singles]
     assert_same_molecules(generate(budget_model, 12, 0.65, 0.69, cfg, rng_seed=22), alone)
     assert_same_molecules(decode_latents(budget_model, latents, cfg), alone)
     assert_close_inverses(invert_latents(budget_model, latents, cfg),
-                          [invert_latents(budget_model, [z], cfg)[0] for z in latents])
+                          concat([invert_latents(budget_model, z, cfg) for z in singles]))
 
 
 def test_batched_reconstruction_matches_each_molecule_alone(budget_model, toy_graphs,
@@ -210,12 +221,12 @@ def test_batched_reconstruction_matches_each_molecule_alone(budget_model, toy_gr
     for i, g in enumerate(graphs):
         deq = dequantize(g, budget_model.config.noise_scale,
                          int(derive_rng(23, TAG_DEQUANT, i).integers(2 ** 31)))
-        (z,) = budget_model.encode([deq], [g.adjacency])
-        (rec,) = invert_latents(budget_model, [z], cfg)
-        adj.append(np.linalg.norm(rec.adjacency_c - deq.adjacency_c) / deq.adjacency_c.size)
-        feat.append(np.linalg.norm(rec.features_c - deq.features_c) / deq.features_c.size)
-        exact += (np.array_equal(quantize_adjacency(rec.adjacency_c), g.adjacency)
-                  and np.array_equal(quantize_features(rec.features_c), g.features))
+        z = budget_model.encode(GraphTensors.stack([deq]), g.adjacency[None])
+        rec = pick(invert_latents(budget_model, z, cfg), 0)
+        adj.append(np.linalg.norm(rec.adjacency - deq.adjacency) / deq.adjacency.size)
+        feat.append(np.linalg.norm(rec.features - deq.features) / deq.features.size)
+        exact += (np.array_equal(quantize_adjacency(rec.adjacency), g.adjacency)
+                  and np.array_equal(quantize_features(rec.features), g.features))
     assert row["exact_rate"] == exact / len(graphs) == 1.0
     assert row["adjacency_l2"] == pytest.approx(float(np.mean(adj)), rel=1e-12, abs=1e-15)
     assert row["feature_l2"] == pytest.approx(float(np.mean(feat)), rel=1e-12, abs=1e-15)
@@ -227,13 +238,16 @@ def test_batch_composition_does_not_change_results(budget_model):
     whole = invert_latents(budget_model, latents, cfg)
     mols = decode_latents(budget_model, latents, cfg)
     for size in (1, 3):
-        chunks = [latents[k:k + size] for k in range(0, len(latents), size)]
-        assert_close_inverses([d for c in chunks for d in invert_latents(budget_model, c, cfg)],
+        chunks = [pick(latents, slice(k, k + size)) for k in range(0, 32, size)]
+        assert_close_inverses(concat([invert_latents(budget_model, c, cfg) for c in chunks]),
                               whole)
         assert_same_molecules([m for c in chunks for m in decode_latents(budget_model, c, cfg)],
                               mols)
-    assert_close_inverses(invert_latents(budget_model, latents[::-1], cfg)[::-1], whole)
-    assert_same_molecules(decode_latents(budget_model, latents[::-1], cfg)[::-1], mols)
+    backwards = slice(None, None, -1)
+    assert_close_inverses(pick(invert_latents(budget_model, pick(latents, backwards), cfg),
+                               backwards), whole)
+    assert_same_molecules(decode_latents(budget_model, pick(latents, backwards), cfg)[::-1],
+                          mols)
 
 
 def test_reconstruction_stops_at_the_noise_floor(budget_model, toy_graphs, corpus_graphs,
@@ -293,8 +307,8 @@ def assert_stops_alone_and_in_batch(apply_for, y, cfg):
 def test_each_sample_stops_at_its_own_iteration_in_adjacency_stack(budget_model):
     model, block = budget_model, budget_model.adjacency_layers[-1]
     latents = prior_latents(model, len(SCALES), seed=25)
-    y = np.stack([s * z.z_adjacency.reshape(-1, model.slice_dim)
-                  for s, z in zip(SCALES, latents)])
+    y = np.stack([s * z.reshape(-1, model.slice_dim)
+                  for s, z in zip(SCALES, latents.adjacency)])
     assert_stops_alone_and_in_batch(lambda rows: block.apply, y, InversionConfig())
 
 
@@ -303,15 +317,15 @@ def test_each_sample_stops_at_its_own_iteration_in_feature_stack(budget_model):
     latents = prior_latents(budget_model, len(SCALES), seed=26)
     p = np.stack([budget_model.conditioning_operator(
         random_molgraph(budget_model.schema, 27 + i).adjacency) for i in range(len(SCALES))])
-    y = np.stack([s * z.z_features for s, z in zip(SCALES, latents)])
+    y = np.stack([s * z for s, z in zip(SCALES, latents.features)])
     assert_stops_alone_and_in_batch(
         lambda rows: lambda x: block.apply(x, p[rows]), y, InversionConfig())
 
 
-@pytest.mark.parametrize("part", ["z_adjacency", "z_features"])
+@pytest.mark.parametrize("part", ["adjacency", "features"], ids=["z_adjacency", "z_features"])
 def test_nan_latent_in_batch_raises(budget_model, part):
     latents = prior_latents(budget_model, 4, seed=28)
-    getattr(latents[2], part)[0, 0] = np.nan
+    getattr(latents, part)[2, 0, 0] = np.nan
     with pytest.raises(NumericalError, match="not finite"):
         decode_latents(budget_model, latents, InversionConfig())
 
@@ -358,5 +372,7 @@ def test_generate_makes_one_call_per_stack(monkeypatch):
 
 def test_empty_batch_decodes_to_nothing(budget_model):
     assert generate(budget_model, 0, 0.65, 0.69, InversionConfig(), rng_seed=1) == []
-    assert decode_latents(budget_model, [], InversionConfig()) == []
-    assert invert_latents(budget_model, [], InversionConfig()) == []
+    empty = prior_latents(budget_model, 0, seed=1)
+    assert empty.adjacency.shape[0] == empty.features.shape[0] == 0
+    assert decode_latents(budget_model, empty, InversionConfig()) == []
+    assert invert_latents(budget_model, empty, InversionConfig()) is empty

@@ -5,10 +5,10 @@ import pytest
 
 import grf.flow
 from grf.flow import GrfModel, ModelConfig, MlpResidualBlock, qm9_table_config, toy_config
-from grf.graphs import LatentPoint, dequantize, random_molgraph
-from grf.likelihood import (FlowTrace, LogDetEstimatorConfig, draw_probes, exact_logdet,
-                            full_logp, full_logp_from_dequant, logdet_series, prior_logp,
-                            sample_prior)
+from grf.graphs import GraphTensors, dequantize, random_molgraph
+from grf.likelihood import (TAG_PRIOR_SAMPLE, FlowTrace, LogDetEstimatorConfig, derive_rng,
+                            draw_probes, exact_logdet, full_logp, full_logp_from_dequant,
+                            logdet_series, prior_logp, sample_prior)
 from grf.linalg import NumericalError
 from grf.selfcheck import exact_block_jacobian, random_feature_block
 
@@ -21,22 +21,31 @@ def scalar_mlp_block(w: float) -> MlpResidualBlock:
 # -- prior ---------------------------------------------------------------------
 
 def test_prior_single_coordinate():
-    z = LatentPoint(z_adjacency=np.zeros((1, 1, 0)), z_features=np.zeros((1, 1)))
+    z = GraphTensors(adjacency=np.zeros((1, 1, 0)), features=np.zeros((1, 1)))
     assert prior_logp(z) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_prior_two_coordinates():
-    z = LatentPoint(z_adjacency=np.zeros((1, 1, 1)), z_features=np.zeros((1, 1)))
+    z = GraphTensors(adjacency=np.zeros((1, 1, 1)), features=np.zeros((1, 1)))
     assert prior_logp(z) == pytest.approx(-math.log(2 * math.pi), abs=1e-12)
 
 
 def test_prior_matches_high_precision_recount():
     rng = np.random.default_rng(0)
-    z = LatentPoint(z_adjacency=rng.standard_normal((5, 5, 4)),
-                    z_features=rng.standard_normal((5, 5)))
+    z = GraphTensors(adjacency=rng.standard_normal((5, 5, 4)),
+                     features=rng.standard_normal((5, 5)))
     per_coord = [-0.5 * math.log(2 * math.pi) - 0.5 * v * v
                  for v in z.to_vector()]
     assert prior_logp(z) == pytest.approx(math.fsum(per_coord), abs=1e-10)
+
+
+def test_prior_of_a_batch_is_the_sum_over_its_molecules():
+    rng = np.random.default_rng(1)
+    z = GraphTensors(adjacency=rng.standard_normal((3, 5, 5, 4)),
+                     features=rng.standard_normal((3, 5, 5)))
+    each = [prior_logp(GraphTensors(adjacency=a, features=x))
+            for a, x in zip(z.adjacency, z.features)]
+    assert prior_logp(z) == pytest.approx(math.fsum(each), abs=1e-10)
 
 
 # -- log-det series ---------------------------------------------------------------
@@ -221,8 +230,7 @@ def test_full_logp_zero_weight_model_reduces_to_prior():
     trace = full_logp(model, g, rng_seed=16)
     deq = dequantize(g, model.config.noise_scale,
                      int(np.random.default_rng([16, 0]).integers(2 ** 31)))
-    z = LatentPoint(z_adjacency=deq.adjacency_c, z_features=deq.features_c)
-    assert trace.total_logp == pytest.approx(prior_logp(z), abs=1e-9)
+    assert trace.total_logp == pytest.approx(prior_logp(deq), abs=1e-9)
     assert all(ld == 0.0 for ld in [*trace.adjacency_logdets, *trace.feature_logdets])
 
 
@@ -313,18 +321,17 @@ def test_full_logp_matches_composed_jacobian_oracle():
     def encode_vec(vec):
         a = vec[:8].reshape(2, 2, 2)
         x = vec[8:].reshape(2, 2)
-        (z,) = model.encode([type(deq)(adjacency_c=a, features_c=x)],
-                            [g.adjacency])
-        return z.to_vector()
+        z = model.encode(GraphTensors(adjacency=a[None], features=x[None]), g.adjacency[None])
+        return z.to_vector()[0]
 
-    v0 = np.concatenate([deq.adjacency_c.ravel(), deq.features_c.ravel()])
+    v0 = deq.to_vector()
     jac = np.zeros((dim, dim))
     h = 1e-6
     for j in range(dim):
         e = np.zeros(dim)
         e[j] = h
         jac[:, j] = (encode_vec(v0 + e) - encode_vec(v0 - e)) / (2 * h)
-    z = LatentPoint.from_vector(encode_vec(v0), model.schema)
+    z = GraphTensors.from_vector(encode_vec(v0), model.schema)
     oracle_total = prior_logp(z) + np.linalg.slogdet(jac)[1]
 
     total = full_logp_from_dequant(model, deq, g.adjacency).total_logp
@@ -335,16 +342,15 @@ def test_full_logp_matches_composed_jacobian_oracle():
 
 def test_sample_prior_zero_temperature_limit():
     model = GrfModel(toy_config(seed=27))
-    z = sample_prior(model, 1e-12, 1e-12, rng_seed=28)
-    assert np.abs(z.z_adjacency).max() < 1e-10
-    assert np.abs(z.z_features).max() < 1e-10
+    z = sample_prior(model, 1, 1e-12, 1e-12, rng_seed=28)
+    assert np.abs(z.adjacency).max() < 1e-10
+    assert np.abs(z.features).max() < 1e-10
 
 
 def test_sample_prior_variance_matches_temperature():
     model = GrfModel(ModelConfig(n_max=9, seed=29))
-    draws = [sample_prior(model, 0.65, 0.69, rng_seed=(30, i)) for i in range(400)]
-    x_vals = np.concatenate([d.z_features.ravel() for d in draws])
-    a_vals = np.concatenate([d.z_adjacency.ravel() for d in draws])
+    draws = sample_prior(model, 400, 0.65, 0.69, rng_seed=30)
+    x_vals, a_vals = draws.features.ravel(), draws.adjacency.ravel()
     assert x_vals.size > 1e4 and a_vals.size > 1e5
     assert abs(x_vals.var() - 0.65 ** 2) < 0.02 * 0.65 ** 2
     assert abs(a_vals.var() - 0.69 ** 2) < 0.02 * 0.69 ** 2
@@ -352,11 +358,27 @@ def test_sample_prior_variance_matches_temperature():
 
 def test_sample_prior_accepts_low_temperatures():
     model = GrfModel(toy_config(seed=31))
-    z = sample_prior(model, 0.15, 0.17, rng_seed=32)
+    z = sample_prior(model, 1, 0.15, 0.17, rng_seed=32)
     assert np.isfinite(z.to_vector()).all()
 
 
 def test_sample_prior_rejects_nonpositive_temperature():
     model = GrfModel(toy_config(seed=35))
-    with pytest.raises(ValueError):
-        sample_prior(model, 0.0, 0.5, rng_seed=36)
+    # NaN compares false with 0, and both infinities used to pass on to the
+    # inverse, where they failed as a non-finite fixed-point iterate
+    for bad in (0.0, -0.5, math.nan, math.inf, -math.inf):
+        for t_x, t_a in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="temperatures"):
+                sample_prior(model, 1, t_x, t_a, rng_seed=36)
+
+
+def test_sample_prior_streams_do_not_depend_on_the_batch():
+    model = GrfModel(toy_config(seed=37))
+    batch = sample_prior(model, 5, 0.65, 0.69, rng_seed=38)
+    for i in (0, 3):
+        rng = derive_rng(38, i, TAG_PRIOR_SAMPLE)
+        n, m, r = model.schema.n_max, model.schema.n_atom_types, model.schema.n_bond_types
+        assert np.array_equal(batch.adjacency[i], 0.69 * rng.standard_normal((n, n, r)))
+        assert np.array_equal(batch.features[i], 0.65 * rng.standard_normal((n, m)))
+    assert np.array_equal(sample_prior(model, 2, 0.65, 0.69, rng_seed=38).to_vector(),
+                          batch.to_vector()[:2])

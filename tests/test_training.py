@@ -114,8 +114,8 @@ def per_probe_nll(model, batch, cfg, direction, epoch=0, step=0):
     which sample i and probe s take their slice.
     """
     from grf.graphs import dequantize
-    from grf.likelihood import (TAG_DEQUANT, TAG_PROBE, derive_rng, draw_probes,
-                                gaussian_logp_from_sumsq, logdet_series_from_probes)
+    from grf.likelihood import (LOG_2PI, TAG_DEQUANT, TAG_PROBE, derive_rng, draw_probes,
+                                logdet_series_from_probes)
 
     theta = dict(model.named_parameters())
     twin = GrfModel(model.config, stored=lambda path, shape: (
@@ -127,8 +127,8 @@ def per_probe_nll(model, batch, cfg, direction, epoch=0, step=0):
         noise_seed = int(derive_rng(base, TAG_DEQUANT, epoch, step, i).integers(2 ** 31))
         deq = dequantize(g, model.config.noise_scale, noise_seed)
         p = model.conditioning_operator(g.adjacency)
-        z = deq.features_c
-        h = deq.adjacency_c.reshape(-1, model.slice_dim)
+        z = deq.features
+        h = deq.adjacency.reshape(-1, model.slice_dim)
         inputs = []
         for block in twin.feature_layers:
             inputs.append(z)
@@ -151,7 +151,7 @@ def per_probe_nll(model, batch, cfg, direction, epoch=0, step=0):
                 probe = mine[..., s:s + 1, :]
                 acc = acc + logdet_series_from_probes(jvp, probe, 1, cfg.series_terms)
         total_logdet = total_logdet + acc / s_probes
-    prior = gaussian_logp_from_sumsq(prior_sumsq, n_batch * model.schema.latent_dim)
+    prior = -0.5 * n_batch * model.schema.latent_dim * LOG_2PI - 0.5 * prior_sumsq
     loss = -(prior + total_logdet) / n_batch
     return float(loss.real), float(loss.imag / COMPLEX_STEP)
 

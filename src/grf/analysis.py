@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .chem import check_validity, write_smiles
@@ -91,8 +93,16 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
     `eigh` of their covariance), then decodes latents offset from the
     query molecule's own latent point along that plane.  Each record
     carries the grid coordinates and either the decoded SMILES or an
-    invalid marker (smiles = null).
+    invalid marker (smiles = null).  Raises `ValueError` for an
+    `encode_count` below 3 (two latents give a rank-1 covariance), a
+    `grid_size` below 1 or a non-finite `step`.
     """
+    if encode_count < 3:
+        raise ValueError(f"encode_count must be an integer >= 3, got {encode_count!r}")
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be an integer >= 1, got {grid_size!r}")
+    if not math.isfinite(step):
+        raise ValueError(f"step must be a finite number, got {step!r}")
     if len(graphs) < 3:
         raise ValueError("need at least three molecules to fit principal directions")
     inversion = inversion or InversionConfig()

@@ -272,11 +272,6 @@ class MetricsReport:
     sample_count: int
     valid_count: int
 
-    def to_dict(self) -> dict:
-        return {"validity": self.validity, "novelty": self.novelty,
-                "uniqueness": self.uniqueness, "sample_count": self.sample_count,
-                "valid_count": self.valid_count}
-
 
 def compute_metrics(generated: list[MolGraph | RawGraph], training_set: set[str],
                     table: ValenceTable | None = None) -> MetricsReport:

@@ -12,6 +12,7 @@ property failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -47,42 +48,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
-    def parse(text: str) -> int:
+def _checked(convert, accept, expected: str):
+    """argparse type: `convert(text)` if `accept` holds for it, else a usage
+    error saying that `expected` was expected."""
+    def parse(text: str):
         try:
-            if int(text) >= low:
-                return int(text)
+            value = convert(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        else:
+            if accept(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
     return parse
 
 
-def _seed(text: str) -> int:
-    """argparse type: a seed in [0, 2**31), the range `derive_rng` keeps of every key."""
-    try:
-        if 0 <= int(text) < 2 ** 31:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**31), got {text!r}")
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a float other than nan and +-inf."""
-    try:
-        if math.isfinite(float(text)):
-            return float(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-
-
-def _positive_float(text: str) -> float:
-    if _finite_float(text) > 0.0:
-        return float(text)
-    raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+# a seed in [0, 2**31), the range `derive_rng` keeps of every key
+_seed = _checked(int, lambda v: 0 <= v < 2 ** 31, "an integer in [0, 2**31)")
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
 
 
 def _iteration_counts(text: str) -> list[int]:
@@ -242,7 +231,7 @@ def _cmd_sample(args) -> int:
     if raws:
         report = compute_metrics(raws, training_set, table=valences)
         with open(args.out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"{report.valid_count}/{report.sample_count} valid "
               f"(V={report.validity:.3f} N={report.novelty:.3f} U={report.uniqueness:.3f})")
@@ -275,7 +264,7 @@ def _cmd_eval(args) -> int:
     with open(args.out / "traces.jsonl", "w", encoding="utf-8") as fh:
         for i, g in enumerate(graphs):
             trace = full_logp(model, g, rng_seed=args.seed + i)
-            record = {"index": i, **trace.to_dict()}
+            record = {"index": i, **dataclasses.asdict(trace)}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
             totals.append(trace.total_logp)
     print(f"mean nll over {len(totals)} molecules: {-float(np.mean(totals)):.4f}")

@@ -102,8 +102,6 @@ def qm9_table_config(**overrides) -> ModelConfig:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a contracted with b over a's last and b's first axis, as one 2-D product."""
-    if a.ndim == 2 and b.ndim == 2:
-        return a @ b
     out = a.reshape(-1, a.shape[-1]) @ b.reshape(b.shape[0], -1)
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
@@ -254,12 +252,6 @@ def stacked_name(name: str) -> tuple[str, int]:
     return stack + part, int(layer)
 
 
-def _weight_entries(path: str, w) -> list[tuple[str, np.ndarray]]:
-    if isinstance(w, FactoredWeight):
-        return [(f"{path}.u", w.u), (f"{path}.vt", w.vt)]
-    return [(path, w)]
-
-
 # ---------------------------------------------------------------------------
 # Residual blocks
 # ---------------------------------------------------------------------------
@@ -298,7 +290,9 @@ class _ResidualBlock:
         one as its two factors, then every bias that is not None."""
         items = []
         for l, w in enumerate(weights):
-            items.extend(_weight_entries(f"{self.prefix}.w{l}", w))
+            path = f"{self.prefix}.w{l}"
+            items.extend([(f"{path}.u", w.u), (f"{path}.vt", w.vt)]
+                         if isinstance(w, FactoredWeight) else [(path, w)])
         for l, b in enumerate(biases):
             if b is not None:
                 items.append((f"{self.prefix}.b{l}", b))
@@ -579,42 +573,39 @@ class GrfModel:
     def __init__(self, config: ModelConfig, stored=None):
         """Random weights scaled under the budget, or the stored ones.
 
-        A random draw is scaled block by block: one batched measure, every
-        weight scaled to its share of `init_scale` or just under its bound
-        if that is smaller, and one certificate, as `_clamp` does.
         `stored(name, shape)` returns one named parameter, as
-        `named_parameters` names it; given it, the blocks take what it
-        returns as it is, with no random draw and no projection.
+        `named_parameters` names it, and the blocks take it as it is.
         `load_checkpoint` passes the arrays of a file; the tests pass
         complex perturbations of a model's own arrays, which builds the
-        twin their complex-step gradient reference runs.
+        twin their complex-step gradient reference runs.  Without it each
+        weight is a standard-normal draw from the seeded stream, in block
+        and layer order, and each bias starts at zero without drawing.  A
+        draw is then scaled block by block: one batched measure, every
+        weight scaled to its share of `init_scale` or just under its bound
+        if that is smaller, and one certificate, as `_clamp` does.
         """
         self.config = config
         self.schema = GraphSchema(n_max=config.n_max, atom_symbols=config.atom_symbols,
                                   n_bond_types=config.n_bond_types)
-        rng = np.random.default_rng(config.seed)
         m = self.schema.n_atom_types
         # an adjacency slice is one node's row of the (N, N, R) tensor
         self.slice_dim = d = config.n_max * config.n_bond_types
+        rng = np.random.default_rng(config.seed)
 
-        def weight(path, dim, rank):
-            if stored is not None:
-                if rank > 0:
-                    return FactoredWeight(u=stored(f"{path}.u", (dim, rank)),
-                                          vt=stored(f"{path}.vt", (rank, dim)))
-                return stored(path, (dim, dim))
-            return (FactoredWeight(u=rng.standard_normal((dim, rank)),
-                                   vt=rng.standard_normal((rank, dim)))
-                    if rank > 0 else rng.standard_normal((dim, dim)))
+        def drawn(name, shape):
+            is_bias = stacked_name(name)[0].endswith(".b")
+            return np.zeros(shape) if is_bias else rng.standard_normal(shape)
 
-        def bias(path, shape):
-            if not config.use_bias:
-                return None
-            return np.zeros(shape) if stored is None else stored(path, shape)
+        source = drawn if stored is None else stored
 
         def layers(prefix, dim, rank, depth):
-            return ([weight(f"{prefix}.w{l}", dim, rank) for l in range(depth)],
-                    [bias(f"{prefix}.b{l}", (1, dim)) for l in range(depth)])
+            weights = [FactoredWeight(u=source(f"{prefix}.w{l}.u", (dim, rank)),
+                                      vt=source(f"{prefix}.w{l}.vt", (rank, dim)))
+                       if rank > 0 else source(f"{prefix}.w{l}", (dim, dim))
+                       for l in range(depth)]
+            biases = [source(f"{prefix}.b{l}", (1, dim)) if config.use_bias else None
+                      for l in range(depth)]
+            return weights, biases
 
         self.feature_layers: list[GcnResidualBlock] = [
             GcnResidualBlock(f"feature.{b}", *layers(f"feature.{b}", m, 0, config.gcn_layers),

@@ -94,20 +94,9 @@ class MolGraph:
     adjacency: np.ndarray  # (N, N, R) in {0, 1}
     features: np.ndarray   # (N, M) in {0, 1}
 
-    @property
-    def n_max(self) -> int:
-        return self.schema.n_max
-
-    @property
-    def n_atom_types(self) -> int:
-        return self.schema.n_atom_types
-
-    @property
-    def n_bond_types(self) -> int:
-        return self.schema.n_bond_types
-
     def validate(self) -> None:
-        n, m, r = self.n_max, self.n_atom_types, self.n_bond_types
+        s = self.schema
+        n, m, r = s.n_max, s.n_atom_types, s.n_bond_types
         if self.adjacency.shape != (n, n, r):
             raise GraphError(f"adjacency shape {self.adjacency.shape} != {(n, n, r)}")
         if self.features.shape != (n, m):
@@ -215,12 +204,11 @@ def augmented_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
     P = (D + I)^{-1/2} (A + I) (D + I)^{-1/2}.  Every eigenvalue of P lies
     in [-1, 1], which is what keeps the graph-convolution residual blocks
     contractive.  Isolated nodes are fine: the added self loop keeps all
-    degrees positive.  A lone 2-D argument is an already-collapsed 0/1
-    matrix; anything else is a (..., N, N, R) one-hot tensor or stack.
+    degrees positive.  The argument is a (..., N, N, R) one-hot tensor or
+    stack.
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
-    collapsed = np.minimum(adjacency if adjacency.ndim == 2
-                           else adjacency[..., :-1].sum(axis=-1), 1.0)
+    collapsed = np.minimum(adjacency[..., :-1].sum(axis=-1), 1.0)
     diag = np.arange(collapsed.shape[-1])
     collapsed[..., diag, diag] = 0.0
     a_tilde = collapsed + np.eye(len(diag))

@@ -26,7 +26,9 @@ materialized.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -69,11 +71,11 @@ class FlowTrace:
     prior_logp: float
     total_logp: float
 
-    def to_dict(self) -> dict:
-        return {"prior_logp": self.prior_logp,
-                "adjacency_logdets": self.adjacency_logdets,
-                "feature_logdets": self.feature_logdets,
-                "total_logp": self.total_logp}
+
+def plain_sum(values) -> float:
+    """A left-to-right sum from 0.0.  Builtin `sum` compensates its
+    rounding on Python >= 3.12, so its bits would depend on the version."""
+    return reduce(operator.add, values, 0.0)
 
 
 def prior_logp(z: GraphTensors) -> float:
@@ -167,7 +169,7 @@ def full_logp_from_dequant(model: GrfModel, deq: GraphTensors,
 
     prior = prior_logp(model.stacks(deq, p, branch))
     n_x = len(model.feature_layers)
-    total = prior + sum(logdets[:n_x]) + sum(logdets[n_x:])
+    total = prior + plain_sum(logdets[:n_x]) + plain_sum(logdets[n_x:])
     return FlowTrace(feature_logdets=logdets[:n_x], adjacency_logdets=logdets[n_x:],
                      prior_logp=prior, total_logp=total)
 

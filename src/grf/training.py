@@ -39,7 +39,7 @@ import numpy as np
 from .flow import GrfModel, require_integers, save_checkpoint, tile_slopes
 from .graphs import GraphTensors, MolGraph, dequantize
 from .likelihood import (TAG_DEQUANT, TAG_PROBE, TAG_SHUFFLE, derive_rng, draw_probes,
-                         logdet_series_from_probes, prior_logp)
+                         logdet_series_from_probes, plain_sum, prior_logp)
 from .linalg import NumericalError
 
 # Adam's moment decay rates and denominator offset
@@ -128,10 +128,7 @@ def grad_nll(model: GrfModel, batch: list[MolGraph], cfg: TrainConfig,
                                                  probes, cfg, n_batch, grads)
 
     # The loss in forward block order, scaled by 1/B as the cotangents are.
-    # A plain left-to-right sum: builtin `sum` compensates on Python >= 3.12.
-    total_logdet = 0.0
-    for ld in logdets:
-        total_logdet = total_logdet + ld
+    total_logdet = plain_sum(logdets)
     prior_total = prior_logp(z)
     loss = -(prior_total + total_logdet) * (1.0 / n_batch)
     if not math.isfinite(loss):

@@ -25,6 +25,22 @@ def test_latent_grid_shape_and_markers(toy_graphs):
     assert offs == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
 
+@pytest.mark.parametrize("argument, kwargs", [
+    pytest.param("encode_count", {"encode_count": -1}, id="encode-count-negative"),
+    pytest.param("encode_count", {"encode_count": 0}, id="encode-count-zero"),
+    pytest.param("encode_count", {"encode_count": 2}, id="encode-count-two"),
+    pytest.param("grid_size", {"grid_size": 0}, id="grid-size-zero"),
+    pytest.param("step", {"step": float("nan")}, id="step-nan"),
+    pytest.param("step", {"step": float("inf")}, id="step-inf"),
+])
+def test_latent_grid_rejects_what_the_cli_rejects(toy_graphs, argument, kwargs):
+    """The values `grf latent-grid` refuses as flags raise a ValueError
+    naming the argument, before any molecule is encoded."""
+    model = GrfModel(toy_config(seed=5))
+    with pytest.raises(ValueError, match=f"^{argument} must be"):
+        latent_grid(model, toy_graphs, **{"grid_size": 1, "step": 0.0, **kwargs})
+
+
 def test_latent_grid_requires_three_molecules(toy_graphs):
     model = GrfModel(toy_config(seed=5))
     for count in (1, 2):
@@ -57,5 +73,3 @@ def test_empty_input_says_there_are_no_molecules(toy_graphs):
         reconstruction_curve(model, [], [0, 1])
     with pytest.raises(ValueError, match="no molecules"):
         encode_dataset(model, [])
-    with pytest.raises(ValueError, match="no molecules"):
-        latent_grid(model, toy_graphs[:5], grid_size=1, step=0.0, encode_count=0)

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import networkx as nx
 import pytest
@@ -200,7 +202,7 @@ def test_metrics_mixed_batch_against_recount():
     assert report.validity == 3 / 4
     assert report.uniqueness == len(set(strings)) / 3
     assert report.novelty == sum(s not in training for s in strings) / 3
-    assert set(report.to_dict()) == {"validity", "novelty", "uniqueness",
+    assert set(asdict(report)) == {"validity", "novelty", "uniqueness",
                                      "sample_count", "valid_count"}
 
 

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from grf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from grf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _parse_train_config, build_parser, main
+from grf.flow import qm9_table_config, toy_config
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -528,3 +529,14 @@ def test_non_contractive_checkpoint_is_numerical_error(argv, over_budget_ckpt, t
     err = capsys.readouterr().err
     assert err.startswith("numerical error: feature.0: certified Lipschitz bound"), err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("name, preset", [
+    pytest.param("toy.json", toy_config, id="toy"),
+    pytest.param("qm9.json", qm9_table_config, id="qm9"),
+])
+def test_shipped_config_builds_its_python_preset(name, preset):
+    """`grf train --config configs/<name>` builds the model the benchmark
+    builds from the preset, so the two cannot drift apart unnoticed."""
+    model_cfg, _ = _parse_train_config(DATA.parent / "configs" / name)
+    assert model_cfg == preset()

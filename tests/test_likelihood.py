@@ -8,7 +8,7 @@ from grf.flow import GrfModel, ModelConfig, MlpResidualBlock, qm9_table_config, 
 from grf.graphs import GraphTensors, dequantize, random_molgraph
 from grf.likelihood import (TAG_PRIOR_SAMPLE, FlowTrace, LogDetEstimatorConfig, derive_rng,
                             draw_probes, exact_logdet, full_logp, full_logp_from_dequant,
-                            logdet_series, prior_logp, sample_prior)
+                            logdet_series, plain_sum, prior_logp, sample_prior)
 from grf.linalg import NumericalError
 from grf.selfcheck import exact_block_jacobian, random_feature_block
 
@@ -244,15 +244,30 @@ def test_flow_trace_total_consistency():
     assert isinstance(trace, FlowTrace)
 
 
+def test_total_logp_is_a_plain_fold_of_its_terms():
+    """prior + sum of feature log-dets + sum of adjacency log-dets, each sum
+    folded left to right from 0.0: builtin `sum` compensates on Python >=
+    3.12, which would make the total's bits depend on the version."""
+    assert plain_sum([1e16, 1.0, -1e16]) == 0.0  # a compensated sum gives 1.0
+    model = GrfModel(toy_config(seed=17))
+    trace = full_logp(model, random_molgraph(model.schema, 18), rng_seed=19)
+    feature = adjacency = 0.0
+    for ld in trace.feature_logdets:
+        feature = feature + ld
+    for ld in trace.adjacency_logdets:
+        adjacency = adjacency + ld
+    assert trace.total_logp.hex() == (trace.prior_logp + feature + adjacency).hex()
+
+
 def test_full_logp_reads_only_the_seed_from_its_config():
     model = GrfModel(toy_config(seed=54))
     g = random_molgraph(model.schema, 55)
-    reference = full_logp(model, g, rng_seed=56).to_dict()
+    reference = full_logp(model, g, rng_seed=56)
     wide = LogDetEstimatorConfig(series_terms=20, hutchinson_samples=64, rng_seed=56)
     narrow = LogDetEstimatorConfig(series_terms=1, hutchinson_samples=1, rng_seed=56)
-    assert full_logp(model, g, wide).to_dict() == reference
-    assert full_logp(model, g, narrow).to_dict() == reference
-    assert full_logp(model, g, wide, rng_seed=57).to_dict() != reference
+    assert full_logp(model, g, wide) == reference
+    assert full_logp(model, g, narrow) == reference
+    assert full_logp(model, g, wide, rng_seed=57) != reference
 
 
 @pytest.mark.parametrize("stack", ["feature_layers", "adjacency_layers"])

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .chem import check_validity, write_smiles
-from .flow import GrfModel
+from .flow import GrfModel, require_integer
 from .graphs import (GraphTensors, MolGraph, dequantize, quantize_adjacency,
                      quantize_features, unpad_graph)
 from .inversion import InversionConfig, decode_latents, invert_latents
@@ -94,13 +94,12 @@ def latent_grid(model: GrfModel, graphs: list[MolGraph], grid_size: int = 5,
     query molecule's own latent point along that plane.  Each record
     carries the grid coordinates and either the decoded SMILES or an
     invalid marker (smiles = null).  Raises `ValueError` for an
-    `encode_count` below 3 (two latents give a rank-1 covariance), a
-    `grid_size` below 1 or a non-finite `step`.
+    `encode_count` that is not an integer >= 3 (two latents give a rank-1
+    covariance), a `grid_size` that is not an integer >= 1 (a bool is
+    neither) or a non-finite `step`.
     """
-    if encode_count < 3:
-        raise ValueError(f"encode_count must be an integer >= 3, got {encode_count!r}")
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be an integer >= 1, got {grid_size!r}")
+    require_integer("encode_count", encode_count, 3)
+    require_integer("grid_size", grid_size, 1)
     if not math.isfinite(step):
         raise ValueError(f"step must be a finite number, got {step!r}")
     if len(graphs) < 3:

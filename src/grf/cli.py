@@ -24,8 +24,7 @@ from .analysis import latent_grid, reconstruction_curve
 from .chem import (ChemError, SmilesError, check_validity, compute_metrics,
                    load_smiles_file, load_valence_table, training_string_set,
                    write_smiles)
-from .flow import (CheckpointError, GrfModel, ModelConfig, load_checkpoint,
-                   save_checkpoint, toy_config)
+from .flow import CheckpointError, GrfModel, ModelConfig, load_checkpoint, save_checkpoint
 from .graphs import QM9_SCHEMA, GraphError, pad_graph, unpad_graph
 from .inversion import InversionConfig, generate
 from .likelihood import full_logp
@@ -154,9 +153,10 @@ def _load_dataset(path: Path, schema, cap: int | None = None, at_least: int = 1)
     return [pad_graph(raw, schema) for raw in raws]
 
 
-def _parse_train_config(path) -> tuple[ModelConfig, TrainConfig]:
-    model_cfg = toy_config()
-    train_cfg = TrainConfig()
+def _parse_train_config(path, seed: int) -> tuple[ModelConfig, TrainConfig]:
+    """The file's sections over the toy-profile defaults (an absent file or
+    section reads as `{}`), with `seed` as the only seed."""
+    blob = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             blob = json.load(fh)
@@ -166,24 +166,19 @@ def _parse_train_config(path) -> tuple[ModelConfig, TrainConfig]:
         if unknown:
             raise ValueError(f"unknown top-level key(s) {unknown}; "
                              "expected 'model' and 'train'")
-        model_section, train_section = blob.get("model", {}), blob.get("train", {})
-        for name, section in (("model", model_section), ("train", train_section)):
-            if not isinstance(section, dict):
-                raise ValueError(f"the {name!r} section must be a JSON object")
-        if model_section:
-            model_cfg = ModelConfig(**model_section)
-        train_cfg = TrainConfig(**train_section)
-    return model_cfg, train_cfg
+    model_section, train_section = blob.get("model", {}), blob.get("train", {})
+    for name, section in (("model", model_section), ("train", train_section)):
+        if not isinstance(section, dict):
+            raise ValueError(f"the {name!r} section must be a JSON object")
+    return ModelConfig(seed=seed, **model_section), TrainConfig(rng_seed=seed, **train_section)
 
 
 def _cmd_train(args) -> int:
     try:
-        model_cfg, train_cfg = _parse_train_config(args.config)
+        model_cfg, train_cfg = _parse_train_config(args.config, args.seed)
     except (TypeError, ValueError, KeyError) as exc:
         print(f"data error: bad config file {args.config}: {exc}", file=sys.stderr)
         return EXIT_DATA
-    train_cfg.rng_seed = args.seed
-    model_cfg.seed = args.seed
     model = GrfModel(model_cfg)
     dataset = _load_dataset(args.dataset, model.schema)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -209,7 +204,13 @@ def _load_contraction(path) -> GrfModel:
 
 def _cmd_sample(args) -> int:
     model = _load_contraction(args.ckpt)
-    valences = load_valence_table(args.valence_table) if args.valence_table else None
+    valences = None
+    if args.valence_table:
+        valences = load_valence_table(args.valence_table)
+        for symbol in model.schema.atom_symbols:
+            if symbol not in valences:
+                raise ChemError(f"valence table {args.valence_table} has no entry for "
+                                f"atom type {symbol!r}")
     molecules = generate(model, args.count, args.tx, args.ta,
                          InversionConfig(iterations=args.iterations),
                          rng_seed=args.seed)

@@ -43,10 +43,10 @@ class ModelConfig:
     adjacency tensor: a slice is one node's bonds, d = n_max * n_bond_types
     entries, so the parameter count scales with N^2 rather than N^4.
     `adjacency_rank` > 0 factors each adjacency weight into a rank-r
-    product.
+    product.  The defaults are the toy profile, `configs/toy.json`.
     """
 
-    n_max: int = 9
+    n_max: int = 6
     atom_symbols: tuple[str, ...] = ("C", "N", "O", "F")
     n_bond_types: int = 4
     gcn_blocks: int = 1
@@ -61,7 +61,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.atom_symbols = tuple(self.atom_symbols)
+        symbols = self.atom_symbols
+        if (not isinstance(symbols, (list, tuple)) or not symbols
+                or not all(isinstance(s, str) for s in symbols)
+                or len(set(symbols)) < len(symbols)):
+            raise ValueError("atom_symbols must be a non-empty list of distinct strings, "
+                             f"got {symbols!r}")
+        self.atom_symbols = tuple(symbols)
         if not 0.0 < self.lipschitz_budget < 1.0:
             raise ValueError("lipschitz_budget must lie in (0, 1)")
         if not 0.0 < self.noise_scale < 1.0:
@@ -74,19 +80,21 @@ class ModelConfig:
 
 
 def require_integers(config, low: int, *names: str) -> None:
-    """ValueError unless every named field of `config` is an integer >= `low`
-    (a bool is not one)."""
+    """`require_integer` on every named field of `config`."""
     for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        require_integer(name, getattr(config, name), low)
+
+
+def require_integer(name: str, value, low: int) -> None:
+    """ValueError naming `name` unless `value` is an integer >= `low` (a
+    bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def toy_config(**overrides) -> ModelConfig:
-    """Desk-scale profile: small molecules, shallow stacks."""
-    base = dict(n_max=6, gcn_blocks=1, gcn_layers=1, mlp_blocks=4, mlp_layers=2, seed=0)
-    base.update(overrides)
-    return ModelConfig(**base)
+    """The desk-scale profile, `ModelConfig`'s defaults, with `overrides`."""
+    return ModelConfig(**overrides)
 
 
 def qm9_table_config(**overrides) -> ModelConfig:

@@ -175,15 +175,13 @@ def full_logp_from_dequant(model: GrfModel, deq: GraphTensors,
 
 
 def full_logp(model: GrfModel, g: MolGraph, cfg: LogDetEstimatorConfig | None = None,
-              rng_seed: int | None = None) -> FlowTrace:
+              rng_seed: int = 0) -> FlowTrace:
     """Dequantize, push through both flows, sum prior and exact log-det terms.
 
-    The only random draw is the dequantization noise, keyed by `rng_seed`
-    (default `cfg.rng_seed`, else 0).  Of `cfg` only that seed is read:
-    the log-dets are exact, so its series and probe settings play no part.
+    The only random draw is the dequantization noise, keyed by `rng_seed`.
+    `cfg` is not read: the log-dets are exact.  It stays in the signature
+    only because perfbench/workloads.py passes it positionally.
     """
-    if rng_seed is None:
-        rng_seed = cfg.rng_seed if cfg is not None else 0
     deq = dequantize(g, model.config.noise_scale,
                      int(derive_rng(rng_seed, TAG_DEQUANT).integers(2 ** 31)))
     return full_logp_from_dequant(model, deq, g.adjacency)

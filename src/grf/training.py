@@ -55,7 +55,9 @@ CHUNK_RECORD_BYTES = 64 * 2 ** 20
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 16
+    """Training settings; the defaults are the toy profile, `configs/toy.json`."""
+
+    batch_size: int = 25
     learning_rate: float = 1e-3
     epochs: int = 20
     series_terms: int = 8

@@ -29,7 +29,10 @@ def test_latent_grid_shape_and_markers(toy_graphs):
     pytest.param("encode_count", {"encode_count": -1}, id="encode-count-negative"),
     pytest.param("encode_count", {"encode_count": 0}, id="encode-count-zero"),
     pytest.param("encode_count", {"encode_count": 2}, id="encode-count-two"),
+    pytest.param("encode_count", {"encode_count": 3.5}, id="encode-count-fraction"),
     pytest.param("grid_size", {"grid_size": 0}, id="grid-size-zero"),
+    pytest.param("grid_size", {"grid_size": 2.5}, id="grid-size-fraction"),
+    pytest.param("grid_size", {"grid_size": True}, id="grid-size-bool"),
     pytest.param("step", {"step": float("nan")}, id="step-nan"),
     pytest.param("step", {"step": float("inf")}, id="step-inf"),
 ])

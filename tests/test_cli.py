@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from grf.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _parse_train_config, build_parser, main
-from grf.flow import qm9_table_config, toy_config
+from grf.flow import ModelConfig, qm9_table_config, toy_config
+from grf.training import TrainConfig
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -183,14 +184,22 @@ def with_setting(section, field, value):
     pytest.param(with_setting("model", "gcn_layers", 2.5), id="gcn_layers-fraction"),
     pytest.param(with_setting("model", "adjacency_rank", -1), id="adjacency_rank-negative"),
     pytest.param(with_setting("model", "adjacency_mode", "node"), id="adjacency_mode-removed"),
+    pytest.param(with_setting("model", "atom_symbols", "ClBr"), id="atom_symbols-string"),
+    pytest.param(with_setting("model", "atom_symbols", []), id="atom_symbols-empty"),
+    pytest.param(with_setting("model", "atom_symbols", [1, 2]), id="atom_symbols-not-strings"),
+    pytest.param(with_setting("model", "atom_symbols", ["C", "C", "N"]),
+                 id="atom_symbols-repeated"),
+    pytest.param(with_setting("model", "seed", 3), id="model-seed"),
+    pytest.param(with_setting("train", "rng_seed", 3), id="train-rng_seed"),
     pytest.param([], id="top-level-list"),
     pytest.param({"model": []}, id="model-section-list"),
     pytest.param({"modle": TINY_CONFIG["model"], "train": TINY_CONFIG["train"]},
                  id="unknown-top-level-key"),
 ])
 def test_malformed_config_value_is_data_error(blob, tmp_path, capsys):
-    """A value of the wrong kind, a non-finite or out-of-range number, or a
-    file or section that is not a JSON object exits 2 before training."""
+    """A value of the wrong kind, a non-finite or out-of-range number, a
+    seed (which only --seed sets), or a file or section that is not a JSON
+    object exits 2 before training."""
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(blob), encoding="utf-8")
     code = main(["train", "--config", str(cfg), "--dataset",
@@ -534,9 +543,39 @@ def test_non_contractive_checkpoint_is_numerical_error(argv, over_budget_ckpt, t
 @pytest.mark.parametrize("name, preset", [
     pytest.param("toy.json", toy_config, id="toy"),
     pytest.param("qm9.json", qm9_table_config, id="qm9"),
+    pytest.param(None, toy_config, id="no-config"),
 ])
 def test_shipped_config_builds_its_python_preset(name, preset):
     """`grf train --config configs/<name>` builds the model the benchmark
-    builds from the preset, so the two cannot drift apart unnoticed."""
-    model_cfg, _ = _parse_train_config(DATA.parent / "configs" / name)
+    builds from the preset, so the two cannot drift apart unnoticed.  The
+    toy preset is the default profile: `configs/toy.json`, both sections,
+    and a run with no config file parse to `(ModelConfig(), TrainConfig())`."""
+    model_cfg, train_cfg = _parse_train_config(name and DATA.parent / "configs" / name, 0)
     assert model_cfg == preset()
+    if preset is toy_config:
+        assert (model_cfg, train_cfg) == (ModelConfig(), TrainConfig())
+
+
+def test_partial_model_section_fills_from_the_toy_profile(tmp_path):
+    section = {"mlp_blocks": 2, "init_scale": 0.7}
+    cfg = tmp_path / "partial.json"
+    cfg.write_text(json.dumps({"model": section}), encoding="utf-8")
+    model_cfg, train_cfg = _parse_train_config(cfg, 4)
+    assert model_cfg == toy_config(**section, seed=4)
+    assert train_cfg == TrainConfig(rng_seed=4)
+
+
+def test_valence_table_missing_a_schema_atom_is_data_error(trained_dir, tmp_path, capsys):
+    """A table without an entry for one of the checkpoint's atom types is
+    refused before any sample is drawn or written, whatever the samples."""
+    table = tmp_path / "valences.json"
+    table.write_text(json.dumps({"C": 4, "N": 3, "O": 2}), encoding="utf-8")
+    for count in ("10", "1"):
+        out = tmp_path / f"s{count}"
+        code = main(["sample", "--ckpt", str(trained_dir / "run" / "model.npz"),
+                     "--out", str(out), "--count", count, "--seed", "0",
+                     "--valence-table", str(table)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(table) in err and "'F'" in err, err
+        assert not out.exists()

@@ -95,11 +95,8 @@ def test_gcn_block_zero_weight_outputs_zero():
 
 
 def test_gcn_block_scalar_hand_case():
-    cfg = ModelConfig(n_max=1, atom_symbols=(), gcn_blocks=1, gcn_layers=1,
-                      mlp_blocks=1, mlp_layers=1, seed=0)
-    model = GrfModel(cfg)
-    block = model.feature_layers[0]
-    block.weights[0][...] = np.array([[0.5]])
+    block = flow.GcnResidualBlock(prefix="t", weights=[np.array([[0.5]])], biases=[None],
+                                  budget=0.9)
     out = block.apply(np.array([[2.0]]), np.array([[1.0]]))
     assert out[0, 0] == pytest.approx(1.0)  # elu(1 * 2 * 0.5) = elu(1) = 1
 
@@ -457,6 +454,9 @@ def test_model_config_validation():
         ModelConfig(lipschitz_budget=1.0)
     with pytest.raises(ValueError):
         ModelConfig(mlp_blocks=0)
+    for symbols in ("ClBr", [], [1, 2], ["C", "C", "N"]):
+        with pytest.raises(ValueError, match="^atom_symbols must be"):
+            ModelConfig(atom_symbols=symbols)
 
 
 # -- exact spectral control ------------------------------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import grf.flow
-from grf.flow import GrfModel, ModelConfig, MlpResidualBlock, qm9_table_config, toy_config
+from grf.flow import (GcnResidualBlock, GrfModel, ModelConfig, MlpResidualBlock,
+                      qm9_table_config, toy_config)
 from grf.graphs import GraphTensors, dequantize, random_molgraph
 from grf.likelihood import (TAG_PRIOR_SAMPLE, FlowTrace, LogDetEstimatorConfig, derive_rng,
                             draw_probes, exact_logdet, full_logp, full_logp_from_dequant,
@@ -66,12 +67,9 @@ def test_logdet_scalar_closed_form():
 
 
 def test_scalar_feature_flow_closed_form():
-    cfg = ModelConfig(n_max=1, atom_symbols=(), gcn_blocks=1, gcn_layers=1,
-                      mlp_blocks=1, mlp_layers=1, seed=40)
-    model = GrfModel(cfg)
-    block = model.feature_layers[0]
     w = 0.7
-    block.weights[0][...] = np.array([[w]])
+    block = GcnResidualBlock(prefix="t", weights=[np.array([[w]])], biases=[None],
+                             budget=0.9)
     p = np.array([[1.0]])
     for x in (-1.5, -0.2, 0.8, 2.5):
         f, lin = block.forward(np.array([[x]]), p)
@@ -259,15 +257,17 @@ def test_total_logp_is_a_plain_fold_of_its_terms():
     assert trace.total_logp.hex() == (trace.prior_logp + feature + adjacency).hex()
 
 
-def test_full_logp_reads_only_the_seed_from_its_config():
+def test_full_logp_reads_no_config():
+    """The log-dets are exact and the seed comes only from `rng_seed`
+    (default 0), so no field of a passed estimator config matters."""
     model = GrfModel(toy_config(seed=54))
     g = random_molgraph(model.schema, 55)
     reference = full_logp(model, g, rng_seed=56)
-    wide = LogDetEstimatorConfig(series_terms=20, hutchinson_samples=64, rng_seed=56)
-    narrow = LogDetEstimatorConfig(series_terms=1, hutchinson_samples=1, rng_seed=56)
-    assert full_logp(model, g, wide) == reference
-    assert full_logp(model, g, narrow) == reference
-    assert full_logp(model, g, wide, rng_seed=57) != reference
+    wide = LogDetEstimatorConfig(series_terms=20, hutchinson_samples=64, rng_seed=57)
+    narrow = LogDetEstimatorConfig(series_terms=1, hutchinson_samples=1, rng_seed=58)
+    assert full_logp(model, g, wide, rng_seed=56) == reference
+    assert full_logp(model, g, narrow, rng_seed=56) == reference
+    assert full_logp(model, g, wide) == full_logp(model, g, rng_seed=0) != reference
 
 
 @pytest.mark.parametrize("stack", ["feature_layers", "adjacency_layers"])

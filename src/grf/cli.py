@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import latent_grid, reconstruction_curve
-from .chem import (ChemError, SmilesError, check_validity, compute_metrics,
-                   load_smiles_file, load_valence_table, training_string_set,
-                   write_smiles)
+from .chem import (DEFAULT_VALENCES, ChemError, SmilesError, check_validity,
+                   compute_metrics, load_smiles_file, load_valence_table,
+                   training_string_set, write_smiles)
 from .flow import CheckpointError, GrfModel, ModelConfig, load_checkpoint, save_checkpoint
 from .graphs import QM9_SCHEMA, GraphError, pad_graph, unpad_graph
 from .inversion import InversionConfig, generate
@@ -36,6 +36,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# the name data errors give the table used when no --valence-table is given
+DEFAULT_VALENCES_NAME = "grf.chem.DEFAULT_VALENCES"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,15 +205,23 @@ def _load_contraction(path) -> GrfModel:
     return model
 
 
+def _require_valences(model: GrfModel, table, table_name) -> None:
+    """`ChemError` naming the table and the symbol unless `table` has an
+    entry for every atom type of the checkpoint, so a command fails before
+    it generates or writes anything rather than at the first decoded atom
+    the table lacks."""
+    for symbol in model.schema.atom_symbols:
+        if symbol not in table:
+            raise ChemError(f"valence table {table_name} has no entry for "
+                            f"atom type {symbol!r}")
+
+
 def _cmd_sample(args) -> int:
     model = _load_contraction(args.ckpt)
-    valences = None
+    valences, table_name = DEFAULT_VALENCES, DEFAULT_VALENCES_NAME
     if args.valence_table:
-        valences = load_valence_table(args.valence_table)
-        for symbol in model.schema.atom_symbols:
-            if symbol not in valences:
-                raise ChemError(f"valence table {args.valence_table} has no entry for "
-                                f"atom type {symbol!r}")
+        valences, table_name = load_valence_table(args.valence_table), args.valence_table
+    _require_valences(model, valences, table_name)
     molecules = generate(model, args.count, args.tx, args.ta,
                          InversionConfig(iterations=args.iterations),
                          rng_seed=args.seed)
@@ -274,6 +285,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_latent_grid(args) -> int:
     model = _load_contraction(args.ckpt)
+    _require_valences(model, DEFAULT_VALENCES, DEFAULT_VALENCES_NAME)
     # the principal plane needs three molecules: two give a rank-1 covariance
     graphs = _load_dataset(args.dataset, model.schema, at_least=3)
     records = latent_grid(model, graphs, grid_size=args.grid_size, step=args.grid_step,

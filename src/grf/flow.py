@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import re
 import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graphs import GraphSchema, GraphTensors, augmented_normalized_adjacency
+from .graphs import GraphSchema, GraphTensors, augmented_normalized_adjacency, is_integer
 # operator_norm_power is a raising placeholder with no caller; perfbench/tracing.py
 # still patches grf.flow.operator_norm_power by name until ROADMAP R1a.
 from .linalg import NumericalError, operator_norm_power  # noqa: F401
@@ -88,7 +87,7 @@ def require_integers(config, low: int, *names: str) -> None:
 def require_integer(name: str, value, low: int) -> None:
     """ValueError naming `name` unless `value` is an integer >= `low` (a
     bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    if not is_integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 

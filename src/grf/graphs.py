@@ -12,6 +12,7 @@ conditions the feature flow.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,11 @@ import numpy as np
 
 class GraphError(ValueError):
     """Malformed graph data."""
+
+
+def is_integer(value) -> bool:
+    """True for an int or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -78,12 +84,23 @@ class RawGraph:
 
     @staticmethod
     def from_json_line(line: str) -> "RawGraph":
+        """The molecule of one `to_json_line` line.  Raises `GraphError`
+        naming the field unless `n` and every bond field are JSON integers
+        (not bools, floats or strings) and `atom_types` is a list of strings."""
         obj = json.loads(line)
-        raw = RawGraph(atoms=list(obj["atom_types"]),
-                       bonds=[(int(i), int(j), int(o)) for i, j, o in obj["bonds"]])
-        if raw.n != int(obj["n"]):
+        atoms, n = obj["atom_types"], obj["n"]
+        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+            raise GraphError(f"'atom_types' must be a list of strings, got {atoms!r}")
+        if not is_integer(n):
+            raise GraphError(f"'n' must be an integer, got {n!r}")
+        bonds = []
+        for bond in obj["bonds"]:
+            if not (isinstance(bond, list) and len(bond) == 3 and all(map(is_integer, bond))):
+                raise GraphError(f"each of 'bonds' must be three integers, got {bond!r}")
+            bonds.append(tuple(bond))
+        if len(atoms) != n:
             raise GraphError("atom count does not match 'n'")
-        return raw
+        return RawGraph(atoms=atoms, bonds=bonds)
 
 
 @dataclass
@@ -221,7 +238,15 @@ def augmented_normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pad_graph(raw: RawGraph, schema: GraphSchema) -> MolGraph:
-    """Pad a raw molecule with virtual atoms/bonds to the schema's shape."""
+    """Pad a raw molecule with virtual atoms/bonds to the schema's shape.
+
+    Raises `GraphError` for too many atoms, an atom outside the schema, a
+    bond whose fields are not integers, a bond index out of range or on
+    the diagonal, an order outside 1..R-1, or one pair bonded twice with
+    different orders.  Every other invariant of `MolGraph.validate` holds
+    by construction: one column per atom row, each bond written to both
+    (i, j) and (j, i), and the diagonal left in the no-bond channel.
+    """
     n, m, r = schema.n_max, schema.n_atom_types, schema.n_bond_types
     if raw.n > n:
         raise GraphError(f"molecule has {raw.n} atoms, schema allows {n}")
@@ -232,17 +257,27 @@ def pad_graph(raw: RawGraph, schema: GraphSchema) -> MolGraph:
 
     adjacency = np.zeros((n, n, r))
     adjacency[:, :, schema.no_bond] = 1.0
-    for i, j, order in raw.bonds:
+    orders: dict[tuple[int, int], int] = {}
+    conflict = False
+    for bond in raw.bonds:
+        i, j, order = bond
+        if not (type(i) is int and type(j) is int and type(order) is int
+                or all(map(is_integer, bond))):
+            raise GraphError(f"bond {bond!r} must hold integer atom indices and order")
         if not (0 <= i < raw.n and 0 <= j < raw.n) or i == j:
             raise GraphError(f"bond ({i}, {j}) out of range")
         if not 1 <= order <= r - 1:
             raise GraphError(f"bond order {order} outside 1..{r - 1}")
+        # a pair bonded twice must keep one order; reported after the loop,
+        # so an out-of-range bond later in the list is the error raised
+        if orders.setdefault((i, j) if i < j else (j, i), order) != order:
+            conflict = True
         ch = order - 1
         adjacency[i, j, schema.no_bond] = adjacency[j, i, schema.no_bond] = 0.0
         adjacency[i, j, ch] = adjacency[j, i, ch] = 1.0
-    g = MolGraph(schema=schema, adjacency=adjacency, features=features)
-    g.validate()
-    return g
+    if conflict:
+        raise GraphError("adjacency must be one-hot over bond channels")
+    return MolGraph(schema=schema, adjacency=adjacency, features=features)
 
 
 def random_molgraph(schema: GraphSchema, rng_seed: int) -> MolGraph:

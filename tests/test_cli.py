@@ -579,3 +579,22 @@ def test_valence_table_missing_a_schema_atom_is_data_error(trained_dir, tmp_path
         err = capsys.readouterr().err
         assert str(table) in err and "'F'" in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--count", "4"],
+    ["latent-grid", "--dataset", str(DATA / "toy_train.smi"), "--grid-size", "2"],
+], ids=lambda argv: argv[0])
+def test_atom_without_default_valence_is_data_error(argv, tmp_path, capsys):
+    """A checkpoint atom type that the default valence table lacks fails
+    before anything is generated or written, whatever gets decoded."""
+    from grf.flow import GrfModel, save_checkpoint
+
+    ckpt = tmp_path / "model.npz"
+    save_checkpoint(ckpt, GrfModel(ModelConfig(atom_symbols=("C", "N", "O", "Si"))))
+    out = tmp_path / "o"
+    assert main([*argv, "--ckpt", str(ckpt), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == ("data error: valence table grf.chem.DEFAULT_VALENCES has no entry "
+                   "for atom type 'Si'\n"), err
+    assert not out.exists()

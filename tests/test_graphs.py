@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,72 @@ def test_pad_full_graph_roundtrip():
 def test_pad_rejects_oversize():
     with pytest.raises(GraphError):
         pad_graph(RawGraph(atoms=["C"] * 10), SCHEMA)
+
+
+@pytest.mark.parametrize("atoms, bonds, message", [
+    pytest.param(["C", "Si"], [], "atom type 'Si' is not in the schema", id="unknown-atom"),
+    pytest.param(["C", "C"], [(0, 2, 1)], "bond (0, 2) out of range", id="index-too-large"),
+    pytest.param(["C", "C"], [(-1, 1, 1)], "bond (-1, 1) out of range", id="index-negative"),
+    pytest.param(["C", "C"], [(1, 1, 1)], "bond (1, 1) out of range", id="self-bond"),
+    pytest.param(["C", "C"], [(0, 1, 0)], "bond order 0 outside 1..3", id="order-zero"),
+    pytest.param(["C", "C"], [(0, 1, 4)], "bond order 4 outside 1..3", id="order-no-bond"),
+    pytest.param(["C", "C", "O"], [(0, 1, 1), (1, 2, 1), (1, 0, 2)],
+                 "adjacency must be one-hot over bond channels", id="conflicting-pair"),
+    # a conflict is reported after every bond is checked, so a later
+    # out-of-range bond is the error raised
+    pytest.param(["C", "C"], [(0, 1, 1), (0, 1, 2), (0, 5, 1)], "bond (0, 5) out of range",
+                 id="conflict-then-out-of-range"),
+    pytest.param(["C", "C"], [(True, False, 1)], "bond (True, False, 1) must hold integer",
+                 id="bool-indices"),
+    pytest.param(["C", "C"], [(0, 1, True)], "bond (0, 1, True) must hold integer",
+                 id="bool-order"),
+    pytest.param(["C", "C"], [(0, 1, 2.0)], "bond (0, 1, 2.0) must hold integer",
+                 id="float-order"),
+    pytest.param(["C", "C"], [(0.0, 1, 2)], "bond (0.0, 1, 2) must hold integer",
+                 id="float-index"),
+    pytest.param(["C", "C"], [(0, 1, "2")], "bond (0, 1, '2') must hold integer",
+                 id="string-order"),
+])
+def test_pad_rejects_bad_input(atoms, bonds, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        pad_graph(RawGraph(atoms=atoms, bonds=bonds), SCHEMA)
+
+
+def test_pad_accepts_duplicate_pairs_of_one_order_and_numpy_integers():
+    once = pad_graph(RawGraph(atoms=["C", "O"], bonds=[(0, 1, 2)]), SCHEMA)
+    for bonds in ([(0, 1, 2), (1, 0, 2)], [(0, 1, 2), (0, 1, 2)],
+                  [(np.int64(0), np.int32(1), np.uint8(2))]):
+        g = pad_graph(RawGraph(atoms=["C", "O"], bonds=bonds), SCHEMA)
+        assert np.array_equal(g.adjacency, once.adjacency)
+        assert np.array_equal(g.features, once.features)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), dup_seed=st.integers(0, 10 ** 6))
+def test_padded_random_molecules_satisfy_invariants(seed, dup_seed):
+    """Raw molecules, with some bonds repeated at the same order in either
+    direction, pad to graphs that pass `MolGraph.validate`."""
+    ref = random_molgraph(SCHEMA, seed)
+    raw = unpad_graph(ref)
+    rng = np.random.default_rng(dup_seed)
+    extra = [(j, i, o) if rng.random() < 0.5 else (i, j, o)
+             for i, j, o in raw.bonds if rng.random() < 0.5]
+    g = pad_graph(RawGraph(atoms=raw.atoms, bonds=raw.bonds + extra), SCHEMA)
+    g.validate()
+    assert np.array_equal(g.adjacency, ref.adjacency)
+    assert np.array_equal(g.features, ref.features)
+
+
+def test_pad_does_not_revalidate_what_it_builds(monkeypatch, corpus_raw, toy_raw,
+                                                qm9_schema, toy_schema):
+    """Padding guarantees `validate`'s invariants by construction, so it
+    never calls it (the check dominated padding's cost)."""
+    def refuse(self):
+        raise AssertionError("pad_graph called MolGraph.validate")
+
+    monkeypatch.setattr(MolGraph, "validate", refuse)
+    for raws, schema in ((corpus_raw, qm9_schema), (toy_raw, toy_schema)):
+        assert len([pad_graph(raw, schema) for raw in raws]) == len(raws)
 
 
 def test_unpad_recovers_atom_count():
@@ -342,8 +410,22 @@ def test_raw_graph_json_roundtrip():
 
 
 def test_raw_graph_json_rejects_bad_count():
-    with pytest.raises(GraphError):
-        RawGraph.from_json_line('{"n": 3, "atom_types": ["C"], "bonds": []}')
+    """A count that disagrees with the atoms, and any field of the wrong
+    JSON type, is a `GraphError` naming the field; nothing is coerced."""
+    for line, field in [
+        ('{"n": 3, "atom_types": ["C"], "bonds": []}', "atom count"),
+        ('{"n": 2.9, "atom_types": ["C", "C"], "bonds": [[0, 1, 1.7]]}', "'n'"),
+        ('{"n": 2.0, "atom_types": ["C", "C"], "bonds": []}', "'n'"),
+        ('{"n": "2", "atom_types": ["C", "C"], "bonds": []}', "'n'"),
+        ('{"n": true, "atom_types": ["C"], "bonds": []}', "'n'"),
+        ('{"n": 2, "atom_types": "CC", "bonds": []}', "'atom_types'"),
+        ('{"n": 1, "atom_types": [6], "bonds": []}', "'atom_types'"),
+        ('{"n": 2, "atom_types": ["C", "C"], "bonds": [[0, true, "2"]]}', "'bonds'"),
+        ('{"n": 2, "atom_types": ["C", "C"], "bonds": [[0, 1, 1.0]]}', "'bonds'"),
+        ('{"n": 2, "atom_types": ["C", "C"], "bonds": [[0, 1]]}', "'bonds'"),
+    ]:
+        with pytest.raises(GraphError, match=field):
+            RawGraph.from_json_line(line)
 
 
 def test_latent_point_vector_roundtrip():

@@ -4,6 +4,7 @@ from pathlib import Path
 import grf
 
 SRC = Path(grf.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 
 # Imported names that nothing in their module reads, each kept on purpose.
 UNUSED_IMPORTS_KEPT = {
@@ -44,3 +45,10 @@ def test_src_has_no_unused_import():
     found = {(path.name, name) for path in sorted(SRC.glob("*.py"))
              for name in unused_imports(path)}
     assert found == UNUSED_IMPORTS_KEPT
+
+
+def test_tests_and_scripts_have_no_unused_import():
+    found = {(path.relative_to(REPO).as_posix(), name)
+             for pattern in ("tests/*.py", "scripts/*.py")
+             for path in sorted(REPO.glob(pattern)) for name in unused_imports(path)}
+    assert found == set()
